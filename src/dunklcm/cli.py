@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import re
 import sys
@@ -37,6 +36,7 @@ from .rootsystems import (
     Subspace,
     block_stratum,
     classify_indices,
+    default_orbit_cap,
     enumerate_parabolic_strata,
     parabolic_stratum,
     parabolic_subspace,
@@ -137,7 +137,7 @@ def _parse_opts(text: str) -> dict:
     return opts
 
 
-def resolve_subgraph(rs, text: str) -> Stratum:
+def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
     text = (text or "").strip()
     if not text:
         return Stratum(rs, Subspace(rs.field, rs.dim, []), gamma0=(), label="")
@@ -179,7 +179,7 @@ def resolve_subgraph(rs, text: str) -> Stratum:
         if variant == 1:
             return parabolic_stratum(rs, indices)
         sub = parabolic_subspace(rs, indices)
-        if any(sub.key in rep.orbit() for rep in reps):
+        if any(sub.key in rep.orbit(cap) for rep in reps):
             continue
         st = Stratum(rs, sub, gamma0=tuple(indices), label=canonical)
         reps.append(st)
@@ -214,6 +214,12 @@ def _collect_mult_values(args) -> dict[str, Fraction]:
 
 
 def _numeric_mults(rs, vals: dict[str, Fraction]) -> Multiplicities:
+    unknown = sorted(set(vals) - set(rs.orbit_names))
+    if unknown:
+        raise UsageError(
+            f"unknown weight name(s) {', '.join(unknown)} for {_system_name(rs)}; "
+            f"its orbit weights are {', '.join(rs.orbit_names)}"
+        )
     try:
         return Multiplicities.numeric(rs, vals)
     except ValueError as exc:
@@ -259,6 +265,18 @@ def _approx(text: str):
         return None
 
 
+def _orbit_cap(flag: int | None) -> int:
+    """The cap every orbit search of one command gets: --orbit-cap, else $DUNKLCM_ORBIT_CAP, else 10^6."""
+    if flag is None:
+        try:
+            return default_orbit_cap()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    if flag < 1:
+        raise UsageError(f"--orbit-cap must be a positive integer, got {flag}")
+    return flag
+
+
 def _emit(args, payload: dict, pretty_lines=None) -> None:
     if getattr(args, "float", False):
         payload = _add_floats(payload)
@@ -299,7 +317,7 @@ def cmd_check(args) -> int:
     if not args.family:
         raise UsageError("check needs --family or --group")
     rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph)
+    st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
     payload = {"command": "check", "stratum": _stratum_summary(st)}
     payload["equations"] = condition_equations(st)
     vals = _collect_mult_values(args)
@@ -383,7 +401,7 @@ def _check_complex(args) -> int:
 
 def cmd_restrict(args) -> int:
     rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph)
+    st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
     payload = {"command": "restrict", "stratum": _stratum_summary(st)}
     vals = _collect_mult_values(args)
     if vals:
@@ -463,7 +481,7 @@ def cmd_solve(args) -> int:
     if not args.family:
         raise UsageError("solve needs --family or --group")
     rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph)
+    st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
     solved = solve_multiplicities(st)
     payload = {"command": "solve", "stratum": _stratum_summary(st)}
     payload.update(solved)
@@ -553,9 +571,9 @@ def _verify_commutativity(args) -> tuple[dict, int]:
 def _verify_gauge(args) -> tuple[dict, int]:
     rs = root_system(args.family, args.rank)
     if args.subgraph:
-        strata = [resolve_subgraph(rs, args.subgraph)]
+        strata = [resolve_subgraph(rs, args.subgraph, args.orbit_cap)]
     else:
-        strata = enumerate_parabolic_strata(rs)
+        strata = enumerate_parabolic_strata(rs, cap=args.orbit_cap)
     rows = []
     failures = 0
     for offset, st in enumerate(strata):
@@ -585,7 +603,7 @@ def _verify_gauge(args) -> tuple[dict, int]:
 
 def _verify_restriction(args) -> tuple[dict, int]:
     rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph or "")
+    st = resolve_subgraph(rs, args.subgraph or "", args.orbit_cap)
     vals = _collect_mult_values(args)
     if vals:
         mults = _numeric_mults(rs, vals)
@@ -625,7 +643,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
     }
     code = 0 if not bad else 1
     if args.subgraph:
-        st = resolve_subgraph(rs, args.subgraph)
+        st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
         degrees = tuple(range(2, args.degree + 1, 2)) or (2,)
         defects = restriction_defects(st, mults, degrees=degrees, deformed=True)
         report["restriction_label"] = st.label
@@ -777,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=3, help="random multiplicity samples")
     p.add_argument("--k", type=int, default=1, help="first conserved-power exponent")
     p.add_argument("--l", type=int, default=2, help="second conserved-power exponent")
-    p.add_argument("--omega", default="1", help="confinement coupling (identities hold for all values)")
     p.add_argument("--golden", default=None, help="alternate golden catalog JSON")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -799,9 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "orbit_cap", None):
-        os.environ[ORBIT_CAP_ENV] = str(args.orbit_cap)
     try:
+        args.orbit_cap = _orbit_cap(args.orbit_cap)
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

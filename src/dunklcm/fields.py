@@ -2,21 +2,23 @@
 
 Elements are coefficient vectors over the power basis of the defining
 polynomial: x^2 - d for quadratic fields, the m-th cyclotomic polynomial
-for Q(zeta_m).  All coefficients are `fractions.Fraction`, so every
-operation is exact and arbitrary precision.
+for Q(zeta_m).  A vector is stored as integer numerators over one positive
+common denominator in lowest terms, so the arithmetic runs on plain ints
+and every operation is exact and arbitrary precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import add, sub
+from typing import Iterable
 
 RATIONAL = "rational"
 QUADRATIC = "quadratic"
 CYCLOTOMIC = "cyclotomic"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _squarefree(n: int) -> bool:
@@ -31,48 +33,31 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Univariate division with remainder, coefficients ascending."""
-    num = list(num)
-    out = [_ZERO] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        q = num[-1] / dlead
-        out[shift] = q
-        for i, c in enumerate(den):
-            num[shift + i] -= q * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return out, num
+_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
 
 
-_cyclotomic_cache: dict[int, tuple[Fraction, ...]] = {}
-
-
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending degree."""
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients of the m-th cyclotomic polynomial, ascending degree."""
     if m < 1:
         raise ValueError("cyclotomic index must be positive")
     cached = _cyclotomic_cache.get(m)
     if cached is not None:
         return cached
-    # x^m - 1 divided by the cyclotomic polynomials of all proper divisors.
-    num = [_ZERO] * (m + 1)
-    num[0] = Fraction(-1)
-    num[m] = _ONE
-    num_list = num
+    # x^m - 1 divided by the (monic, integral) cyclotomic polynomials of all proper divisors.
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num_list, rem = _poly_divmod(num_list, list(cyclotomic_polynomial(d)))
-            if rem:
+            div = cyclotomic_polynomial(d)
+            k = len(div) - 1
+            quo = [0] * (len(num) - k)
+            for top in range(len(num) - 1, k - 1, -1):
+                q = quo[top - k] = num[top]
+                for i, c in enumerate(div):
+                    num[top - k + i] -= q * c
+            if any(num):
                 raise ArithmeticError("cyclotomic recursion produced a remainder")
-    result = tuple(num_list)
+            num = quo
+    result = tuple(num)
     _cyclotomic_cache[m] = result
     return result
 
@@ -80,7 +65,7 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
 class Field:
     """One of Q, Q(sqrt(d)) or Q(zeta_m), produced by the classmethod constructors."""
 
-    __slots__ = ("kind", "param", "degree", "_pow_table", "_conj_table")
+    __slots__ = ("kind", "param", "degree", "_zeros", "_pow_table", "_zeta_table")
 
     _instances: dict[tuple[str, int | None], "Field"] = {}
 
@@ -88,8 +73,9 @@ class Field:
         self.kind = kind
         self.param = param
         self.degree = degree
-        self._pow_table: tuple[tuple[Fraction, ...], ...] | None = None
-        self._conj_table: tuple[tuple[Fraction, ...], ...] | None = None
+        self._zeros = (0,) * (degree - 1)
+        self._pow_table: tuple[tuple[int, ...], ...] | None = None
+        self._zeta_table: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def rational(cls) -> "Field":
@@ -125,9 +111,10 @@ class Field:
             if value.field is not self:
                 raise ValueError("element belongs to a different field")
             return value
-        coeffs = [_ZERO] * self.degree
-        coeffs[0] = Fraction(value)
-        return FieldElement(self, tuple(coeffs))
+        if type(value) is int:
+            return FieldElement(self, (value,) + self._zeros, 1)
+        q = Fraction(value)
+        return FieldElement(self, (q.numerator,) + self._zeros, q.denominator)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -139,49 +126,56 @@ class Field:
         """sqrt(d) or zeta_m; errors for the rational field."""
         if self.kind == RATIONAL:
             raise ValueError("the rational field has no generator")
-        coeffs = [_ZERO] * self.degree
-        coeffs[1] = _ONE
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, (0, 1) + self._zeros[1:], 1)
 
     def from_coeffs(self, coeffs: Iterable[Fraction | int]) -> "FieldElement":
         vec = [Fraction(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
         vec.extend([_ZERO] * (self.degree - len(vec)))
-        return FieldElement(self, tuple(vec))
+        # the lcm of the reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in vec))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
     # -- reduction tables --------------------------------------------------
 
-    def _powers(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Reduced coefficient vectors of x^k for k in [deg, 2*deg-2] (cyclotomic only)."""
+    def _powers(self) -> tuple[tuple[int, ...], ...]:
+        """Reduced coefficient vectors of x^k for k in [deg, 2*deg-2] (cyclotomic only).
+
+        The cyclotomic polynomial is monic with integer coefficients, so
+        every row is integral.
+        """
         if self._pow_table is None:
             n = self.degree
-            mod = cyclotomic_polynomial(self.param)  # monic
-            rows: list[tuple[Fraction, ...]] = []
+            mod = cyclotomic_polynomial(self.param)
             # x^n = -(lower part of the minimal polynomial)
             cur = [-c for c in mod[:n]]
-            rows.append(tuple(cur))
+            rows = [tuple(cur)]
             for _ in range(n - 2):
-                nxt = [_ZERO] + cur[: n - 1]
                 top = cur[n - 1]
+                cur = [0] + cur[: n - 1]
                 if top:
                     for i in range(n):
-                        nxt[i] -= top * mod[i]
-                cur = nxt
+                        cur[i] -= top * mod[i]
                 rows.append(tuple(cur))
             self._pow_table = tuple(rows)
         return self._pow_table
 
-    def _conjugates(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Reduced coefficient vectors of zeta^(-j) for j in range(degree)."""
-        if self._conj_table is None:
-            m = self.param
-            zeta = self.generator()
-            cols = [self.one().coeffs]
-            for j in range(1, self.degree):
-                cols.append((zeta ** ((m - j) % m)).coeffs)
-            self._conj_table = tuple(cols)
-        return self._conj_table
+    def _galois(self, nums: tuple[int, ...], k: int) -> tuple[int, ...]:
+        """The integral vector nums under zeta -> zeta^k (cyclotomic only)."""
+        if self._zeta_table is None:
+            # reduced (integral) coefficient vectors of zeta^e for e in range(m)
+            zeta, cur, rows = self.generator(), self.one(), []
+            for _ in range(self.param):
+                rows.append(cur.nums)
+                cur = cur * zeta
+            self._zeta_table = tuple(rows)
+        out = [0] * self.degree
+        for j, c in enumerate(nums):
+            if c:
+                for i, rc in enumerate(self._zeta_table[j * k % self.param]):
+                    out[i] += c * rc
+        return tuple(out)
 
     def __repr__(self) -> str:
         if self.kind == RATIONAL:
@@ -194,27 +188,47 @@ class Field:
         return {"kind": self.kind, "param": self.param, "degree": self.degree}
 
 
+def _reduced(field: Field, nums: tuple[int, ...], den: int) -> "FieldElement":
+    """The element nums/den in normal form: den > 0 and gcd(den, *nums) == 1."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return FieldElement(field, nums, den)
+    return FieldElement(field, tuple([a // g for a in nums]), den // g)
+
+
 class FieldElement:
-    """An element of a Field, stored as a reduced coefficient vector."""
+    """An element of a Field: integer numerators `nums` over the common denominator `den`.
 
-    __slots__ = ("field", "coeffs")
+    The constructor takes the normal form as given: den > 0 and
+    gcd(den, *nums) == 1, so zero is 0/1 and equal values have equal (nums, den).
+    """
 
-    def __init__(self, field: Field, coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: Field, nums: tuple[int, ...], den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient vector as Fractions: a view for display, never used by the arithmetic."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -227,22 +241,27 @@ class FieldElement:
             return self.field.element(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _combine(self, other, op):
+        """op(self, other) for op in (add, sub), over the common denominator."""
+        o = other if other.__class__ is FieldElement and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da != db:
+            return _reduced(self.field, tuple([op(a * db, b * da) for a, b in zip(self.nums, o.nums)]), da * db)
+        nums = tuple(map(op, self.nums, o.nums))
+        return FieldElement(self.field, nums, 1) if da == 1 else _reduced(self.field, nums, da)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -251,34 +270,31 @@ class FieldElement:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement and other.field is self.field else self._coerce(other)
         if o is None:
             return NotImplemented
         f = self.field
-        a, b = self.coeffs, o.coeffs
+        a, b, den = self.nums, o.nums, self.den * o.den
         if f.kind == RATIONAL:
-            return FieldElement(f, (a[0] * b[0],))
-        if f.kind == QUADRATIC:
-            d = f.param
-            return FieldElement(f, (a[0] * b[0] + d * a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
-        n = f.degree
-        conv = [_ZERO] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        out = conv[:n]
-        table = f._powers()
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
-            if c:
-                row = table[k - n]
-                for i, rc in enumerate(row):
-                    if rc:
-                        out[i] += c * rc
-        return FieldElement(f, tuple(out))
+            nums = (a[0] * b[0],)
+        elif f.kind == QUADRATIC:
+            nums = (a[0] * b[0] + f.param * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        else:
+            n = f.degree
+            conv = [0] * (2 * n - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
+                        if bj:
+                            conv[i + j] += ai * bj
+            out = conv[:n]
+            for row, c in zip(f._powers(), conv[n:]):
+                if c:
+                    for i, rc in enumerate(row):
+                        if rc:
+                            out[i] += c * rc
+            nums = tuple(out)
+        return FieldElement(f, nums, 1) if den == 1 else _reduced(f, nums, den)
 
     __rmul__ = __mul__
 
@@ -287,42 +303,22 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
         if f.kind == RATIONAL:
-            return FieldElement(f, (1 / self.coeffs[0],))
+            return _reduced(f, (self.den,), self.nums[0])
         if f.kind == QUADRATIC:
-            a, b = self.coeffs
+            # 1 / ((a + b*sqrt(d)) / den) = den * (a - b*sqrt(d)) / (a^2 - d*b^2)
+            a, b = self.nums
             norm = a * a - f.param * b * b
             if norm == 0:
                 raise ZeroDivisionError("division by zero field element")
-            return FieldElement(f, (a / norm, -b / norm))
-        # extended Euclid against the minimal polynomial
-        mod = list(cyclotomic_polynomial(f.param))
-        r0, r1 = mod, list(self.coeffs)
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            if len(r1) == 1:
-                inv_lead = 1 / r1[0]
-                coeffs = [c * inv_lead for c in s1]
-                return f.from_coeffs(coeffs)
-            q, r2 = _poly_divmod(r0, r1)
-            while r2 and r2[-1] == 0:
-                r2.pop()
-            if not r2:
-                raise ZeroDivisionError("element not invertible modulo the minimal polynomial")
-            # s2 = s0 - q*s1
-            prod = [_ZERO] * (len(q) + len(s1) - 1)
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            prod[i + j] += qc * sc
-            s2 = [_ZERO] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                s2[i] += c
-            for i, c in enumerate(prod):
-                s2[i] -= c
-            r0, r1, s0, s1 = r1, r2, s1, s2
+            return _reduced(f, (self.den * a, -self.den * b), norm)
+        # x^-1 = den / y for the integral y = sum(nums[j] * zeta^j); 1 / y is the
+        # product of the other Galois conjugates of y over its (integer) norm
+        rest = f.one()
+        for k in range(2, f.param):
+            if gcd(k, f.param) == 1:
+                rest = rest * FieldElement(f, f._galois(self.nums, k))
+        norm = (FieldElement(f, self.nums) * rest).nums[0]
+        return _reduced(f, tuple(self.den * c for c in rest.nums), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -358,16 +354,8 @@ class FieldElement:
         if f.kind == QUADRATIC:
             if f.param > 0:
                 return self
-            return FieldElement(f, (self.coeffs[0], -self.coeffs[1]))
-        table = f._conjugates()
-        out = [_ZERO] * f.degree
-        for j, c in enumerate(self.coeffs):
-            if c:
-                col = table[j]
-                for i, rc in enumerate(col):
-                    if rc:
-                        out[i] += c * rc
-        return FieldElement(f, tuple(out))
+            return FieldElement(f, (self.nums[0], -self.nums[1]), self.den)
+        return _reduced(f, f._galois(self.nums, -1), self.den)
 
     # -- structure ------------------------------------------------------------
 
@@ -376,14 +364,21 @@ class FieldElement:
             other = self.field.element(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash((self.field.kind, self.field.param, self.coeffs))
+        return hash((self.field.kind, self.field.param, self.nums, self.den))
 
     def sort_key(self) -> tuple:
-        """Deterministic total order on elements of one field (not the real order)."""
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
+        """Deterministic total order on elements of one field (not the real order).
+
+        The key is the (numerator, denominator) pair of each coefficient in
+        lowest terms.
+        """
+        den = self.den
+        if den == 1:
+            return tuple((a, 1) for a in self.nums)
+        return tuple((a // g, den // g) for a in self.nums for g in (gcd(a, den),))
 
     def __repr__(self):
         return f"<{render_scalar(self)}>"

@@ -44,13 +44,17 @@ class OrbitCapExceeded(RuntimeError):
 
 
 def default_orbit_cap() -> int:
+    """$DUNKLCM_ORBIT_CAP if set, else 10^6; a malformed or nonpositive value is an error."""
     raw = os.environ.get(ORBIT_CAP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_ORBIT_CAP
+    if not raw:
+        return DEFAULT_ORBIT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{ORBIT_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _vec_key(v: Vector) -> tuple:
@@ -635,8 +639,13 @@ class Stratum:
         self._orbit: dict[tuple, Subspace] | None = None
 
     def orbit(self, cap: int | None = None) -> dict[tuple, Subspace]:
+        """The orbit, computed once; the cap holds for the cached orbit too."""
+        if cap is None:
+            cap = default_orbit_cap()
         if self._orbit is None:
             self._orbit = orbit_of_subspace(self.rs, self.subspace, cap)
+        elif len(self._orbit) > cap:
+            raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
         return self._orbit
 
     def orbit_size(self, cap: int | None = None) -> int:

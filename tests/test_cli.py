@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -55,8 +56,7 @@ def test_unknown_subgraph_type(capsys):
 
 
 def test_orbit_cap_exit(capsys, monkeypatch):
-    # main() writes the cap into the environment; setenv snapshots the prior
-    # state so the pollution is rolled back for the rest of the suite
+    # the flag wins over a larger cap in the environment
     monkeypatch.setenv("DUNKLCM_ORBIT_CAP", "1000000")
     code, out = run(capsys, "check", "--family", "E7", "--subgraph", "A1^3:2", "--c", "1/2", "--orbit-cap", "10")
     assert code == 3
@@ -186,3 +186,46 @@ def test_pretty_output(capsys):
     text = capsys.readouterr().out
     assert code == 0
     assert "invariant" in text and "{" not in text.splitlines()[0]
+
+
+def test_orbit_cap_flag_does_not_leak(capsys, monkeypatch):
+    monkeypatch.delenv("DUNKLCM_ORBIT_CAP", raising=False)
+    code, out = run(capsys, "verify", "gauge", "--family", "H3", "--orbit-cap", "2")
+    assert code == 3
+    assert out["capped"] is True
+    assert "DUNKLCM_ORBIT_CAP" not in os.environ
+    code, out = run(capsys, "verify", "gauge", "--family", "H3")
+    assert code == 0
+    assert out["violations"] == 0
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_orbit_cap_flag_must_be_positive(capsys, cap):
+    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2",
+                    f"--orbit-cap={cap}")
+    assert code == 2
+    assert cap in out["error"]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_malformed_orbit_cap_env(capsys, monkeypatch, raw):
+    monkeypatch.setenv("DUNKLCM_ORBIT_CAP", raw)
+    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2")
+    assert code == 2
+    assert repr(raw) in out["error"]
+
+
+def test_unknown_weight_name(capsys):
+    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2", "--c1", "7")
+    assert code == 2
+    assert "c1" in out["error"]
+    code, out = run(capsys, "verify", "restriction", "--family", "H3", "--subgraph", "A1", "--mult", "k=1/2")
+    assert code == 2
+    assert "k" in out["error"]
+
+
+def test_verify_deformed_has_no_omega_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "deformed", "--family", "A", "--rank", "3", "--omega", "banana"])
+    assert exc.value.code == 2
+    assert "--omega" in capsys.readouterr().err

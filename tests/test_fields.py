@@ -1,15 +1,18 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dunklcm.fields
 from dunklcm.fields import (
     Field,
     cyclotomic_polynomial,
     parse_scalar,
     render_scalar,
 )
+from fraction_reference import RefElement
 
 Q = Field.rational()
 F5 = Field.quadratic(5)
@@ -165,3 +168,60 @@ def test_parse_rejects_wrong_radical():
 @settings(max_examples=50)
 def test_render_round_trip_cyclotomic(a):
     assert parse_scalar(C12, render_scalar(a)) == a
+
+
+# -- the integer-numerator representation against the Fraction-vector oracle ----
+
+ORACLE_FIELDS = [Q, F2, F5, Field.cyclotomic(3), Field.cyclotomic(8), C12]
+
+
+@st.composite
+def oracle_cases(draw):
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    vector = st.lists(rationals, min_size=field.degree, max_size=field.degree)
+    return field, draw(vector), draw(vector), draw(st.integers(-30, 30))
+
+
+def assert_matches(x, ref):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    if x.is_zero():
+        assert x.den == 1
+    assert x.coeffs == ref.coeffs
+    assert x.sort_key() == ref.sort_key()
+    assert render_scalar(x) == render_scalar(ref)
+
+
+@given(oracle_cases())
+@settings(max_examples=300)
+def test_arithmetic_matches_fraction_reference(case):
+    field, u, v, k = case
+    a, b = field.from_coeffs(u), field.from_coeffs(v)
+    ra, rb = RefElement(field, u), RefElement(field, v)
+    rk = RefElement(field, [k] + [0] * (field.degree - 1))
+    pairs = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+             (a * k, ra * rk), (a + k, ra + rk), (k - a, rk - ra)]
+    for x, ref in pairs:
+        assert_matches(x, ref)
+    if not b.is_zero():
+        assert_matches(b.inverse(), rb.inverse())
+        assert_matches(a / b, ra * rb.inverse())
+    assert (a == b) == (ra == rb)
+    # equal values reached by different routes are equal and hash equally
+    for x, y in [((a + b) - b, a), (a * b, b * a), (a - a, field.zero()), (a * 1, a)]:
+        assert x == y
+        assert hash(x) == hash(y)
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("Fraction built on the arithmetic path")
+
+    cases = [(Q, [Fraction(3, 4)], [Fraction(-5, 6)]),
+             (F5, [Fraction(1, 2), Fraction(1, 2)], [Fraction(2, 3), Fraction(-1, 5)]),
+             (C12, [1, Fraction(1, 3), 0, -2], [Fraction(-1, 2), 0, 4, Fraction(1, 7)])]
+    elements = [(field.from_coeffs(u), field.from_coeffs(v)) for field, u, v in cases]
+    monkeypatch.setattr(dunklcm.fields, "Fraction", NoFraction)
+    for a, b in elements:
+        a + b, a - b, a * b, -a, a * 2, a == b, hash(a), a.sort_key(), a.inverse(), a / b

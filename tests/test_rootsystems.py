@@ -222,6 +222,23 @@ def test_orbit_cap_env(monkeypatch):
         st.orbit()
 
 
+def test_cached_orbit_respects_cap():
+    rs = root_system("B", 3)
+    st = parabolic_stratum(rs, (0,))
+    assert len(st.orbit()) == 6
+    with pytest.raises(OrbitCapExceeded):
+        st.orbit(cap=2)
+    assert len(st.orbit(cap=6)) == 6
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_orbit_cap_env_malformed(monkeypatch, raw):
+    monkeypatch.setenv("DUNKLCM_ORBIT_CAP", raw)
+    st = parabolic_stratum(root_system("A", 3), (0,))
+    with pytest.raises(ValueError, match=repr(raw)):
+        st.orbit()
+
+
 def test_enumerate_strata_small():
     rs = root_system("A", 3)
     strata = enumerate_parabolic_strata(rs)
