@@ -23,7 +23,6 @@ import json
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .fields import render_scalar
@@ -490,12 +489,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    rows = _load_catalog_rows(args.golden)
-    jobs = max(1, args.jobs)
-
-    def compute(row):
+    results = []
+    for row in _load_catalog_rows(args.golden):
         got = catalog_row_result(row)
-        return {
+        results.append({
             "index": row["index"],
             "family": got["family"],
             "type": got["type"],
@@ -504,13 +501,7 @@ def cmd_catalog(args) -> int:
             "size": got["size"],
             "c": got["c"],
             "mults": got["mults"],
-        }
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute, rows))
-    else:
-        results = [compute(row) for row in rows]
+        })
     payload = {"command": "catalog", "rows": results}
     lines = [
         f"{'idx':>3} {'family':6} {'type':14} {'dim':>3} {'lines':>5} {'c':>6}  multiplicities"
@@ -657,15 +648,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
 
 
 def _verify_catalog(args) -> tuple[dict, int]:
-    jobs = max(1, args.jobs)
-    rows = _load_catalog_rows(args.golden)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            def one(row):
-                return catalog_compare_row(row)
-            results = list(pool.map(one, rows))
-    else:
-        results = [catalog_compare_row(row) for row in rows]
+    results = catalog_compare(args.golden)
     matched = sum(1 for r in results if r["dim_match"] and r["mults_match"])
     size_diffs = [
         {
@@ -686,21 +669,6 @@ def _verify_catalog(args) -> tuple[dict, int]:
         "size_diffs": size_diffs,
     }
     return report, 0 if matched == len(results) else 1
-
-
-def catalog_compare_row(row: dict) -> dict:
-    got = catalog_row_result(row)
-    return {
-        "index": row["index"],
-        "family": row["family"],
-        "type": row["type"],
-        "dim_match": got["dim"] == row["dim"],
-        "mults_match": got["mults"] == row["mults"],
-        "size_match": got["size"] == row["size"],
-        "expected": {"dim": row["dim"], "size": row["size"], "mults": row["mults"]},
-        "computed": {"dim": got["dim"], "size": got["size"], "mults": got["mults"]},
-        "c": got["c"],
-    }
 
 
 def cmd_verify(args) -> int:
@@ -738,7 +706,6 @@ def _add_common(sub):
     sub.add_argument("--float", action="store_true", help="add approximate decimals, clearly marked")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized witnesses/samples")
     sub.add_argument("--orbit-cap", type=int, default=None, help=f"orbit size cap (else ${ORBIT_CAP_ENV} or 10^6)")
-    sub.add_argument("--jobs", type=int, default=1, help="worker threads for independent rows")
 
 
 def _add_family(sub):

@@ -13,19 +13,24 @@ The operator in coordinate i is
 
 where c(k) is a single weight c0, except for N = 2 with p even, where the
 parity of k is a conjugation invariant and odd k may carry a second weight.
-Every division is exact on polynomials.
+The pair reflections are handed to the shared operator core of the dunkl
+module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j, and
+the direct ideal test and the orbit walk are the ones real groups use; only
+the diagonal term is computed here.  Every division is exact on polynomials.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
-from .fields import Field, FieldElement
-from .linalg import identity, vec_is_zero
-from .polynomials import Polynomial, divide_by_linear, monomials
-from .rootsystems import OrbitCapExceeded, Subspace
+from .dunkl import DunklContext
+from .fields import Field
+from .invariance import witness_violations
+from .linalg import identity
+from .polynomials import Polynomial
+from .rootsystems import Subspace, orbit_walk
 
 
 class ComplexReflectionGroup:
@@ -85,120 +90,55 @@ class ComplexReflectionGroup:
         return tuple(names)
 
 
-class ComplexDunklContext:
-    """Operator application for G(m,p,N) at numeric weights."""
+class ComplexDunklContext(DunklContext):
+    """Operator application for G(m,p,N) at numeric weights.
+
+    Reflection (i, j, k) with i < j, listed in that order, has the mirror
+    x_i = xi^k x_j; its index is k + m * (its pair's index among i < j).
+    """
 
     def __init__(self, group: ComplexReflectionGroup, c0, c0_odd=None, cdiag=()):
-        self.group = group
         field = group.field
-        self.field = field
-        self.c_even = field.element(c0)
+        c_even = field.element(c0)
         if c0_odd is None:
-            self.c_odd = self.c_even
+            c_odd = c_even
         else:
             if not group.has_parity_split:
                 raise ValueError("a separate odd weight needs N = 2 and even p")
-            self.c_odd = field.element(c0_odd)
+            c_odd = field.element(c0_odd)
         cdiag = tuple(field.element(c) for c in cdiag)
         if len(cdiag) != group.diag_order - 1:
             raise ValueError(
                 f"need {group.diag_order - 1} diagonal weights, got {len(cdiag)}"
             )
+        self.group = group
         self.cdiag = cdiag
-        self._mono_cache: dict[tuple, dict] = {}
-        self._pow_cache: dict[tuple, list] = {}
-
-    def _mirror_key(self, i: int, j: int, k: int) -> tuple[int, int, int]:
-        if i < j:
-            return (i, j, k % self.group.m)
-        return (j, i, (-k) % self.group.m)
-
-    def _var_image_power(self, key: tuple, v: int, e: int, matrix) -> Polynomial:
-        pkey = key + (v,)
-        powers = self._pow_cache.get(pkey)
-        if powers is None:
-            base = Polynomial.linear_form(self.field, matrix[v])
-            powers = [
-                Polynomial.constant(self.field, self.group.N, self.field.one()),
-                base,
-            ]
-            self._pow_cache[pkey] = powers
-        while len(powers) <= e:
-            powers.append(powers[-1] * powers[1])
-        return powers[e]
-
-    def reflect_poly(self, i: int, j: int, k: int, f: Polynomial) -> Polynomial:
-        key = self._mirror_key(i, j, k)
-        matrix = self.group.pair_matrix(*key)
-        memo = self._mono_cache.setdefault(key, {})
-        out = Polynomial.zero(self.field, self.group.N)
-        for exps, coeff in f.terms.items():
-            img = memo.get(exps)
-            if img is None:
-                img = Polynomial.constant(self.field, self.group.N, self.field.one())
-                for v, e in enumerate(exps):
-                    if e:
-                        img = img * self._var_image_power(key, v, e, matrix)
-                memo[exps] = img
-            out = out + img * coeff
-        return out
+        zero, one = field.zero(), field.one()
+        reflections = []
+        for i, j in combinations(range(group.N), 2):
+            for k in range(group.m):
+                alpha = [zero] * group.N
+                coroot = [zero] * group.N
+                alpha[i] = coroot[i] = one
+                alpha[j] = -(group.xi ** k)
+                coroot[j] = -(group.xi ** (-k))
+                reflections.append((alpha, coroot, c_odd if k % 2 else c_even))
+        self._set_reflections(field, group.N, 0, reflections)
 
     def apply(self, i: int, f: Polynomial) -> Polynomial:
-        group = self.group
-        field = self.field
-        out = f.partial(i)
-        for j in range(group.N):
-            if j == i:
-                continue
-            for k in range(group.m):
-                c = self.c_even if k % 2 == 0 else self.c_odd
-                if c.is_zero():
-                    continue
-                diff = f - self.reflect_poly(i, j, k, f)
-                if diff.is_zero():
-                    continue
-                form = [field.zero()] * group.N
-                form[i] = field.one()
-                form[j] = -(group.xi ** k)
-                out = out - divide_by_linear(diff, tuple(form)) * c
-        d = group.diag_order
-        if d > 1 and any(not c.is_zero() for c in self.cdiag):
-            scale = field.element(d)
-            acc: dict[tuple, FieldElement] = {}
-            for exps, coeff in f.terms.items():
-                t = exps[i] % d
-                if t == 0:
-                    continue
-                c = self.cdiag[t - 1]
-                if c.is_zero():
-                    continue
-                new = list(exps)
-                new[i] -= 1
-                key = tuple(new)
-                val = coeff * c * scale
-                if key in acc:
-                    acc[key] = acc[key] + val
-                else:
-                    acc[key] = val
-            out = out - Polynomial(field, group.N, acc)
-        return out
-
-    def commutator(self, i: int, j: int, f: Polynomial) -> Polynomial:
-        return self.apply(i, self.apply(j, f)) - self.apply(j, self.apply(i, f))
-
-    def commutativity_violations(self, max_degree: int) -> list:
-        bad = []
-        pairs = [
-            (i, j)
-            for i in range(self.group.N)
-            for j in range(i + 1, self.group.N)
-        ]
-        for exps in monomials(self.group.N, max_degree):
-            f = Polynomial.monomial(self.field, exps, self.field.one())
-            for i, j in pairs:
-                if not self.commutator(i, j, f).is_zero():
-                    bad.append((exps, i, j))
-        return bad
+        out = super().apply(i, f)
+        d = self.group.diag_order
+        if d == 1 or all(c.is_zero() for c in self.cdiag):
+            return out
+        # exps -> exps - e_i is one to one, so no two terms collide
+        scale = self.field.element(d)
+        lowered = {}
+        for exps, coeff in f.terms.items():
+            t = exps[i] % d
+            if t and not self.cdiag[t - 1].is_zero():
+                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                lowered[key] = coeff * self.cdiag[t - 1] * scale
+        return out - Polynomial(self.field, self.nvars, lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +174,8 @@ def collision_subspace(group: ComplexReflectionGroup, q: int, r: int, l: int = 0
 
 
 def subspace_orbit(group: ComplexReflectionGroup, sub: Subspace, cap: int = 4096) -> dict:
-    gens = group.generator_inverses()
-    seen = {sub.key: sub}
-    frontier = [sub]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for ginv in gens:
-                img = s.transform_rows(ginv)
-                if img.key not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
-                    seen[img.key] = img
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    moves = [lambda s, m=ginv: s.transform_rows(m) for ginv in group.generator_inverses()]
+    return orbit_walk(sub, moves, cap)
 
 
 def direct_ideal_violations(
@@ -258,40 +185,8 @@ def direct_ideal_violations(
     orbit_limit: int = 64,
 ) -> list:
     """Same generic-witness membership test as in the real case."""
-    group = ctx.group
-    field = ctx.field
-    orbit = subspace_orbit(group, sub, cap=orbit_limit)
-    members = [orbit[k] for k in sorted(orbit)]
-    rng = random.Random(seed)
-    f = Polynomial.constant(field, group.N, field.one())
-    for member in members:
-        rows = member.annihilator
-        for _ in range(64):
-            coeffs = [field.element(rng.randint(-3, 3)) for _ in rows]
-            form = tuple(
-                sum((c * r[j] for c, r in zip(coeffs, rows)), field.zero())
-                for j in range(group.N)
-            )
-            if vec_is_zero(form):
-                continue
-            if member.key != sub.key and sub.basis and all(
-                sum((form[j] * b[j] for j in range(group.N)), field.zero()).is_zero()
-                for b in sub.basis
-            ):
-                continue
-            break
-        else:
-            raise RuntimeError("could not draw a usable linear form")
-        f = f * Polynomial.linear_form(field, form)
-    bad = []
-    for i in range(group.N):
-        g = ctx.apply(i, f)
-        if g.is_zero():
-            continue
-        for member in members:
-            if not g.restrict_to(member.basis).is_zero():
-                bad.append((i, member.key))
-    return bad
+    orbit = subspace_orbit(ctx.group, sub, cap=orbit_limit)
+    return witness_violations(ctx, orbit, sub, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-"""Dunkl operators attached to a root system and a multiplicity function.
+"""Dunkl operators over a list of reflections with weights.
 
+Each reflection r is given by its mirror form alpha_r, its coroot
+alpha_r^v with s_r(x) = x - alpha_r(x) alpha_r^v, and its weight c_r.
 The operator in direction xi acts on polynomials as
 
-    T_xi f = d_xi f - sum_lines c_l (alpha_l, xi) (f - f o s_l) / (alpha_l, x)
+    T_xi f = d_xi f - sum_r c_r alpha_r(xi) (f - f o s_r) / alpha_r(x)
 
-where every difference quotient is an exact polynomial division.  The
+where every difference quotient is an exact polynomial division.  A root
+system supplies one reflection per root line; G(m,p,N) supplies its pair
+reflections and adds its cyclic diagonal term (see complexgroups).  The
 deformed variant adds a harmonic confinement parameter, carried as one
 extra inert variable so that all identities stay polynomial.
 
@@ -16,14 +20,17 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .fields import FieldElement
-from .linalg import Vector, dot, reflect, vec
+from .linalg import dot, reflect, vec
 from .polynomials import Polynomial, divide_by_linear, monomials
 from .rootsystems import Multiplicities, RootSystem
 
 
 class DunklContext:
-    """Applies Dunkl operators, caching reflected monomials per root line."""
+    """Applies Dunkl operators, caching reflected monomials per reflection.
+
+    For a root system the reflections are its root lines, in line order,
+    so a reflection index is a line index.
+    """
 
     def __init__(self, rs: RootSystem, mults: Multiplicities, extra_vars: int = 0):
         if not mults.is_numeric:
@@ -32,11 +39,22 @@ class DunklContext:
             raise ValueError("multiplicities belong to a different root system")
         self.rs = rs
         self.mults = mults
-        self.nx = rs.dim
-        self.nvars = rs.dim + extra_vars
-        self.field = rs.field
-        self._coeffs = tuple(mults.line_scalar(i) for i in range(len(rs.lines)))
-        self._images: dict[int, tuple] = {}
+        reflections = []
+        for line, alpha in enumerate(rs.lines):
+            scale = rs.line_norms[line].inverse() * 2
+            coroot = tuple(a * scale for a in alpha)
+            reflections.append((alpha, coroot, mults.line_scalar(line)))
+        self._set_reflections(rs.field, rs.dim, extra_vars, reflections)
+
+    def _set_reflections(self, field, nx: int, extra_vars: int, reflections) -> None:
+        self.field = field
+        self.nx = nx
+        self.nvars = nx + extra_vars
+        pad = (field.zero(),) * extra_vars
+        # (mirror form over every variable, coroot, weight) per reflection
+        self.reflections = tuple(
+            (tuple(alpha) + pad, tuple(coroot), c) for alpha, coroot, c in reflections
+        )
         self._mono_cache: dict[int, dict] = {}
         self._pow_cache: dict[tuple[int, int], list[Polynomial]] = {}
 
@@ -48,36 +66,24 @@ class DunklContext:
     def constant(self, c) -> Polynomial:
         return Polynomial.constant(self.field, self.nvars, self.field.element(c))
 
-    def _line_images(self, line: int) -> tuple[Vector, ...]:
-        imgs = self._images.get(line)
-        if imgs is None:
-            alpha = self.rs.lines[line]
-            nn = self.rs.line_norms[line]
-            basis = []
-            for v in range(self.nx):
-                row = [self.field.zero()] * self.nx
-                row[v] = self.field.one()
-                basis.append(tuple(row))
-            imgs = tuple(reflect(b, alpha, nn) for b in basis)
-            self._images[line] = imgs
-        return imgs
-
-    def _var_image_power(self, line: int, v: int, k: int) -> Polynomial:
-        key = (line, v)
+    def _var_image_power(self, r: int, v: int, k: int) -> Polynomial:
+        """(x_v o s_r)^k, where x_v o s_r = x_v - coroot_v alpha(x)."""
+        key = (r, v)
         powers = self._pow_cache.get(key)
         if powers is None:
-            row = self._line_images(line)[v]
-            coeffs = tuple(row) + (self.field.zero(),) * (self.nvars - self.nx)
-            base = Polynomial.linear_form(self.field, coeffs)
+            alpha, coroot, _ = self.reflections[r]
+            row = [-(coroot[v] * a) for a in alpha]
+            row[v] = row[v] + self.field.one()
+            base = Polynomial.linear_form(self.field, tuple(row))
             powers = [Polynomial.constant(self.field, self.nvars, self.field.one()), base]
             self._pow_cache[key] = powers
         while len(powers) <= k:
             powers.append(powers[-1] * powers[1])
         return powers[k]
 
-    def reflect_poly(self, line: int, f: Polynomial) -> Polynomial:
-        """f composed with the reflection of the given root line."""
-        memo = self._mono_cache.setdefault(line, {})
+    def reflect_poly(self, r: int, f: Polynomial) -> Polynomial:
+        """f composed with reflection r."""
+        memo = self._mono_cache.setdefault(r, {})
         out = Polynomial.zero(self.field, self.nvars)
         for exps, coeff in f.terms.items():
             img = memo.get(exps)
@@ -86,7 +92,7 @@ class DunklContext:
                 img = Polynomial.monomial(self.field, inert, self.field.one())
                 for v in range(self.nx):
                     if exps[v]:
-                        img = img * self._var_image_power(line, v, exps[v])
+                        img = img * self._var_image_power(r, v, exps[v])
                 memo[exps] = img
             out = out + img * coeff
         return out
@@ -95,30 +101,22 @@ class DunklContext:
 
     def apply(self, direction, f: Polynomial) -> Polynomial:
         """Dunkl operator along a coordinate index or an explicit vector."""
-        if isinstance(direction, int):
-            xi = [self.field.zero()] * self.nx
-            xi[direction] = self.field.one()
-            xi = tuple(xi)
+        axis = isinstance(direction, int)
+        if axis:
             out = f.partial(direction)
         else:
             xi = tuple(direction)
-            out = Polynomial.zero(self.field, self.nvars)
-            for v in range(self.nx):
-                if not xi[v].is_zero():
-                    out = out + f.partial(v) * xi[v]
-        zero = self.field.zero()
-        for line, alpha in enumerate(self.rs.lines):
-            c = self._coeffs[line]
+            out = f.directional_derivative(xi)
+        for r, (alpha, _, c) in enumerate(self.reflections):
             if c.is_zero():
                 continue
-            proj = dot(alpha, xi)
+            proj = alpha[direction] if axis else dot(alpha, xi)
             if proj.is_zero():
                 continue
-            diff = f - self.reflect_poly(line, f)
+            diff = f - self.reflect_poly(r, f)
             if diff.is_zero():
                 continue
-            form = tuple(alpha) + (zero,) * (self.nvars - self.nx)
-            out = out - divide_by_linear(diff, form) * (c * proj)
+            out = out - divide_by_linear(diff, alpha) * (c * proj)
         return out
 
     def laplacian(self, f: Polynomial) -> Polynomial:
@@ -228,7 +226,7 @@ class DeformedContext(DunklContext):
         minus = [0] * self.nx
         minus[i], minus[j] = 1, -1
         swap_line = self.rs.line_index(vec(field, minus))
-        c_swap = self._coeffs[swap_line]
+        c_swap = self.reflections[swap_line][2]
         terms = []
         g = self.reflect_poly(swap_line, f)
         terms.append(self.oscillator(i, g) - self.oscillator(j, g))

@@ -5,15 +5,14 @@ every irreducible component of the root lines vanishing on the stratum, the
 weighted Coxeter number and demands it equal one.  The direct route builds
 a generic element of the vanishing ideal of the whole orbit and applies the
 operators, testing ideal membership of the result; it is exponentially more
-expensive but makes no use of the criterion.
+expensive but makes no use of the criterion.  Its witness routine serves
+the complex groups G(m,p,N) as well.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .fields import render_scalar
 from .linalg import rref, vec_is_zero
 from .polynomials import (
     Polynomial,
@@ -25,6 +24,7 @@ from .rootsystems import (
     Multiplicities,
     RootSystem,
     Stratum,
+    Subspace,
     generalized_coxeter_number,
 )
 from .dunkl import DunklContext
@@ -43,7 +43,10 @@ def invariance_conditions(stratum: Stratum) -> tuple[Multiplicities, list[tuple[
 
 
 def condition_equations(stratum: Stratum) -> list[str]:
-    mults, conds = invariance_conditions(stratum)
+    return _render_equations(*invariance_conditions(stratum))
+
+
+def _render_equations(mults: Multiplicities, conds) -> list[str]:
     seen = []
     for _, h in conds:
         text = render_polynomial(h, names=mults.params) + " = 1"
@@ -76,7 +79,7 @@ def solve_multiplicities(stratum: Stratum) -> dict:
     mults, conds = invariance_conditions(stratum)
     names = mults.params
     nparams = len(names)
-    result: dict = {"equations": condition_equations(stratum)}
+    result: dict = {"equations": _render_equations(mults, conds)}
     if not conds:
         result.update(status="unconstrained", values={}, free=list(names))
         return result
@@ -124,15 +127,41 @@ def _random_annihilator_form(rng: random.Random, rows, field, avoid_basis=None):
         )
         if vec_is_zero(form):
             continue
-        if avoid_basis is not None:
-            # keep the form nonzero somewhere on the reference subspace
-            if all(
-                sum((form[j] * b[j] for j in range(n)), field.zero()).is_zero()
-                for b in avoid_basis
-            ):
-                continue
+        # keep the form nonzero somewhere on the reference subspace
+        if avoid_basis and all(
+            sum((form[j] * b[j] for j in range(n)), field.zero()).is_zero()
+            for b in avoid_basis
+        ):
+            continue
         return form
     raise RuntimeError("could not draw a usable linear form")
+
+
+def witness_violations(ctx: DunklContext, orbit: dict, base: Subspace, seed: int = 0) -> list:
+    """Applies the operators to a generic element of the orbit's ideal.
+
+    The witness vanishes on every subspace of the orbit: one pseudo-random
+    annihilator form per member, members in key order, each nonzero
+    somewhere on base unless it is base's own.  Returns (direction, member
+    key) for every image that does not vanish on a member.
+    """
+    field = ctx.field
+    members = [orbit[k] for k in sorted(orbit)]
+    rng = random.Random(seed)
+    f = Polynomial.constant(field, ctx.nx, field.one())
+    for member in members:
+        avoid = None if member.key == base.key else base.basis
+        form = _random_annihilator_form(rng, member.annihilator, field, avoid_basis=avoid)
+        f = f * Polynomial.linear_form(field, form)
+    bad = []
+    for v in range(ctx.nx):
+        g = ctx.apply(v, f)
+        if g.is_zero():
+            continue
+        for member in members:
+            if not g.restrict_to(member.basis).is_zero():
+                bad.append((v, member.key))
+    return bad
 
 
 def direct_invariance_violations(
@@ -143,31 +172,10 @@ def direct_invariance_violations(
 ) -> list:
     """Applies the operators to a generic ideal element, tests membership.
 
-    The witness vanishes on every subspace of the orbit: one pseudo-random
-    annihilator form per orbit member.  Raises OrbitCapExceeded when the
-    orbit is larger than orbit_limit.
+    Raises OrbitCapExceeded when the orbit is larger than orbit_limit.
     """
-    rs = stratum.rs
-    field = rs.field
     orbit = stratum.orbit(cap=orbit_limit)
-    members = [orbit[k] for k in sorted(orbit)]
-    rng = random.Random(seed)
-    base = stratum.subspace
-    f = Polynomial.constant(field, rs.dim, field.one())
-    for member in members:
-        avoid = None if member.key == base.key else base.basis
-        form = _random_annihilator_form(rng, member.annihilator, field, avoid_basis=avoid)
-        f = f * Polynomial.linear_form(field, form)
-    ctx = DunklContext(rs, mults)
-    bad = []
-    for v in range(rs.dim):
-        g = ctx.apply(v, f)
-        if g.is_zero():
-            continue
-        for member in members:
-            if not g.restrict_to(member.basis).is_zero():
-                bad.append((v, member.key))
-    return bad
+    return witness_violations(DunklContext(stratum.rs, mults), orbit, stratum.subspace, seed)
 
 
 def is_invariant_direct(stratum, mults, seed: int = 0, orbit_limit: int = DIRECT_ORBIT_LIMIT) -> bool:

@@ -18,17 +18,6 @@ def vec(field: Field, entries) -> Vector:
     return tuple(field.element(e) for e in entries)
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: FieldElement, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vec_is_zero(a: Vector) -> bool:
     return all(x.is_zero() for x in a)
 
@@ -53,17 +42,8 @@ def identity(field: Field, n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def reflection_matrix(field: Field, alpha: Vector) -> Matrix:
@@ -128,26 +108,6 @@ def invert(m: Matrix, field: Field) -> Matrix:
     if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def solve(m: Matrix, b: Vector, field: Field) -> Vector | None:
-    """One solution x of m . x = b, or None when inconsistent."""
-    if not m:
-        return None
-    ncols = len(m[0])
-    aug = tuple(tuple(row) + (bi,) for row, bi in zip(m, b))
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [field.zero()] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][ncols]
-    return tuple(x)
-
-
-def in_span(rows: tuple[Vector, ...], v: Vector) -> bool:
-    base, _ = rref(rows)
-    return rank(base + (v,)) == len(base)
 
 
 def gram(vectors: tuple[Vector, ...]) -> Matrix:

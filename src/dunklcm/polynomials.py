@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import Field, FieldElement, _Parser, _tokenize, render_scalar
 from .linalg import Matrix, Vector
@@ -310,11 +310,6 @@ def is_divisible_by_linear(f: Polynomial, form: Vector, power: int = 1) -> bool:
         except ArithmeticError:
             return False
     return True
-
-
-def vanishes_on_parametrization(f: Polynomial, basis: tuple[Vector, ...]) -> bool:
-    """True when f is identically zero on span(basis)."""
-    return f.restrict_to(basis).is_zero()
 
 
 def monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
-from .linalg import Matrix, Vector, dot, gram, invert, mat_vec, rank, solve, vec_is_zero
+from .linalg import Matrix, Vector, dot, gram, invert, mat_vec, rank, vec_is_zero
 from .polynomials import Polynomial, render_polynomial
 from .rootsystems import (
     Multiplicities,

@@ -23,15 +23,12 @@ from .linalg import (
     Vector,
     dot,
     gram,
-    identity,
-    in_span,
     nullspace,
     rank,
     reflect,
     rref,
     vec,
     vec_is_zero,
-    vec_scale,
 )
 from .polynomials import Polynomial
 
@@ -218,13 +215,6 @@ class RootSystem:
 
     def is_root_line(self, v: Vector) -> bool:
         return self.line_index(v) is not None
-
-    def positive_count(self) -> int:
-        return len(self.lines)
-
-    def reflection(self, line_idx: int) -> Matrix:
-        alpha = self.lines[line_idx]
-        return tuple(reflect(row, alpha, self.line_norms[line_idx]) for row in identity(self.field, self.dim))
 
     def bond(self, i: int, j: int) -> int:
         """Coxeter bond order between simple roots i and j."""
@@ -707,17 +697,19 @@ def parabolic_stratum(rs: RootSystem, indices) -> Stratum:
     return Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=label)
 
 
-def orbit_of_subspace(rs: RootSystem, sub: Subspace, cap: int | None = None) -> dict[tuple, Subspace]:
-    if cap is None:
-        cap = default_orbit_cap()
-    norms = [dot(s, s) for s in rs.simple]
-    seen = {sub.key: sub}
-    frontier = [sub]
+def orbit_walk(start: Subspace, moves, cap: int) -> dict[tuple, Subspace]:
+    """Breadth-first orbit of start under moves, each a map Subspace -> Subspace.
+
+    The moves must generate the group.  Raises OrbitCapExceeded when the
+    orbit grows past cap.
+    """
+    seen = {start.key: start}
+    frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
-            for alpha, nn in zip(rs.simple, norms):
-                img = s.reflect(alpha, nn)
+            for move in moves:
+                img = move(s)
                 if img.key not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
@@ -725,6 +717,13 @@ def orbit_of_subspace(rs: RootSystem, sub: Subspace, cap: int | None = None) -> 
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def orbit_of_subspace(rs: RootSystem, sub: Subspace, cap: int | None = None) -> dict[tuple, Subspace]:
+    if cap is None:
+        cap = default_orbit_cap()
+    moves = [lambda s, a=alpha, n=dot(alpha, alpha): s.reflect(a, n) for alpha in rs.simple]
+    return orbit_walk(sub, moves, cap)
 
 
 def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> Stratum:

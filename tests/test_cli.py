@@ -115,13 +115,20 @@ def test_restrict_force_gate(capsys):
 
 def test_catalog_command(capsys, tmp_path):
     target = tmp_path / "rows.json"
-    code = main(["catalog", "--jobs", "2", "--out", str(target)])
+    code = main(["catalog", "--out", str(target)])
     capsys.readouterr()
     assert code == 0
     rows = json.loads(target.read_text())["rows"]
     assert len(rows) == 41
     stored = {r["index"]: r for r in _load_catalog_rows()}
     assert all(r["dim"] == stored[r["index"]]["dim"] and r["mults"] == stored[r["index"]]["mults"] for r in rows)
+
+
+def test_jobs_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_verify_commutativity(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklcm.complexgroups import (
     ComplexDunklContext,
@@ -14,7 +16,8 @@ from dunklcm.complexgroups import (
     zeros_condition_text,
 )
 from dunklcm.dunkl import DunklContext
-from dunklcm.polynomials import Polynomial, monomials
+from dunklcm.linalg import vec
+from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
 from dunklcm.rootsystems import Multiplicities, root_system
 
 
@@ -67,7 +70,61 @@ def test_mirror_form_flips():
     for k in range(4):
         coeffs = (g.field.one(), -(xi**k))
         form = Polynomial.linear_form(g.field, coeffs)
-        assert (ctx.reflect_poly(0, 1, k, form) + form).is_zero()
+        assert (ctx.reflect_poly(k, form) + form).is_zero()  # the one pair (0, 1): index k
+
+
+def definition_apply(g, c0, c0_odd, cdiag, i, f):
+    """T_i f written out from the operator's definition, without the shared core.
+
+    Pair reflections act through their matrices; the diagonal term uses the
+    projection d * [x_i-degree = t mod d part of f] = sum_s eta^(-st) f(.., eta^s x_i, ..).
+    """
+    field = g.field
+    axis = vec(field, [1 if v == i else 0 for v in range(g.N)])
+    out = f.partial(i)
+    for j in range(g.N):
+        if j == i:
+            continue
+        for k in range(g.m):
+            c = c0_odd if k % 2 and c0_odd is not None else c0
+            form = axis[:j] + (-(g.xi ** k),) + axis[j + 1:]
+            diff = f - f.compose_linear(g.pair_matrix(i, j, k))
+            out = out - divide_by_linear(diff, form) * c
+    d = g.diag_order
+    for t in range(1, d):
+        part = Polynomial.zero(field, g.N)
+        for s in range(d):
+            part = part + f.compose_linear(g.diag_matrix(i, s)) * g.eta ** (-s * t)
+        out = out - divide_by_linear(part, axis) * cdiag[t - 1]
+    return out
+
+
+weights = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+@st.composite
+def group_inputs(draw, g):
+    """Weights for g and a polynomial of degree <= 3 with coefficients a + b*xi."""
+    c0 = g.field.element(draw(weights))
+    c0_odd = g.field.element(draw(weights)) if g.has_parity_split else None
+    cdiag = tuple(g.field.element(draw(weights)) for _ in range(g.diag_order - 1))
+    monos = draw(st.lists(st.sampled_from(monomials(g.N, 3)), max_size=6, unique=True))
+    small = st.integers(min_value=-3, max_value=3)
+    f = Polynomial(g.field, g.N, {
+        e: g.field.element(draw(small)) + g.xi * draw(small) for e in monos
+    })
+    return c0, c0_odd, cdiag, f
+
+
+@pytest.mark.parametrize("m,p,N", [(3, 3, 3), (4, 4, 2), (4, 2, 2), (6, 3, 2), (8, 4, 3)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_apply_matches_definition(m, p, N, data):
+    g = ComplexReflectionGroup(m, p, N)
+    c0, c0_odd, cdiag, f = data.draw(group_inputs(g))
+    ctx = ComplexDunklContext(g, c0, c0_odd, cdiag=cdiag)
+    for i in range(N):
+        assert ctx.apply(i, f) == definition_apply(g, c0, c0_odd, cdiag, i, f)
 
 
 def test_weight_validation():
