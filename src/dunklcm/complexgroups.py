@@ -125,18 +125,19 @@ class ComplexDunklContext(DunklContext):
                 reflections.append((alpha, coroot, c_odd if k % 2 else c_even))
         self._set_reflections(field, group.N, 0, reflections)
 
-    def apply(self, i: int, f: Polynomial) -> Polynomial:
-        out = super().apply(i, f)
+    def apply(self, direction, f: Polynomial) -> Polynomial:
+        out = super().apply(direction, f)
         d = self.group.diag_order
-        if d == 1 or all(c.is_zero() for c in self.cdiag):
+        # along a vector the core sums coordinate applications, each with its own diagonal term
+        if not isinstance(direction, int) or d == 1 or all(c.is_zero() for c in self.cdiag):
             return out
-        # exps -> exps - e_i is one to one, so no two terms collide
+        # exps -> exps - e_direction is one to one, so no two terms collide
         scale = self.field.element(d)
         lowered = {}
         for exps, coeff in f.terms.items():
-            t = exps[i] % d
+            t = exps[direction] % d
             if t and not self.cdiag[t - 1].is_zero():
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                key = exps[:direction] + (exps[direction] - 1,) + exps[direction + 1:]
                 lowered[key] = coeff * self.cdiag[t - 1] * scale
         return out - Polynomial(self.field, self.nvars, lowered)
 

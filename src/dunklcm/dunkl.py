@@ -4,13 +4,31 @@ Each reflection r is given by its mirror form alpha_r, its coroot
 alpha_r^v with s_r(x) = x - alpha_r(x) alpha_r^v, and its weight c_r.
 The operator in direction xi acts on polynomials as
 
-    T_xi f = d_xi f - sum_r c_r alpha_r(xi) (f - f o s_r) / alpha_r(x)
+    T_xi f = d_xi f - sum_r c_r alpha_r(xi) D_r f,   D_r f = (f - f o s_r) / alpha_r(x)
 
-where every difference quotient is an exact polynomial division.  A root
-system supplies one reflection per root line; G(m,p,N) supplies its pair
-reflections and adds its cyclic diagonal term (see complexgroups).  The
+where every divided difference D_r f is an exact polynomial division.  A
+root system supplies one reflection per root line; G(m,p,N) supplies its
+pair reflections and adds its cyclic diagonal term (see complexgroups).  The
 deformed variant adds a harmonic confinement parameter, carried as one
 extra inert variable so that all identities stay polynomial.
+
+The core is graded: T_xi is linear and lowers the degree by one, so it is
+fixed by its images of monomials.  A context keeps three memos, each its
+own and never shared with another context (another weight sample gives
+other images):
+
+- x^a o s_r per reflection and exponent tuple, for reflect_poly;
+- D_r x^a per reflection and exponent tuple, so that the operators in all
+  directions share one division per reflection and monomial;
+- T_v x^a per coordinate direction and exponent tuple, filled through
+  apply; extend(v, g) sums g_a T_v x^a from it.
+
+apply on a monomial reads the second memo; on any other polynomial it makes
+one division per reflection and keeps no quotient, since sums such as the
+invariant power sums cancel most of their monomial quotients.  A vector direction is the
+sum of the coordinate operators it combines.  The checks over a monomial
+basis (commutativity, equivariance, confined integrability) run on extend.
+Cached images are shared objects that callers must not change.
 
 Multiplicities must be numeric here; symbolic parameters only enter the
 linear invariance conditions, never an operator application.
@@ -20,13 +38,13 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import dot, reflect, vec
-from .polynomials import Polynomial, divide_by_linear, monomials
+from .linalg import reflect, vec
+from .polynomials import Polynomial, add_scaled, divide_by_linear, monomials
 from .rootsystems import Multiplicities, RootSystem
 
 
 class DunklContext:
-    """Applies Dunkl operators, caching reflected monomials per reflection.
+    """Applies Dunkl operators with memoized monomial images.
 
     For a root system the reflections are its root lines, in line order,
     so a reflection index is a line index.
@@ -55,16 +73,29 @@ class DunklContext:
         self.reflections = tuple(
             (tuple(alpha) + pad, tuple(coroot), c) for alpha, coroot, c in reflections
         )
+        # per direction v: (r, c_r alpha_r(e_v)) for every reflection it sees
+        self._scales = tuple(
+            tuple(
+                (r, scale)
+                for r, (alpha, _, c) in enumerate(self.reflections)
+                if not (scale := c * alpha[v]).is_zero()
+            )
+            for v in range(nx)
+        )
         self._mono_cache: dict[int, dict] = {}
         self._pow_cache: dict[tuple[int, int], list[Polynomial]] = {}
+        self._quotients: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
+        self._images: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
 
     # -- polynomial helpers --------------------------------------------------
 
-    def variable(self, v: int) -> Polynomial:
-        return Polynomial.variable(self.field, self.nvars, v)
-
     def constant(self, c) -> Polynomial:
         return Polynomial.constant(self.field, self.nvars, self.field.element(c))
+
+    def monomial(self, exps: tuple[int, ...]) -> Polynomial:
+        """x^exps over the coordinates, padded with zero exponents."""
+        exps = exps + (0,) * (self.nvars - len(exps))
+        return Polynomial.monomial(self.field, exps, self.field.one())
 
     def _var_image_power(self, r: int, v: int, k: int) -> Polynomial:
         """(x_v o s_r)^k, where x_v o s_r = x_v - coroot_v alpha(x)."""
@@ -84,7 +115,7 @@ class DunklContext:
     def reflect_poly(self, r: int, f: Polynomial) -> Polynomial:
         """f composed with reflection r."""
         memo = self._mono_cache.setdefault(r, {})
-        out = Polynomial.zero(self.field, self.nvars)
+        out: dict = {}
         for exps, coeff in f.terms.items():
             img = memo.get(exps)
             if img is None:
@@ -94,50 +125,84 @@ class DunklContext:
                     if exps[v]:
                         img = img * self._var_image_power(r, v, exps[v])
                 memo[exps] = img
-            out = out + img * coeff
-        return out
+            add_scaled(out, img, coeff)
+        return Polynomial(self.field, self.nvars, out)
+
+    def _divided_difference(self, r: int, f: Polynomial) -> Polynomial | None:
+        """D_r f, or None when f is fixed by reflection r."""
+        diff = f - self.reflect_poly(r, f)
+        if diff.is_zero():
+            return None
+        return divide_by_linear(diff, self.reflections[r][0])
+
+    def _monomial_quotient(self, r: int, exps: tuple[int, ...]) -> Polynomial | None:
+        key = (r, exps)
+        if key not in self._quotients:
+            mono = Polynomial.monomial(self.field, exps, self.field.one())
+            self._quotients[key] = self._divided_difference(r, mono)
+        return self._quotients[key]
 
     # -- the operator ---------------------------------------------------------
 
     def apply(self, direction, f: Polynomial) -> Polynomial:
         """Dunkl operator along a coordinate index or an explicit vector."""
-        axis = isinstance(direction, int)
-        if axis:
-            out = f.partial(direction)
+        if not isinstance(direction, int):
+            return self._combine(
+                (self.apply(v, f), weight) for v, weight in enumerate(direction) if not weight.is_zero()
+            )
+        out = dict(f.partial(direction).terms)
+        if len(f.terms) == 1:
+            (exps, coeff), = f.terms.items()
+            for r, scale in self._scales[direction]:
+                q = self._monomial_quotient(r, exps)
+                if q is not None:
+                    add_scaled(out, q, -(scale * coeff))
         else:
-            xi = tuple(direction)
-            out = f.directional_derivative(xi)
-        for r, (alpha, _, c) in enumerate(self.reflections):
-            if c.is_zero():
-                continue
-            proj = alpha[direction] if axis else dot(alpha, xi)
-            if proj.is_zero():
-                continue
-            diff = f - self.reflect_poly(r, f)
-            if diff.is_zero():
-                continue
-            out = out - divide_by_linear(diff, alpha) * (c * proj)
-        return out
+            for r, scale in self._scales[direction]:
+                q = self._divided_difference(r, f)
+                if q is not None:
+                    add_scaled(out, q, -scale)
+        return Polynomial(self.field, self.nvars, out)
+
+    def _image(self, v: int, exps: tuple[int, ...]) -> Polynomial:
+        """T_v x^exps, memoized; a miss on a coordinate monomial goes through apply."""
+        key = (v, exps)
+        img = self._images.get(key)
+        if img is None:
+            inert = (0,) * self.nx + exps[self.nx:]
+            if any(inert):
+                # T_v commutes with multiplication by the inert variables
+                img = self._image(v, exps[:self.nx] + (0,) * (self.nvars - self.nx)).shift(inert)
+            else:
+                img = self.apply(v, Polynomial.monomial(self.field, exps, self.field.one()))
+            self._images[key] = img
+        return img
+
+    def extend(self, v: int, g: Polynomial) -> Polynomial:
+        """T_v g = sum_a g_a T_v x^a, from the memoized monomial images."""
+        return self._combine((self._image(v, exps), coeff) for exps, coeff in g.terms.items())
+
+    def _combine(self, pieces) -> Polynomial:
+        """sum of scale * p over (p, scale) pairs, accumulated in one dict."""
+        out: dict = {}
+        for p, scale in pieces:
+            add_scaled(out, p, scale)
+        return Polynomial(self.field, self.nvars, out)
 
     def laplacian(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.field, self.nvars)
-        for v in range(self.nx):
-            out = out + self.apply(v, self.apply(v, f))
-        return out
-
-    def commutator(self, i: int, j: int, f: Polynomial) -> Polynomial:
-        return self.apply(i, self.apply(j, f)) - self.apply(j, self.apply(i, f))
+        one = self.field.one()
+        return self._combine((self.apply(v, self.apply(v, f)), one) for v in range(self.nx))
 
     def commutativity_violations(self, max_degree: int, pairs=None) -> list:
         """Monomial witnesses with a nonzero commutator, empty when commuting."""
         if pairs is None:
             pairs = list(combinations(range(self.nx), 2))
         bad = []
+        pad = (0,) * (self.nvars - self.nx)
         for exps in monomials(self.nx, max_degree):
-            exps_full = exps + (0,) * (self.nvars - self.nx)
-            f = Polynomial.monomial(self.field, exps_full, self.field.one())
+            full = exps + pad
             for i, j in pairs:
-                if not self.commutator(i, j, f).is_zero():
+                if self.extend(i, self._image(j, full)) != self.extend(j, self._image(i, full)):
                     bad.append((exps, i, j))
         return bad
 
@@ -154,10 +219,11 @@ class DunklContext:
                 ev[v] = self.field.one()
                 img = reflect(tuple(ev), alpha, nn)
                 for exps in monomials(self.nx, max_degree):
-                    exps_full = exps + (0,) * (self.nvars - self.nx)
-                    f = Polynomial.monomial(self.field, exps_full, self.field.one())
-                    lhs = self.reflect_poly(w, self.apply(v, self.reflect_poly(w, f)))
-                    rhs = self.apply(img, f)
+                    f = self.monomial(exps)
+                    lhs = self.reflect_poly(w, self.extend(v, self.reflect_poly(w, f)))
+                    rhs = self._combine(
+                        (self.extend(u, f), weight) for u, weight in enumerate(img) if not weight.is_zero()
+                    )
                     if lhs != rhs:
                         bad.append((w, v, exps))
         return bad
@@ -175,12 +241,16 @@ class DeformedContext(DunklContext):
         super().__init__(rs, mults, extra_vars=1)
         self.omega_index = self.nx
         self.omega = Polynomial.variable(self.field, self.nvars, self.omega_index)
+        # exponents of omega * x_v per coordinate v
+        self._omega_x = tuple(
+            tuple(int(u in (v, self.omega_index)) for u in range(self.nvars)) for v in range(self.nx)
+        )
 
     def raising(self, v: int, f: Polynomial) -> Polynomial:
-        return self.apply(v, f) + self.omega * self.variable(v) * f
+        return self.extend(v, f) + f.shift(self._omega_x[v])
 
     def lowering(self, v: int, f: Polynomial) -> Polynomial:
-        return self.apply(v, f) - self.omega * self.variable(v) * f
+        return self.extend(v, f) - f.shift(self._omega_x[v])
 
     def oscillator(self, v: int, f: Polynomial) -> Polynomial:
         """The factored one-coordinate Hamiltonian piece."""
@@ -206,9 +276,7 @@ class DeformedContext(DunklContext):
     def integrability_violations(self, k: int, l: int, max_degree: int) -> list:
         bad = []
         for exps in monomials(self.nx, max_degree):
-            exps_full = exps + (0,) * (self.nvars - self.nx)
-            f = Polynomial.monomial(self.field, exps_full, self.field.one())
-            if not self.total_commutator(k, l, f).is_zero():
+            if not self.total_commutator(k, l, self.monomial(exps)).is_zero():
                 bad.append(exps)
         return bad
 

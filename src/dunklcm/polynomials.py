@@ -25,6 +25,15 @@ class Polynomial:
         self.nvars = nvars
         self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
 
+    @classmethod
+    def _nonzero(cls, field: Field, nvars: int, terms: dict[tuple[int, ...], FieldElement]) -> "Polynomial":
+        """Wraps terms that hold no zero coefficient, skipping the filter."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -88,7 +97,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._nonzero(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -110,7 +119,7 @@ class Polynomial:
             c = self.field.element(other)
             if c.is_zero():
                 return Polynomial.zero(self.field, self.nvars)
-            return Polynomial(self.field, self.nvars, {e: c * v for e, v in self.terms.items()})
+            return Polynomial._nonzero(self.field, self.nvars, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
@@ -147,27 +156,22 @@ class Polynomial:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def shift(self, e: tuple[int, ...]) -> "Polynomial":
+        """x^e times self."""
+        return Polynomial._nonzero(self.field, self.nvars, {
+            tuple(a + b for a, b in zip(k, e)): c for k, c in self.terms.items()
+        })
+
     # -- calculus ---------------------------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
+        # e -> e - e_i is one to one, so no two terms collide
         out = {}
         for e, c in self.terms.items():
             k = e[i]
             if k:
-                e2 = list(e)
-                e2[i] = k - 1
-                key = tuple(e2)
-                add = c * k
-                acc = out.get(key)
-                out[key] = add if acc is None else acc + add
-        return Polynomial(self.field, self.nvars, out)
-
-    def directional_derivative(self, xi: Vector) -> "Polynomial":
-        out = Polynomial.zero(self.field, self.nvars)
-        for i, coeff in enumerate(xi):
-            if not coeff.is_zero():
-                out = out + self.partial(i) * coeff
-        return out
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return Polynomial._nonzero(self.field, self.nvars, out)
 
     # -- substitution ---------------------------------------------------------
 
@@ -205,7 +209,7 @@ class Polynomial:
                 cache[k] = got
             return got
 
-        total = Polynomial.zero(self.field, tgt_nvars)
+        out: dict[tuple[int, ...], FieldElement] = {}
         for e, c in self.terms.items():
             base_exp = [0] * tgt_nvars
             piece = None
@@ -217,9 +221,12 @@ class Polynomial:
                 else:
                     p = power(i, k)
                     piece = p if piece is None else piece * p
-            mono = Polynomial.monomial(self.field, tuple(base_exp), c)
-            total = total + (mono if piece is None else mono * piece)
-        return total
+            if piece is None:
+                _add_term(out, tuple(base_exp), c)
+                continue
+            for e2, c2 in piece.terms.items():
+                _add_term(out, tuple(a + b for a, b in zip(base_exp, e2)), c * c2)
+        return Polynomial(self.field, tgt_nvars, out)
 
     def compose_linear(self, m: Matrix) -> "Polynomial":
         """f(M x): substitute row i of M, as a linear form, for variable i."""
@@ -249,6 +256,20 @@ class Polynomial:
 
     def __repr__(self):
         return f"Poly({render_polynomial(self)})"
+
+
+def _add_term(acc: dict, e: tuple[int, ...], c: FieldElement) -> None:
+    prev = acc.get(e)
+    acc[e] = c if prev is None else prev + c
+
+
+def add_scaled(acc: dict, f: Polynomial, scale: FieldElement) -> None:
+    """acc += scale * f on a term dict, in place; sums may leave zeros."""
+    get = acc.get
+    for e, c in f.terms.items():
+        t = c * scale
+        prev = get(e)
+        acc[e] = t if prev is None else prev + t
 
 
 def divide_by_linear(f: Polynomial, form: Vector) -> Polynomial:
@@ -291,7 +312,7 @@ def divide_by_linear(f: Polynomial, form: Vector) -> Polynomial:
     remainder = grades.get(0, {})
     if any(not c.is_zero() for c in remainder.values()):
         raise ArithmeticError("polynomial is not divisible by the linear form")
-    return Polynomial(field, f.nvars, quotient)
+    return Polynomial._nonzero(field, f.nvars, quotient)
 
 
 def divided_difference(f: Polynomial, alpha: Vector) -> Polynomial:

@@ -127,6 +127,20 @@ def test_apply_matches_definition(m, p, N, data):
         assert ctx.apply(i, f) == definition_apply(g, c0, c0_odd, cdiag, i, f)
 
 
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_apply_along_a_vector_is_linear(data):
+    g = ComplexReflectionGroup(4, 2, 3)
+    c0, _, cdiag, f = data.draw(group_inputs(g))
+    ctx = ComplexDunklContext(g, c0, cdiag=cdiag)
+    small = st.integers(min_value=-2, max_value=2)
+    xi = tuple(g.field.element(data.draw(small)) + g.xi * data.draw(small) for _ in range(g.N))
+    split = Polynomial.zero(g.field, g.N)
+    for i in range(g.N):
+        split = split + ctx.apply(i, f) * xi[i]
+    assert ctx.apply(xi, f) == split
+
+
 def test_weight_validation():
     g = ComplexReflectionGroup(3, 3, 3)
     with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dunkl_reference import reference_apply, reference_commutativity_violations
+from dunklcm.complexgroups import ComplexDunklContext, ComplexReflectionGroup
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.polynomials import Polynomial, monomials
 from dunklcm.rootsystems import Multiplicities, root_system
@@ -135,3 +140,108 @@ def test_pair_commutator_rejects_exceptional():
     f = Polynomial.variable(ctx.field, ctx.nvars, 0)
     with pytest.raises(ValueError):
         ctx.pair_commutator_defect(0, 1, f)
+
+
+# ---------------------------------------------------------------------------
+# the memoized core against the unmemoized reference
+
+
+weights = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+def real_case(fam, rank_=None, deformed=False):
+    def make(draw):
+        rs = root_system(fam, rank_)
+        mults = Multiplicities.numeric(rs, {name: draw(weights) for name in rs.orbit_names})
+        return DeformedContext(rs, mults) if deformed else DunklContext(rs, mults)
+
+    return make
+
+
+def complex_case(m, p, N):
+    def make(draw):
+        g = ComplexReflectionGroup(m, p, N)
+        cdiag = [draw(weights) for _ in range(g.diag_order - 1)]
+        return ComplexDunklContext(g, draw(weights), cdiag=cdiag)
+
+    return make
+
+
+# Q, Q(sqrt5), the confinement variable, cyclotomic fields with and without
+# the diagonal term
+CORE_CASES = {
+    "B3": real_case("B", 3),
+    "H3": real_case("H3"),
+    "A3-deformed": real_case("A", 3, deformed=True),
+    "G(4,2,3)": complex_case(4, 2, 3),
+    "G(3,3,3)": complex_case(3, 3, 3),
+}
+
+
+@cache
+def warm_context(name):
+    """One context per case that stays warm across examples."""
+    rng = iter(Fraction(k, 5) for k in range(1, 100))
+    return CORE_CASES[name](lambda _: next(rng))
+
+
+@st.composite
+def field_polynomials(draw, ctx):
+    """A polynomial of degree <= 3 over every variable, coefficients a + b*g."""
+    field = ctx.field
+    gen = field.generator() if field.degree > 1 else field.zero()
+    small = st.integers(min_value=-3, max_value=3)
+    monos = draw(st.lists(st.sampled_from(monomials(ctx.nvars, 3)), min_size=1, max_size=6, unique=True))
+    return Polynomial(field, ctx.nvars, {e: field.element(draw(small)) + gen * draw(small) for e in monos})
+
+
+def assert_matches_reference(ctx, f, xi):
+    term = Polynomial(ctx.field, ctx.nvars, dict(list(f.terms.items())[:1]))
+    for v in range(ctx.nx):
+        want = reference_apply(ctx, v, f)
+        assert ctx.apply(v, f) == want
+        assert ctx.extend(v, f) == want
+        assert ctx.apply(v, term) == reference_apply(ctx, v, term)
+    assert ctx.apply(xi, f) == reference_apply(ctx, xi, f)
+
+
+@pytest.mark.parametrize("name", list(CORE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_apply_matches_reference(name, data):
+    cold = CORE_CASES[name](data.draw)
+    field = cold.field
+    f = data.draw(field_polynomials(cold))
+    g = data.draw(field_polynomials(cold))
+    xi = tuple(field.element(data.draw(st.integers(-2, 2))) for _ in range(cold.nx))
+    assert_matches_reference(cold, f, xi)  # every memo empty on entry
+    assert_matches_reference(cold, f, xi)  # the same inputs, all hits
+    assert_matches_reference(cold, g, xi)  # partly warm
+    assert_matches_reference(warm_context(name), f, xi)
+
+
+def planted_context(rs, weight_of_line):
+    """A context whose weights are not constant on the orbits of root lines."""
+    ctx = DunklContext(rs, Multiplicities.numeric(rs, Fraction(1, 2)))
+    reflections = [(alpha, coroot, rs.field.element(weight_of_line(r)))
+                   for r, (alpha, coroot, _) in enumerate(ctx.reflections)]
+    ctx._set_reflections(rs.field, rs.dim, 0, reflections)
+    return ctx
+
+
+def test_planted_violation_is_found():
+    rs = root_system("B", 3)
+    ctx = planted_context(rs, lambda r: Fraction(r + 1, 7))
+    got = ctx.commutativity_violations(3)
+    assert got
+    assert got == reference_commutativity_violations(ctx, 3)
+
+
+def test_weight_samples_keep_their_own_images():
+    rs = root_system("B", 3)
+    one = DunklContext(rs, Multiplicities.numeric(rs, {"c1": Fraction(1, 2), "c2": Fraction(1, 3)}))
+    two = DunklContext(rs, Multiplicities.numeric(rs, {"c1": Fraction(1, 2), "c2": Fraction(2, 3)}))
+    f = one.monomial((3, 0, 0))
+    assert one.commutativity_violations(3) == [] == two.commutativity_violations(3)
+    assert one.extend(0, f) != two.extend(0, f)
+    assert two.extend(0, f) == reference_apply(two, 0, f)
