@@ -274,6 +274,11 @@ class DeformedContext(DunklContext):
         return self.total_power(k, a) - self.total_power(l, b)
 
     def integrability_violations(self, k: int, l: int, max_degree: int) -> list:
+        """Monomials of degree <= max_degree on which [H_k, H_l] does not vanish.
+
+        With k == l the commutator subtracts two identical polynomials, so
+        the check is vacuous: it returns [] at every weight.
+        """
         bad = []
         for exps in monomials(self.nx, max_degree):
             if not self.total_commutator(k, l, self.monomial(exps)).is_zero():

@@ -137,6 +137,60 @@ class Field:
         den = lcm(*(c.denominator for c in vec))
         return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
+    # -- products and inner products -------------------------------------------
+
+    def _mul_nums(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The integral vector of (sum a_i x^i)(sum b_j x^j), reduced in this field."""
+        if self.kind == RATIONAL:
+            return (a[0] * b[0],)
+        if self.kind == QUADRATIC:
+            return (a[0] * b[0] + self.param * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+        n = self.degree
+        conv = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        out = conv[:n]
+        for row, c in zip(self._powers(), conv[n:]):
+            if c:
+                for i, rc in enumerate(row):
+                    if rc:
+                        out[i] += c * rc
+        return tuple(out)
+
+    def dot(self, a: Iterable["FieldElement"], b: Iterable["FieldElement"]) -> "FieldElement":
+        """sum(x * y for x, y in zip(a, b)) over elements of this field, reduced once.
+
+        The integral products are summed over one running common
+        denominator, the lcm of the denominators seen so far, so no term
+        builds an element or is brought to normal form.
+        """
+        mul = self._mul_nums
+        zero = (0,) * self.degree
+        total = list(zero)
+        den = 1
+        for x, y in zip(a, b):
+            if x.field is not self or y.field is not self:
+                raise ValueError("cannot mix elements of different fields")
+            # a zero term adds nothing, and in a field only a zero factor makes one
+            if x.nums == zero or y.nums == zero:
+                continue
+            p = mul(x.nums, y.nums)
+            d = x.den * y.den
+            if d != den:
+                g = gcd(den, d)
+                if g != d:
+                    # d does not divide den: move the sum to lcm(den, d)
+                    s = d // g
+                    total = [t * s for t in total]
+                    den *= s
+                s = den // d
+                p = [c * s for c in p]
+            total = list(map(add, total, p))
+        return _reduced(self, tuple(total), den)
+
     # -- reduction tables --------------------------------------------------
 
     def _powers(self) -> tuple[tuple[int, ...], ...]:
@@ -274,26 +328,7 @@ class FieldElement:
         if o is None:
             return NotImplemented
         f = self.field
-        a, b, den = self.nums, o.nums, self.den * o.den
-        if f.kind == RATIONAL:
-            nums = (a[0] * b[0],)
-        elif f.kind == QUADRATIC:
-            nums = (a[0] * b[0] + f.param * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-        else:
-            n = f.degree
-            conv = [0] * (2 * n - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            conv[i + j] += ai * bj
-            out = conv[:n]
-            for row, c in zip(f._powers(), conv[n:]):
-                if c:
-                    for i, rc in enumerate(row):
-                        if rc:
-                            out[i] += c * rc
-            nums = tuple(out)
+        nums, den = f._mul_nums(self.nums, o.nums), self.den * o.den
         return FieldElement(f, nums, 1) if den == 1 else _reduced(f, nums, den)
 
     __rmul__ = __mul__

@@ -3,7 +3,10 @@
 Vectors are tuples of FieldElement, matrices are tuples of row tuples.
 The bilinear form used throughout is the plain coordinate dot product
 with no conjugation; it is the complexification of the real scalar
-product on the ambient space.
+product on the ambient space.  It is the field's exact inner-product
+kernel (`Field.dot`): one sum of integer numerator products over a common
+denominator, reduced once, so mat_vec, gram and reflect build no
+intermediate field element per term.
 """
 
 from __future__ import annotations
@@ -23,10 +26,7 @@ def vec_is_zero(a: Vector) -> bool:
 
 
 def dot(a: Vector, b: Vector) -> FieldElement:
-    total = a[0] * b[0]
-    for x, y in zip(a[1:], b[1:]):
-        total = total + x * y
-    return total
+    return a[0].field.dot(a, b)
 
 
 def reflect(v: Vector, alpha: Vector, alpha_norm: FieldElement | None = None) -> Vector:

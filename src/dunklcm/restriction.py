@@ -2,9 +2,11 @@
 
 Projecting the root lines orthogonally onto the subspace and adding up the
 multiplicities of lines with a common image yields the vector configuration
-of the restricted operator.  The identities verified here are exact
-polynomial statements: every rational-function equality is cleared of
-denominators first.
+of the restricted operator.  The lines are grouped by their Gram
+coordinates over the subspace's basis, which determine the projection, so
+each restricted line is projected once.  The identities verified here are
+exact polynomial statements: every rational-function equality is cleared
+of denominators first.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from fractions import Fraction
 from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
-from .linalg import Matrix, Vector, dot, gram, invert, mat_vec, rank, vec_is_zero
+from .linalg import Vector, dot, gram, invert, mat_vec, rank, vec_is_zero
 from .polynomials import Polynomial, render_polynomial
 from .rootsystems import (
     Multiplicities,
     RootSystem,
     Stratum,
+    Subspace,
     parabolic_stratum,
     root_system,
 )
@@ -114,20 +117,6 @@ class Configuration:
         }
 
 
-def _project_onto(basis: tuple[Vector, ...], gram_inv: Matrix, v: Vector) -> Vector:
-    field = v[0].field
-    rhs = tuple(dot(b, v) for b in basis)
-    coeffs = mat_vec(gram_inv, rhs)
-    n = len(v)
-    out = [field.zero()] * n
-    for c, b in zip(coeffs, basis):
-        if c.is_zero():
-            continue
-        for j in range(n):
-            out[j] = out[j] + c * b[j]
-    return tuple(out)
-
-
 def _monic(v: Vector) -> Vector:
     for x in v:
         if not x.is_zero():
@@ -137,30 +126,40 @@ def _monic(v: Vector) -> Vector:
 
 
 def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configuration:
-    """Orthogonal projections of the root lines, grouped and weighted."""
+    """Orthogonal projections of the root lines, grouped and weighted.
+
+    A line alpha is grouped by its Gram coordinates r = ((b, alpha))_b over
+    the basis.  Its projection sum_a (G^-1 r)_a b_a is injective in r, so it
+    vanishes exactly when r does, and two lines have proportional
+    projections exactly when their r are proportional: grouping by the
+    monic r gives the groups of the monic projections, in the same order.
+    Each group is then projected once.
+    """
     rs = stratum.rs
     field = rs.field
     basis = stratum.subspace.basis
     if not basis:
         return Configuration(field, basis, (), (), mults.params)
-    ginv = invert(gram(basis), field)
-    groups: dict[tuple, tuple[Vector, Polynomial]] = {}
-    order: list[tuple] = []
+    # (nums, den) of each entry of the monic r -> [monic r, summed weight]
+    groups: dict[tuple, list] = {}
     for i, alpha in enumerate(rs.lines):
-        proj = _project_onto(basis, ginv, alpha)
-        if vec_is_zero(proj):
+        r = tuple(dot(b, alpha) for b in basis)
+        if vec_is_zero(r):
             continue
-        rep = _monic(proj)
-        key = tuple(x.sort_key() for x in rep)
+        rep = _monic(r)
+        key = tuple((x.nums, x.den) for x in rep)
         c = mults.line_value(i)
         if key in groups:
-            v, m = groups[key]
-            groups[key] = (v, m + c)
+            groups[key][1] = groups[key][1] + c
         else:
-            groups[key] = (rep, c)
-            order.append(key)
-    vectors = [groups[k][0] for k in order]
-    weights = [groups[k][1] for k in order]
+            groups[key] = [rep, c]
+    ginv = invert(gram(basis), field)
+    columns = tuple(zip(*basis))
+    vectors = []
+    for rep, _ in groups.values():
+        coeffs = mat_vec(ginv, rep)
+        vectors.append(_monic(tuple(dot(coeffs, col) for col in columns)))
+    weights = [c for _, c in groups.values()]
     return Configuration(field, basis, vectors, weights, mults.params)
 
 
@@ -171,10 +170,9 @@ def conservation_defect(stratum: Stratum, mults: Multiplicities) -> Polynomial:
     total = Polynomial.zero(rs.field, len(mults.params))
     for m in config.mults:
         total = total + m
-    basis = stratum.subspace.basis
     expected = Polynomial.zero(rs.field, len(mults.params))
     for i, alpha in enumerate(rs.lines):
-        if all(dot(alpha, b).is_zero() for b in basis):
+        if stratum.subspace.perp_contains(alpha):
             continue
         expected = expected + mults.line_value(i)
     return total - expected
@@ -214,8 +212,6 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
     field = rs.field
     config = restricted_configuration(stratum, mults)
     ms = config.scalar_mults()
-    from .rootsystems import Subspace
-
     bad = []
     for i, u in enumerate(config.vectors):
         slice_rows = list(stratum.subspace.annihilator) + [u]

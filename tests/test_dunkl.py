@@ -220,12 +220,13 @@ def test_apply_matches_reference(name, data):
     assert_matches_reference(warm_context(name), f, xi)
 
 
-def planted_context(rs, weight_of_line):
+def planted_context(rs, weight_of_line, deformed=False):
     """A context whose weights are not constant on the orbits of root lines."""
-    ctx = DunklContext(rs, Multiplicities.numeric(rs, Fraction(1, 2)))
-    reflections = [(alpha, coroot, rs.field.element(weight_of_line(r)))
+    mults = Multiplicities.numeric(rs, Fraction(1, 2))
+    ctx = DeformedContext(rs, mults) if deformed else DunklContext(rs, mults)
+    reflections = [(alpha[:rs.dim], coroot, rs.field.element(weight_of_line(r)))
                    for r, (alpha, coroot, _) in enumerate(ctx.reflections)]
-    ctx._set_reflections(rs.field, rs.dim, 0, reflections)
+    ctx._set_reflections(rs.field, rs.dim, ctx.nvars - rs.dim, reflections)
     return ctx
 
 
@@ -245,3 +246,10 @@ def test_weight_samples_keep_their_own_images():
     assert one.commutativity_violations(3) == [] == two.commutativity_violations(3)
     assert one.extend(0, f) != two.extend(0, f)
     assert two.extend(0, f) == reference_apply(two, 0, f)
+
+
+def test_equal_powers_make_integrability_vacuous():
+    # planted weights break [H_1, H_2] = 0, while [H_2, H_2] is identically zero
+    ctx = planted_context(root_system("A", 2), lambda r: Fraction(r + 1, 7), deformed=True)
+    assert ctx.integrability_violations(1, 2, 2)
+    assert ctx.integrability_violations(2, 2, 2) == []

@@ -12,6 +12,7 @@ from dunklcm.fields import (
     parse_scalar,
     render_scalar,
 )
+from dunklcm.linalg import dot, gram, mat_vec
 from fraction_reference import RefElement
 
 Q = Field.rational()
@@ -225,3 +226,55 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(dunklcm.fields, "Fraction", NoFraction)
     for a, b in elements:
         a + b, a - b, a * b, -a, a * 2, a == b, hash(a), a.sort_key(), a.inverse(), a / b
+        a.field.dot((a, b, a), (b, a, -b)), dot((a, b), (b, -a)), gram(((a, b), (b, a)))
+
+
+# -- the inner-product kernel against the Fraction-vector oracle ------------------
+
+KERNEL_FIELDS = [Q, F5, Field.cyclotomic(8), C12]
+
+# zero entries often, and denominators that share factors or are coprime
+kernel_entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-20, max_value=20, max_denominator=30))
+
+
+@st.composite
+def kernel_cases(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 5))
+    entry = st.lists(kernel_entries, min_size=field.degree, max_size=field.degree)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3))
+    return field, rows
+
+
+def reference_dot(field, u, v):
+    total = RefElement(field, [0] * field.degree)
+    for x, y in zip(u, v):
+        total = total + x * y
+    return total
+
+
+@given(kernel_cases())
+@settings(max_examples=200)
+def test_inner_products_match_fraction_reference(case):
+    field, rows = case
+    vectors = [tuple(field.from_coeffs(c) for c in row) for row in rows]
+    refs = [[RefElement(field, c) for c in row] for row in rows]
+    for u, ru in zip(vectors, refs):
+        for v, rv in zip(vectors, refs):
+            want = reference_dot(field, ru, rv)
+            assert_matches(field.dot(u, v), want)
+            assert_matches(dot(u, v), want)
+        # the same products with opposite signs: an all-zero result
+        zero = field.dot(u + u, tuple(-x for x in u) + u)
+        assert_matches(zero, RefElement(field, [0] * field.degree))
+        assert_matches(dot(u[:1], u[:1]), reference_dot(field, ru[:1], ru[:1]))
+    for x, rv in zip(mat_vec(tuple(vectors), vectors[0]), refs):
+        assert_matches(x, reference_dot(field, rv, refs[0]))
+    for row, ru in zip(gram(tuple(vectors)), refs):
+        for x, rv in zip(row, refs):
+            assert_matches(x, reference_dot(field, ru, rv))
+
+
+def test_kernel_rejects_mixed_fields():
+    with pytest.raises(ValueError):
+        F5.dot((F5.one(),), (F2.one(),))

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from dunklcm.polynomials import render_polynomial
 from dunklcm.restriction import (
     catalog_compare,
     catalog_row_result,
+    catalog_stratum,
     _load_catalog_rows,
     conservation_defect,
     deformed_restriction_constant,
@@ -21,6 +21,7 @@ from dunklcm.rootsystems import (
     parabolic_stratum,
     root_system,
 )
+from restriction_reference import reference_configuration
 
 
 def test_pair_block_configuration():
@@ -135,3 +136,39 @@ def test_catalog_compare_smoke():
     assert len(diffs) == len(rows)
     first = diffs[0]
     assert first["dim_match"] and first["mults_match"]
+
+
+# ---------------------------------------------------------------------------
+# grouping by Gram coordinates against the per-line projection
+
+
+def orbit_weights(rs):
+    """Numeric weights that differ from orbit to orbit."""
+    return Multiplicities.numeric(rs, {name: Fraction(k + 2, 7) for k, name in enumerate(rs.orbit_names)})
+
+
+def assert_matches_reference(st):
+    for mults in (orbit_weights(st.rs), Multiplicities.symbolic(st.rs)):
+        cfg = restricted_configuration(st, mults)
+        vectors, weights = reference_configuration(st, mults)
+        assert cfg.vectors == tuple(vectors), st.label
+        assert cfg.mults == tuple(weights), st.label
+
+
+def test_grouped_projection_matches_reference_on_catalog():
+    rows = _load_catalog_rows()
+    assert len(rows) == 41
+    for row in rows:
+        assert_matches_reference(catalog_stratum(row))
+
+
+@pytest.mark.parametrize("family", ["F4", "H3", "H4"])
+def test_grouped_projection_matches_reference_on_parabolic_strata(family):
+    strata = enumerate_parabolic_strata(root_system(family))
+    assert strata
+    for st in strata:
+        assert_matches_reference(st)
+
+
+def test_grouped_projection_matches_reference_on_block_stratum():
+    assert_matches_reference(block_stratum(root_system("B", 4), m=1, k=2, l=1))
