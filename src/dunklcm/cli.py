@@ -12,7 +12,8 @@ solve     solve the invariance conditions for the multiplicities
 
 Everything is exact; JSON output is deterministic (sorted keys).  Exit
 codes: 0 success or invariant, 1 definitive negative, 2 usage error,
-3 infeasible or orbit cap exceeded.
+3 infeasible or orbit cap exceeded, 4 internal failure (stderr carries
+{"error": ..., "internal": true}).
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import json
 import random
 import re
 import sys
+import traceback
 from fractions import Fraction
 
-from .fields import render_scalar
+from .fields import Field, render_scalar
 from .polynomials import parse_polynomial, render_polynomial
 from .rootsystems import (
     ORBIT_CAP_ENV,
@@ -47,6 +49,7 @@ from .invariance import (
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
+    solve_conditions,
     solve_multiplicities,
 )
 from .restriction import (
@@ -62,15 +65,25 @@ from .restriction import (
 from .complexgroups import (
     ComplexDunklContext,
     collision_subspace,
+    condition_forms,
     direct_ideal_violations,
     ideal_conditions,
     ideal_conditions_hold,
     parse_group_name,
+    weight_point,
 )
 
 
 class UsageError(ValueError):
     pass
+
+
+def _from_user(make, *args):
+    """make(*args) on command-line input, whose ValueError is a usage error."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +209,24 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
 # shared plumbing
 
 
+def _weight_literal(name: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"weight {name} must be a rational number, got {text!r}") from None
+
+
 def _collect_mult_values(args) -> dict[str, Fraction]:
     vals: dict[str, Fraction] = {}
-    for name in ("c", "c1", "c2", "c0"):
+    for name in ("c", "c1", "c2", "c0", "c0_odd"):
         got = getattr(args, name, None)
         if got is not None:
-            vals[name] = Fraction(got)
-    if getattr(args, "c0_odd", None) is not None:
-        vals["c0_odd"] = Fraction(args.c0_odd)
+            vals[name] = _weight_literal(name, got)
     for item in getattr(args, "mult", None) or []:
         name, sep, val = item.partition("=")
         if not sep:
             raise UsageError(f"--mult expects name=value, got {item!r}")
-        vals[name.strip()] = Fraction(val)
+        vals[name.strip()] = _weight_literal(name.strip(), val)
     return vals
 
 
@@ -219,10 +237,19 @@ def _numeric_mults(rs, vals: dict[str, Fraction]) -> Multiplicities:
             f"unknown weight name(s) {', '.join(unknown)} for {_system_name(rs)}; "
             f"its orbit weights are {', '.join(rs.orbit_names)}"
         )
-    try:
-        return Multiplicities.numeric(rs, vals)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _from_user(Multiplicities.numeric, rs, vals)
+
+
+def _root_system(args):
+    """The root system named by --family and --rank."""
+    if not args.family:
+        raise UsageError(f"{args.command} needs --family")
+    return _from_user(root_system, args.family, args.rank)
+
+
+def _stratum(rs, args) -> Stratum:
+    """The stratum named by --subgraph."""
+    return _from_user(resolve_subgraph, rs, args.subgraph, args.orbit_cap)
 
 
 def _instantiate_solution(st, solved, offset: int = 0) -> Multiplicities:
@@ -267,13 +294,18 @@ def _approx(text: str):
 def _orbit_cap(flag: int | None) -> int:
     """The cap every orbit search of one command gets: --orbit-cap, else $DUNKLCM_ORBIT_CAP, else 10^6."""
     if flag is None:
-        try:
-            return default_orbit_cap()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return _from_user(default_orbit_cap)
     if flag < 1:
         raise UsageError(f"--orbit-cap must be a positive integer, got {flag}")
     return flag
+
+
+def _golden_rows(path: str | None) -> list[dict]:
+    """The catalog rows of --golden, else the shipped ones."""
+    try:
+        return _load_catalog_rows(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot read catalog rows from {path!r}: {exc}") from None
 
 
 def _emit(args, payload: dict, pretty_lines=None) -> None:
@@ -315,8 +347,8 @@ def cmd_check(args) -> int:
         return _check_complex(args)
     if not args.family:
         raise UsageError("check needs --family or --group")
-    rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
+    rs = _root_system(args)
+    st = _stratum(rs, args)
     payload = {"command": "check", "stratum": _stratum_summary(st)}
     payload["equations"] = condition_equations(st)
     vals = _collect_mult_values(args)
@@ -335,6 +367,7 @@ def cmd_check(args) -> int:
         viol = direct_invariance_violations(st, mults, seed=args.seed)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
+        payload["seed"] = args.seed
     lines = [
         f"{_system_name(st.rs)} [{st.label or 'whole space'}]",
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
@@ -347,48 +380,55 @@ def cmd_check(args) -> int:
 def _parse_blocks(text: str | None) -> tuple[int, int]:
     if not text:
         return 0, 1
-    parts = [p for p in re.split(r"[,x]", text) if p.strip()]
-    if len(parts) == 1:
-        return 1, int(parts[0])
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise UsageError(f"--blocks expects 'r' or 'q,r', got {text!r}")
+    parts = [p.strip() for p in re.split(r"[,x]", text) if p.strip()]
+    if len(parts) not in (1, 2) or not all(p.isdigit() for p in parts):
+        raise UsageError(f"--blocks expects 'r' or 'q,r', got {text!r}")
+    sizes = [int(p) for p in parts]
+    return (1, sizes[0]) if len(sizes) == 1 else (sizes[0], sizes[1])
 
 
-def _check_complex(args) -> int:
-    group = parse_group_name(args.group)
+def _complex_stratum(args):
+    """The group of --group and the collision subspace of --blocks, --zeros and --eps."""
+    group = _from_user(parse_group_name, args.group)
     q, r = _parse_blocks(args.blocks)
     l = args.zeros or 0
     eps = args.eps or 0
-    sub = collision_subspace(group, q, r, l=l, eps=eps)
+    sub = _from_user(collision_subspace, group, q, r, l, eps)
+    return group, (q, r, l, eps), sub
+
+
+def _solve_complex(group, shape) -> dict:
+    return solve_conditions(Field.rational(), group.param_names(), condition_forms(group, *shape))
+
+
+def _check_complex(args) -> int:
+    group, shape, sub = _complex_stratum(args)
+    q, r, l, eps = shape
     payload = {
         "command": "check",
         "group": repr(group),
         "blocks": {"q": q, "r": r, "eps": eps},
         "zeros": l,
-        "equations": ideal_conditions(group, q, r, l, eps),
+        "equations": ideal_conditions(group, *shape),
     }
     vals = _collect_mult_values(args)
     if args.symbolic or not vals:
         if not args.symbolic:
             raise UsageError("provide weights (--c0 ...), or --symbolic for the conditions")
-        solvable = "0 = 1" not in payload["equations"]
-        payload["status"] = "solvable" if solvable else "inconsistent"
+        solved = _solve_complex(group, shape)
+        payload.update(solved)
         _emit(args, payload, _pretty_solve(payload))
-        return 0 if solvable else 1
-    if "c0" not in vals:
-        raise UsageError("complex groups need --c0")
-    invariant = ideal_conditions_hold(group, vals, q, r, l, eps)
+        return 0 if solved["status"] != "inconsistent" else 1
+    point = _from_user(weight_point, group, vals)
+    invariant = ideal_conditions_hold(group, point, *shape)
     payload["weights"] = {k: str(v) for k, v in sorted(vals.items())}
     payload["invariant"] = invariant
     if args.direct:
-        cdiag = tuple(vals.get(f"c{t}", Fraction(0)) for t in range(1, group.diag_order))
-        ctx = ComplexDunklContext(
-            group, vals["c0"], c0_odd=vals.get("c0_odd"), cdiag=cdiag
-        )
+        ctx = ComplexDunklContext.at_weights(group, point)
         viol = direct_ideal_violations(ctx, sub, seed=args.seed)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
+        payload["seed"] = args.seed
     lines = [
         f"{group!r} blocks q={q} r={r} eps={eps} zeros={l}",
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
@@ -399,8 +439,8 @@ def _check_complex(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
+    rs = _root_system(args)
+    st = _stratum(rs, args)
     payload = {"command": "restrict", "stratum": _stratum_summary(st)}
     vals = _collect_mult_values(args)
     if vals:
@@ -464,25 +504,16 @@ def _pretty_solve(payload: dict) -> list[str]:
 
 def cmd_solve(args) -> int:
     if args.group:
-        group = parse_group_name(args.group)
-        q, r = _parse_blocks(args.blocks)
-        l = args.zeros or 0
-        eps = args.eps or 0
-        eqs = ideal_conditions(group, q, r, l, eps)
-        payload = {
-            "command": "solve",
-            "group": repr(group),
-            "equations": eqs,
-            "status": "inconsistent" if "0 = 1" in eqs else ("unconstrained" if not eqs else "see equations"),
-        }
-        _emit(args, payload, _pretty_solve(payload))
-        return 1 if payload["status"] == "inconsistent" else 0
-    if not args.family:
-        raise UsageError("solve needs --family or --group")
-    rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
-    solved = solve_multiplicities(st)
-    payload = {"command": "solve", "stratum": _stratum_summary(st)}
+        group, shape, _ = _complex_stratum(args)
+        solved = _solve_complex(group, shape)
+        payload = {"command": "solve", "group": repr(group)}
+    else:
+        if not args.family:
+            raise UsageError("solve needs --family or --group")
+        rs = _root_system(args)
+        st = _stratum(rs, args)
+        solved = solve_multiplicities(st)
+        payload = {"command": "solve", "stratum": _stratum_summary(st)}
     payload.update(solved)
     _emit(args, payload, _pretty_solve(payload))
     return 0 if solved["status"] != "inconsistent" else 1
@@ -490,7 +521,7 @@ def cmd_solve(args) -> int:
 
 def cmd_catalog(args) -> int:
     results = []
-    for row in _load_catalog_rows(args.golden):
+    for row in _golden_rows(args.golden):
         got = catalog_row_result(row)
         results.append({
             "index": row["index"],
@@ -524,45 +555,32 @@ def _verify_commutativity(args) -> tuple[dict, int]:
     rng = random.Random(args.seed)
     report = {"suite": "commutativity", "samples": [], "violations": 0}
     if args.group:
-        group = parse_group_name(args.group)
+        group = _from_user(parse_group_name, args.group)
         report["group"] = repr(group)
-        for _ in range(args.samples):
-            vals = _random_sample(rng, group.param_names())
-            ctx = ComplexDunklContext(
-                group,
-                vals["c0"],
-                c0_odd=vals.get("c0_odd"),
-                cdiag=tuple(vals[f"c{t}"] for t in range(1, group.diag_order)),
-            )
-            bad = ctx.commutativity_violations(args.degree)
-            report["samples"].append(
-                {"values": {k: str(v) for k, v in sorted(vals.items())}, "violations": len(bad)}
-            )
-            report["violations"] += len(bad)
+        names = group.param_names()
+        def context(vals):
+            return ComplexDunklContext.at_weights(group, _from_user(weight_point, group, vals))
     else:
-        rs = root_system(args.family, args.rank)
+        rs = _root_system(args)
         report["family"] = _system_name(rs)
-        vals_list = []
-        got = _collect_mult_values(args)
-        if got:
-            vals_list.append(got)
-        else:
-            vals_list = [_random_sample(rng, rs.orbit_names) for _ in range(args.samples)]
-        for vals in vals_list:
-            mults = _numeric_mults(rs, vals)
-            ctx = DunklContext(rs, mults)
-            bad = ctx.commutativity_violations(args.degree)
-            report["samples"].append(
-                {"values": {k: str(v) for k, v in sorted(vals.items())}, "violations": len(bad)}
-            )
-            report["violations"] += len(bad)
+        names = rs.orbit_names
+        def context(vals):
+            return DunklContext(rs, _numeric_mults(rs, vals))
+    got = _collect_mult_values(args)
+    vals_list = [got] if got else [_random_sample(rng, names) for _ in range(args.samples)]
+    for vals in vals_list:
+        bad = context(vals).commutativity_violations(args.degree)
+        report["samples"].append(
+            {"values": {k: str(v) for k, v in sorted(vals.items())}, "violations": len(bad)}
+        )
+        report["violations"] += len(bad)
     return report, 0 if report["violations"] == 0 else 1
 
 
 def _verify_gauge(args) -> tuple[dict, int]:
-    rs = root_system(args.family, args.rank)
+    rs = _root_system(args)
     if args.subgraph:
-        strata = [resolve_subgraph(rs, args.subgraph, args.orbit_cap)]
+        strata = [_stratum(rs, args)]
     else:
         strata = enumerate_parabolic_strata(rs, cap=args.orbit_cap)
     rows = []
@@ -593,8 +611,8 @@ def _verify_gauge(args) -> tuple[dict, int]:
 
 
 def _verify_restriction(args) -> tuple[dict, int]:
-    rs = root_system(args.family, args.rank)
-    st = resolve_subgraph(rs, args.subgraph or "", args.orbit_cap)
+    rs = _root_system(args)
+    st = _stratum(rs, args)
     vals = _collect_mult_values(args)
     if vals:
         mults = _numeric_mults(rs, vals)
@@ -618,7 +636,7 @@ def _verify_restriction(args) -> tuple[dict, int]:
 
 
 def _verify_deformed(args) -> tuple[dict, int]:
-    rs = root_system(args.family, args.rank)
+    rs = _root_system(args)
     rng = random.Random(args.seed)
     vals = _collect_mult_values(args) or _random_sample(rng, rs.orbit_names)
     mults = _numeric_mults(rs, vals)
@@ -634,7 +652,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
     }
     code = 0 if not bad else 1
     if args.subgraph:
-        st = resolve_subgraph(rs, args.subgraph, args.orbit_cap)
+        st = _stratum(rs, args)
         degrees = tuple(range(2, args.degree + 1, 2)) or (2,)
         defects = restriction_defects(st, mults, degrees=degrees, deformed=True)
         report["restriction_label"] = st.label
@@ -648,7 +666,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
 
 
 def _verify_catalog(args) -> tuple[dict, int]:
-    results = catalog_compare(args.golden)
+    results = catalog_compare(_golden_rows(args.golden))
     matched = sum(1 for r in results if r["dim_match"] and r["mults_match"])
     size_diffs = [
         {
@@ -792,9 +810,11 @@ def main(argv=None) -> int:
     except OrbitCapExceeded as exc:
         print(json.dumps({"error": str(exc), "capped": True}, sort_keys=True), file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        report = {"error": f"{type(exc).__name__}: {exc}", "internal": True,
+                  "traceback": traceback.format_exc()}
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -17,6 +17,19 @@ The pair reflections are handed to the shared operator core of the dunkl
 module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j, and
 the direct ideal test and the orbit walk are the ones real groups use; only
 the diagonal term is computed here.  Every division is exact on polynomials.
+
+The ideal of q blocks of r equal coordinates (the last block twisted by
+xi^eps) and l zero coordinates is invariant exactly where each of its
+conditions h = 1 holds, h an affine form over param_names().  With the pair
+weight cbar = c0, or (c0 + c0_odd)/2 under the parity split:
+
+    a block of r > 1 coordinates:  h = r c, c = c0_odd for odd eps under
+                                   the split, c0 otherwise;
+    l zero coordinates:            h = m(l-1) cbar + [p < m] (m/p) c1;
+    p = m and l = 1:               h = 0, so "0 = 1" and never invariant.
+
+These forms go through the renderer and the affine solver of the invariance
+module, the ones real groups use for their weighted Coxeter numbers.
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ from math import factorial
 
 from .dunkl import DunklContext
 from .fields import Field
-from .invariance import witness_violations
+from .invariance import _render_equations, witness_violations
 from .linalg import identity
 from .polynomials import Polynomial
 from .rootsystems import Subspace, orbit_walk
@@ -141,6 +154,13 @@ class ComplexDunklContext(DunklContext):
                 lowered[key] = coeff * self.cdiag[t - 1] * scale
         return out - Polynomial(self.field, self.nvars, lowered)
 
+    @classmethod
+    def at_weights(cls, group: ComplexReflectionGroup, values: dict) -> "ComplexDunklContext":
+        """The context at named weights, defaults filled in by weight_point."""
+        point = weight_point(group, values)
+        cdiag = tuple(point[f"c{t}"] for t in range(1, group.diag_order))
+        return cls(group, point["c0"], point.get("c0_odd"), cdiag=cdiag)
+
 
 # ---------------------------------------------------------------------------
 # strata and their ideals
@@ -191,69 +211,49 @@ def direct_ideal_violations(
 
 
 # ---------------------------------------------------------------------------
-# closed-form invariance conditions
+# invariance conditions: affine forms h in the weights, each imposing h = 1
 
 
-def _avg_pair_weight(ctx_values: dict, group: ComplexReflectionGroup):
-    c0 = Fraction(ctx_values["c0"])
-    if group.has_parity_split:
-        return (c0 + Fraction(ctx_values.get("c0_odd", c0))) / 2
-    return c0
+def weight_point(group: ComplexReflectionGroup, values: dict) -> dict:
+    """Every weight of param_names(), in order: c0_odd defaults to c0, c1, ... to 0."""
+    names = group.param_names()
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise ValueError(f"unknown weight name(s) {', '.join(unknown)} for {group!r}; "
+                         f"its weights are {', '.join(names)}")
+    if "c0" not in values:
+        raise ValueError(f"{group!r} needs the pair weight c0")
+    return {name: values.get(name, values["c0"] if name == "c0_odd" else 0) for name in names}
 
 
-def block_condition_text(group: ComplexReflectionGroup, r: int, parity: int = 0) -> str:
-    name = "c0_odd" if (parity % 2 and group.has_parity_split) else "c0"
-    return f"{name} = {Fraction(1, r)}"
-
-def block_condition_holds(group: ComplexReflectionGroup, values: dict, r: int, parity: int = 0) -> bool:
-    name = "c0_odd" if (parity % 2 and group.has_parity_split) else "c0"
-    got = Fraction(values.get(name, values["c0"]))
-    return got == Fraction(1, r)
-
-
-def zeros_condition_text(group: ComplexReflectionGroup, l: int) -> str:
-    m, p = group.m, group.p
-    pair = "(c0+c0_odd)/2" if group.has_parity_split else "c0"
-    if p == m:
-        if l == 1:
-            return "0 = 1"
-        return f"{pair} = {Fraction(1, m * (l - 1))}"
-    if l == 1:
-        return f"c1 = {Fraction(p, m)}"
-    lhs = pair if l == 2 else f"{l - 1}*{pair}"
-    coeff = Fraction(1, p)
-    return f"{lhs} + {coeff}*c1 = {Fraction(1, m)}"
-
-def zeros_condition_holds(group: ComplexReflectionGroup, values: dict, l: int) -> bool:
-    m, p = group.m, group.p
-    avg = _avg_pair_weight(values, group)
-    if p == m:
-        return m * (l - 1) * avg == 1
-    c1 = Fraction(values.get("c1", 0))
-    return (l - 1) * avg + Fraction(c1, p) == Fraction(1, m)
-
-
-def combined_condition_holds(group: ComplexReflectionGroup, values: dict, q: int, r: int, l: int, parity: int = 0) -> bool:
-    ok = True
+def condition_forms(group: ComplexReflectionGroup, q: int = 0, r: int = 1, l: int = 0, eps: int = 0) -> list[Polynomial]:
+    """The affine forms h over param_names() whose equations h = 1 cut out the locus."""
+    split = group.has_parity_split
+    forms = []
     if q and r > 1:
-        ok = ok and block_condition_holds(group, values, r, parity)
+        forms.append({"c0_odd" if eps % 2 and split else "c0": r})
     if l:
-        ok = ok and zeros_condition_holds(group, values, l)
-    return ok
+        # m(l-1) times the pair weight, which averages c0 and c0_odd under the split
+        pair = Fraction(group.m * (l - 1), 2 if split else 1)
+        h = dict.fromkeys(("c0", "c0_odd") if split else ("c0",), pair)
+        if group.p < group.m:
+            h["c1"] = Fraction(group.m, group.p)
+        forms.append(h)
+    field = Field.rational()
+    return [Polynomial.linear_form(field, tuple(field.element(h.get(name, 0)) for name in group.param_names()))
+            for h in forms]
 
 
 def ideal_conditions(group: ComplexReflectionGroup, q: int = 0, r: int = 1, l: int = 0, eps: int = 0) -> list[str]:
     """Equation strings cutting out the invariance locus of the ideal."""
-    out = []
-    if q and r > 1:
-        out.append(block_condition_text(group, r, parity=eps))
-    if l:
-        out.append(zeros_condition_text(group, l))
-    return out
+    return _render_equations(group.param_names(), condition_forms(group, q, r, l, eps))
 
 
 def ideal_conditions_hold(group: ComplexReflectionGroup, values: dict, q: int = 0, r: int = 1, l: int = 0, eps: int = 0) -> bool:
-    return combined_condition_holds(group, values, q, r, l, parity=eps)
+    """Whether every condition form is 1 at weight_point(group, values)."""
+    field = Field.rational()
+    x = tuple(field.element(v) for v in weight_point(group, values).values())
+    return all(h.evaluate(x) == field.one() for h in condition_forms(group, q, r, l, eps))
 
 
 _GROUP_RE = None

@@ -5,14 +5,17 @@ every irreducible component of the root lines vanishing on the stratum, the
 weighted Coxeter number and demands it equal one.  The direct route builds
 a generic element of the vanishing ideal of the whole orbit and applies the
 operators, testing ideal membership of the result; it is exponentially more
-expensive but makes no use of the criterion.  Its witness routine serves
-the complex groups G(m,p,N) as well.
+expensive but makes no use of the criterion.  The affine solver and the
+equation renderer take any list of forms h with "h = 1", and the witness
+routine any operator context, so both serve the complex groups G(m,p,N) as
+well.
 """
 
 from __future__ import annotations
 
 import random
 
+from .fields import Field
 from .linalg import rref, vec_is_zero
 from .polynomials import (
     Polynomial,
@@ -43,16 +46,13 @@ def invariance_conditions(stratum: Stratum) -> tuple[Multiplicities, list[tuple[
 
 
 def condition_equations(stratum: Stratum) -> list[str]:
-    return _render_equations(*invariance_conditions(stratum))
+    mults, conds = invariance_conditions(stratum)
+    return _render_equations(mults.params, [h for _, h in conds])
 
 
-def _render_equations(mults: Multiplicities, conds) -> list[str]:
-    seen = []
-    for _, h in conds:
-        text = render_polynomial(h, names=mults.params) + " = 1"
-        if text not in seen:
-            seen.append(text)
-    return sorted(seen)
+def _render_equations(names: tuple[str, ...], hs) -> list[str]:
+    """The sorted distinct equations "h = 1", h rendered in the given names."""
+    return sorted({render_polynomial(h, names=names) + " = 1" for h in hs})
 
 
 def criterion_invariant(stratum: Stratum, mults: Multiplicities) -> bool:
@@ -67,24 +67,21 @@ def criterion_invariant(stratum: Stratum, mults: Multiplicities) -> bool:
     return True
 
 
-def solve_multiplicities(stratum: Stratum) -> dict:
-    """Solve the linear invariance conditions for the orbit multiplicities.
+def solve_conditions(field: Field, names: tuple[str, ...], hs) -> dict:
+    """Solve the affine conditions h = 1 for the weights named by names.
 
+    Each h is a polynomial of degree at most one in len(names) variables.
     Returns the deduplicated equations plus either the unique solution, a
-    parametrized family (earlier orbits pivot on later free ones), or a
+    parametrized family (earlier weights pivot on later free ones), or a
     report that the system is inconsistent or empty.
     """
-    rs = stratum.rs
-    field = rs.field
-    mults, conds = invariance_conditions(stratum)
-    names = mults.params
     nparams = len(names)
-    result: dict = {"equations": _render_equations(mults, conds)}
-    if not conds:
+    result: dict = {"equations": _render_equations(names, hs)}
+    if not hs:
         result.update(status="unconstrained", values={}, free=list(names))
         return result
     rows = []
-    for _, h in conds:
+    for h in hs:
         row = []
         for j in range(nparams):
             exps = tuple(1 if t == j else 0 for t in range(nparams))
@@ -110,6 +107,12 @@ def solve_multiplicities(stratum: Stratum) -> dict:
     else:
         result.update(status="unique", values=values, free=[])
     return result
+
+
+def solve_multiplicities(stratum: Stratum) -> dict:
+    """Solve the linear invariance conditions for the orbit multiplicities."""
+    mults, conds = invariance_conditions(stratum)
+    return solve_conditions(stratum.rs.field, mults.params, [h for _, h in conds])
 
 
 # ---------------------------------------------------------------------------

@@ -409,10 +409,13 @@ def catalog_row_result(row: dict) -> dict:
     }
 
 
-def catalog_compare(path: str | None = None) -> list[dict]:
-    """Every catalog row recomputed and diffed against the stored values."""
+def catalog_compare(rows: list[dict] | None = None) -> list[dict]:
+    """Every catalog row recomputed and diffed against its stored values.
+
+    rows defaults to the shipped golden rows.
+    """
     out = []
-    for row in _load_catalog_rows(path):
+    for row in _load_catalog_rows() if rows is None else rows:
         got = catalog_row_result(row)
         entry = {
             "index": row["index"],

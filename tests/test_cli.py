@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from dunklcm import cli, invariance
 from dunklcm.cli import main
 from dunklcm.restriction import _load_catalog_rows
 
@@ -40,6 +41,7 @@ def test_check_direct_routes_agree(capsys):
     code, out = run(capsys, "check", "--family", "B", "--rank", "3", "--subgraph", "A1:2", "--c1", "1/3", "--c2", "1/2", "--direct")
     assert code == 0
     assert out["routes_agree"] is True
+    assert out["seed"] == 0
     assert out["stratum"]["gamma0"] == [3]
 
 
@@ -66,9 +68,14 @@ def test_orbit_cap_exit(capsys, monkeypatch):
 def test_check_complex_group(capsys):
     code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2")
     assert code == 0
-    assert out["equations"] == ["c0 = 1/2"]
+    assert out["equations"] == ["2*c0 = 1"]
+    assert "seed" not in out
     code, _ = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/3")
     assert code == 1
+    code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2", "--direct", "--seed", "7")
+    assert code == 0
+    assert out["routes_agree"] is True
+    assert out["seed"] == 7
 
 
 def test_solve_zeros_in_d(capsys):
@@ -81,8 +88,35 @@ def test_solve_zeros_in_d(capsys):
 def test_solve_complex(capsys):
     code, out = run(capsys, "solve", "--group", "G(4,2,3)", "--blocks", "2", "--zeros", "1")
     assert code == 0
-    assert out["status"] == "see equations"
-    assert out["equations"] == ["c0 = 1/2", "c1 = 1/2"]
+    assert out["status"] == "unique"
+    assert out["equations"] == ["2*c0 = 1", "2*c1 = 1"]
+    assert out["values"] == {"c0": "1/2", "c1": "1/2"}
+    assert out["free"] == []
+
+
+def test_solve_complex_family(capsys):
+    code, out = run(capsys, "solve", "--group", "G(4,2,3)", "--zeros", "2")
+    assert code == 0
+    assert out["status"] == "family"
+    assert out["equations"] == ["4*c0+2*c1 = 1"]
+    assert out["values"] == {"c0": "-1/2*c1+1/4"}
+    assert out["free"] == ["c1"]
+
+
+def test_solve_complex_inconsistent(capsys):
+    # one zero coordinate of G(m,m,N) is never invariant: its form is 0
+    code, out = run(capsys, "solve", "--group", "G(3,3,3)", "--zeros", "1")
+    assert code == 1
+    assert out["status"] == "inconsistent"
+    assert out["equations"] == ["0 = 1"]
+
+
+def test_check_complex_symbolic_solves(capsys):
+    code, out = run(capsys, "check", "--group", "G(4,2,2)", "--blocks", "2", "--eps", "1", "--symbolic")
+    assert code == 0
+    assert out["status"] == "family"
+    assert out["values"] == {"c0_odd": "1/2"}
+    assert out["free"] == ["c0", "c1"]
 
 
 def test_restrict_solves_and_reports(capsys):
@@ -236,3 +270,62 @@ def test_verify_deformed_has_no_omega_flag(capsys):
         main(["verify", "deformed", "--family", "A", "--rank", "3", "--omega", "banana"])
     assert exc.value.code == 2
     assert "--omega" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--c", "5", "c"),
+    ("--c1", "7", "c1"),
+    ("--mult", "c2=3", "c2"),
+    ("--c0-odd", "1/7", "c0_odd"),
+])
+def test_unknown_complex_weight_name(capsys, flag, value, name):
+    code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2", flag, value)
+    assert code == 2
+    assert f"{name} for G(3,3,3)" in out["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "abc"],
+    ["check", "--group", "G(3,2,3)", "--blocks", "2", "--c0", "1/2"],
+    ["check", "--group", "G(3,3,3)", "--blocks", "2,2", "--c0", "1/2"],
+    ["solve", "--group", "G(3,3,3)", "--blocks", "2,2"],
+    ["check", "--family", "Q", "--subgraph", "A1", "--c", "1/2"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "internal" not in out
+
+
+def test_unreadable_golden_file_is_a_usage_error(capsys, tmp_path):
+    code, out = run(capsys, "verify", "catalog", "--golden", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "missing.json" in out["error"]
+
+
+def test_internal_value_error_exits_4(capsys, monkeypatch):
+    def planted(stratum):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(invariance, "invariance_conditions", planted)
+    code, out = run(capsys, "solve", "--family", "A", "--rank", "3", "--subgraph", "A1")
+    assert code == 4
+    assert out["internal"] is True
+    assert "planted fault" in out["error"]
+
+
+def test_gauge_off_the_locus_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "criterion_invariant", lambda stratum, mults: False)
+    code, out = run(capsys, "verify", "gauge", "--family", "B", "--rank", "3", "--subgraph", "A1:1")
+    assert code == 4
+    assert out["internal"] is True
+    assert "off the invariance locus" in out["error"]
+
+
+def test_verify_commutativity_uses_given_complex_weights(capsys):
+    code, out = run(capsys, "verify", "commutativity", "--group", "G(4,2,3)", "--c0", "1/2", "--degree", "1")
+    assert code == 0
+    assert [s["values"] for s in out["samples"]] == [{"c0": "1/2"}]
+    code, out = run(capsys, "verify", "commutativity", "--group", "G(3,3,3)", "--c1", "9", "--degree", "1")
+    assert code == 2
+    assert "c1" in out["error"]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,17 +9,20 @@ from dunklcm.complexgroups import (
     ComplexDunklContext,
     ComplexReflectionGroup,
     collision_subspace,
+    condition_forms,
     direct_ideal_violations,
     ideal_conditions,
     ideal_conditions_hold,
     parse_group_name,
     subspace_orbit,
-    zeros_condition_text,
+    weight_point,
 )
 from dunklcm.dunkl import DunklContext
+from dunklcm.fields import Field
+from dunklcm.invariance import condition_equations, solve_conditions
 from dunklcm.linalg import vec
-from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
-from dunklcm.rootsystems import Multiplicities, root_system
+from dunklcm.polynomials import Polynomial, divide_by_linear, monomials, parse_polynomial
+from dunklcm.rootsystems import Multiplicities, block_stratum, root_system
 
 
 def test_group_basics():
@@ -215,15 +219,15 @@ def test_orbit_sizes():
 
 def test_condition_texts():
     g33 = ComplexReflectionGroup(3, 3, 3)
-    assert ideal_conditions(g33, q=1, r=2) == ["c0 = 1/2"]
-    assert zeros_condition_text(g33, 1) == "0 = 1"
-    assert zeros_condition_text(g33, 2) == "c0 = 1/3"
+    assert ideal_conditions(g33, q=1, r=2) == ["2*c0 = 1"]
+    assert ideal_conditions(g33, l=1) == ["0 = 1"]
+    assert ideal_conditions(g33, l=2) == ["3*c0 = 1"]
     g42 = ComplexReflectionGroup(4, 2, 3)
-    assert zeros_condition_text(g42, 1) == "c1 = 1/2"
-    assert zeros_condition_text(g42, 2) == "c0 + 1/2*c1 = 1/4"
+    assert ideal_conditions(g42, l=1) == ["2*c1 = 1"]
+    assert ideal_conditions(g42, l=2) == ["4*c0+2*c1 = 1"]
     g422 = ComplexReflectionGroup(4, 2, 2)
-    assert zeros_condition_text(g422, 2) == "(c0+c0_odd)/2 + 1/2*c1 = 1/4"
-    assert ideal_conditions(g422, q=1, r=2, eps=1) == ["c0_odd = 1/2"]
+    assert ideal_conditions(g422, l=2) == ["2*c0+2*c0_odd+2*c1 = 1"]
+    assert ideal_conditions(g422, q=1, r=2, eps=1) == ["2*c0_odd = 1"]
 
 
 def make_ctx(g, values):
@@ -268,3 +272,68 @@ def test_ideal_membership_both_routes(name, qrle, values, expect):
     direct = not direct_ideal_violations(ctx, sub)
     assert direct is expect
     assert ideal_conditions_hold(g, values, q=q, r=r, l=l, eps=eps) is expect
+
+
+def collision_shapes(N):
+    """(q, r, l) fitting N coordinates: l >= 1 zeros alone, or q blocks of r >= 2 and l zeros."""
+    shapes = [(0, 1, l) for l in range(1, N + 1)]
+    for r in range(2, N + 1):
+        for q in range(1, N // r + 1):
+            shapes += [(q, r, l) for l in range(N - q * r + 1)]
+    return shapes
+
+
+# G(2,1,N) is the Weyl group of B_N, G(2,2,N) that of D_N, and the weights
+# correspond: pair weight c0 to the long orbit, c1 to the short one of B
+CLASSICAL = {"B": (1, {"c0": "c1", "c1": "c2"}), "D": (2, {"c0": "c"})}
+
+
+@pytest.mark.parametrize("family,N", [("B", N) for N in range(2, 6)] + [("D", N) for N in range(4, 7)])
+def test_conditions_match_classical_families(family, N):
+    p, names = CLASSICAL[family]
+    g = ComplexReflectionGroup(2, p, N)
+    rs = root_system(family, N)
+    # one zero coordinate of D_N is not an intersection of mirrors
+    shapes = [s for s in collision_shapes(N) if family == "B" or s[2] != 1]
+    for q, r, l in shapes:
+        renamed = [re.sub(r"\bc[01]\b", lambda m: names[m.group()], e) for e in ideal_conditions(g, q, r, l)]
+        assert sorted(renamed) == condition_equations(block_stratum(rs, q, r, l=l)), (q, r, l)
+
+
+@pytest.mark.parametrize("m,p,N", [(3, 3, 2), (3, 3, 3), (4, 2, 2), (4, 2, 3), (4, 4, 2), (6, 3, 2)])
+def test_solved_weights_pass_the_direct_test(m, p, N):
+    g = ComplexReflectionGroup(m, p, N)
+    names = g.param_names()
+    field = Field.rational()
+    solved_strata = 0
+    for q, r, l in collision_shapes(N):
+        for eps in (0, 1) if q else (0,):
+            solved = solve_conditions(field, names, condition_forms(g, q, r, l, eps))
+            if solved["status"] == "inconsistent":
+                continue
+            point = {name: Fraction(2 * i + 1, 2 * i + 5) for i, name in enumerate(solved["free"])}
+            x = tuple(field.element(point.get(name, 0)) for name in names)
+            for name, text in solved["values"].items():
+                value = parse_polynomial(field, len(names), text, names=names).evaluate(x)
+                point[name] = value.coeffs[0]
+            sub = collision_subspace(g, q, r, l=l, eps=eps)
+            assert ideal_conditions_hold(g, point, q, r, l, eps)
+            assert not direct_ideal_violations(ComplexDunklContext.at_weights(g, point), sub), (q, r, l, eps)
+            pivot = next(iter(solved["values"]))
+            off = dict(point, **{pivot: point[pivot] + Fraction(1, 7)})
+            assert not ideal_conditions_hold(g, off, q, r, l, eps)
+            assert direct_ideal_violations(ComplexDunklContext.at_weights(g, off), sub), (q, r, l, eps)
+            solved_strata += 1
+    assert solved_strata == {(3, 3, 2): 3, (3, 3, 3): 6, (4, 2, 2): 4, (4, 2, 3): 9, (4, 4, 2): 3, (6, 3, 2): 4}[m, p, N]
+
+
+def test_missing_odd_weight_defaults_to_c0():
+    g = ComplexReflectionGroup(4, 2, 2)
+    sub = collision_subspace(g, 0, 1, l=2)
+    for values, expect in (
+        ({"c0": Fraction(1, 8), "c1": Fraction(1, 4)}, True),
+        ({"c0": Fraction(1, 4), "c1": Fraction(1, 4)}, False),
+    ):
+        assert weight_point(g, values) == dict(values, c0_odd=values["c0"])
+        assert ideal_conditions_hold(g, values, l=2) is expect
+        assert (not direct_ideal_violations(ComplexDunklContext.at_weights(g, values), sub)) is expect
