@@ -19,7 +19,6 @@ codes: 0 success or invariant, 1 definitive negative, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import re
@@ -36,13 +35,11 @@ from .rootsystems import (
     Stratum,
     Subspace,
     block_stratum,
-    classify_indices,
     default_orbit_cap,
     enumerate_parabolic_strata,
+    parabolic_classes,
     parabolic_stratum,
-    parabolic_subspace,
     root_system,
-    subgraph_type_name,
 )
 from .dunkl import DeformedContext, DunklContext
 from .invariance import (
@@ -55,6 +52,7 @@ from .invariance import (
 from .restriction import (
     catalog_compare,
     catalog_row_result,
+    catalog_stratum,
     conservation_defect,
     deformed_restriction_constant,
     gauge_defects,
@@ -135,7 +133,11 @@ def _atom_rank(name: str) -> int:
     return int(name[1:])
 
 
+_BLOCK_KEYS = ("k", "m", "l", "p", "eps")
+
+
 def _parse_opts(text: str) -> dict:
+    """The options after ':': block keys k, m, l, p, eps, or one positive variant."""
     opts: dict = {}
     for token in text.split(","):
         token = token.strip()
@@ -143,9 +145,21 @@ def _parse_opts(text: str) -> dict:
             continue
         if "=" in token:
             key, _, val = token.partition("=")
-            opts[key.strip()] = int(val)
+            key = key.strip()
+            if key not in _BLOCK_KEYS:
+                raise UsageError(f"unknown subgraph option {token!r}; expected one of {', '.join(_BLOCK_KEYS)}")
         else:
-            opts["variant"] = int(token)
+            key, val = "variant", token
+        if key in opts:
+            raise UsageError(f"repeated subgraph option {token!r}")
+        if opts and "variant" in (key, *opts):
+            raise UsageError(f"subgraph option {token!r}: a variant takes no block keys")
+        try:
+            opts[key] = int(val)
+        except ValueError:
+            raise UsageError(f"subgraph option {token!r} needs an integer") from None
+        if key == "variant" and opts[key] < 1:
+            raise UsageError(f"subgraph variant {token!r} must be a positive integer")
     return opts
 
 
@@ -161,8 +175,7 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
     head, _, opts_text = text.partition(":")
     head = head.strip()
     opts = _parse_opts(opts_text)
-    structural = {"k", "m", "l", "p", "eps"} & set(opts)
-    if head in ("Bl", "Dp") or structural:
+    if head in ("Bl", "Dp") or set(_BLOCK_KEYS) & set(opts):
         m = opts.get("m", 0)
         k = opts.get("k", 1)
         l = opts.get("l", opts.get("p", 0))
@@ -180,28 +193,14 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
     if size > rs.rank:
         raise UsageError(f"type {canonical} needs {size} vertices; rank is {rs.rank}")
     variant = opts.get("variant", 1)
-    reps: list[Stratum] = []
-    for indices in itertools.combinations(range(rs.rank), size):
-        try:
-            comps = classify_indices(rs, indices)
-        except ValueError:
-            continue
-        if subgraph_type_name(comps) != canonical:
-            continue
-        if variant == 1:
-            return parabolic_stratum(rs, indices)
-        sub = parabolic_subspace(rs, indices)
-        if any(sub.key in rep.orbit(cap) for rep in reps):
-            continue
-        st = Stratum(rs, sub, gamma0=tuple(indices), label=canonical)
-        reps.append(st)
-        if len(reps) == variant:
-            st.label = f"{canonical}:{variant}"
+    found = 0
+    for found, st in enumerate(parabolic_classes(rs, size, label=canonical, cap=cap), 1):
+        if found == variant:
+            if variant > 1:
+                st.label = f"{canonical}:{variant}"
             return st
-    if reps or variant > 1:
-        raise UsageError(
-            f"type {canonical} has only {len(reps)} orbit classes; asked for {variant}"
-        )
+    if variant > 1:
+        raise UsageError(f"type {canonical} has only {found} orbit classes; asked for {variant}")
     raise UsageError(f"no parabolic subgraph of type {canonical} in {_system_name(rs)}")
 
 
@@ -300,12 +299,42 @@ def _orbit_cap(flag: int | None) -> int:
     return flag
 
 
-def _golden_rows(path: str | None) -> list[dict]:
-    """The catalog rows of --golden, else the shipped ones."""
+# the keys of a catalog row that catalog and verify catalog read
+_CATALOG_KEYS = ("index", "family", "type", "gamma0")
+_VERIFY_CATALOG_KEYS = _CATALOG_KEYS + ("dim", "size", "mults")
+
+
+def _golden_rows(path: str | None, keys: tuple[str, ...]) -> list[dict]:
+    """The catalog rows of --golden, else the shipped ones.
+
+    Each row of --golden must hold keys and name a stratum; a row that does
+    not is a usage error naming the row.
+    """
+    if path is None:
+        return _load_catalog_rows()
     try:
-        return _load_catalog_rows(path)
+        rows = _load_catalog_rows(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read catalog rows from {path!r}: {exc}") from None
+    if not isinstance(rows, list):
+        raise UsageError(f"catalog rows in {path!r} must be a list")
+    for pos, row in enumerate(rows, 1):
+        if not isinstance(row, dict):
+            raise UsageError(f"catalog row #{pos} in {path!r} is not an object")
+        where = f"catalog row {row.get('index', f'#{pos}')} in {path!r}"
+        missing = [key for key in keys if key not in row]
+        if missing:
+            raise UsageError(f"{where} lacks {', '.join(missing)}")
+        gamma0 = row["gamma0"]
+        if not isinstance(row["family"], str) or not (
+            isinstance(gamma0, list) and all(isinstance(i, int) for i in gamma0)
+        ):
+            raise UsageError(f"{where}: family must be a name and gamma0 a list of vertex numbers")
+        try:
+            catalog_stratum(row)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
+    return rows
 
 
 def _emit(args, payload: dict, pretty_lines=None) -> None:
@@ -343,6 +372,14 @@ def _random_sample(rng, names) -> dict[str, Fraction]:
 
 
 def cmd_check(args) -> int:
+    if args.symbolic:
+        ignored = [
+            f"--{name.replace('_', '-')}"
+            for name in ("c", "c1", "c2", "c0", "c0_odd", "mult", "direct")
+            if getattr(args, name) not in (None, False)
+        ]
+        if ignored:
+            raise UsageError(f"--symbolic takes no weights and no --direct; got {', '.join(ignored)}")
     if args.group:
         return _check_complex(args)
     if not args.family:
@@ -351,14 +388,14 @@ def cmd_check(args) -> int:
     st = _stratum(rs, args)
     payload = {"command": "check", "stratum": _stratum_summary(st)}
     payload["equations"] = condition_equations(st)
-    vals = _collect_mult_values(args)
-    if args.symbolic or not vals:
-        if not args.symbolic:
-            raise UsageError("provide multiplicity values, or --symbolic for the conditions")
+    if args.symbolic:
         solved = solve_multiplicities(st)
         payload.update(solved)
         _emit(args, payload, _pretty_solve(payload))
         return 0 if solved["status"] != "inconsistent" else 1
+    vals = _collect_mult_values(args)
+    if not vals:
+        raise UsageError("provide multiplicity values, or --symbolic for the conditions")
     mults = _numeric_mults(rs, vals)
     invariant = criterion_invariant(st, mults)
     payload["multiplicities"] = {k: str(v) for k, v in sorted(vals.items())}
@@ -411,14 +448,14 @@ def _check_complex(args) -> int:
         "zeros": l,
         "equations": ideal_conditions(group, *shape),
     }
-    vals = _collect_mult_values(args)
-    if args.symbolic or not vals:
-        if not args.symbolic:
-            raise UsageError("provide weights (--c0 ...), or --symbolic for the conditions")
+    if args.symbolic:
         solved = _solve_complex(group, shape)
         payload.update(solved)
         _emit(args, payload, _pretty_solve(payload))
         return 0 if solved["status"] != "inconsistent" else 1
+    vals = _collect_mult_values(args)
+    if not vals:
+        raise UsageError("provide weights (--c0 ...), or --symbolic for the conditions")
     point = _from_user(weight_point, group, vals)
     invariant = ideal_conditions_hold(group, point, *shape)
     payload["weights"] = {k: str(v) for k, v in sorted(vals.items())}
@@ -521,7 +558,7 @@ def cmd_solve(args) -> int:
 
 def cmd_catalog(args) -> int:
     results = []
-    for row in _golden_rows(args.golden):
+    for row in _golden_rows(args.golden, _CATALOG_KEYS):
         got = catalog_row_result(row)
         results.append({
             "index": row["index"],
@@ -666,7 +703,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
 
 
 def _verify_catalog(args) -> tuple[dict, int]:
-    results = catalog_compare(_golden_rows(args.golden))
+    results = catalog_compare(_golden_rows(args.golden, _VERIFY_CATALOG_KEYS))
     matched = sum(1 for r in results if r["dim_match"] and r["mults_match"])
     size_diffs = [
         {

@@ -9,13 +9,22 @@ so a geometric choice of positive system is never needed.
 
 Subspaces are kept in a canonical form (reduced echelon annihilator), which
 makes group orbits of subspaces hashable sets.
+
+Every group orbit is built by one breadth-first walk, orbit_walk: the root
+lines are the orbits of the simple-root lines, whose order of appearance
+also labels the weight orbits, and strata are orbits of subspaces (the
+complex groups walk theirs with it too).  Parabolic classes are found by
+one search, parabolic_classes, which both the stratum enumeration and the
+command line's --subgraph type lookup consume.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 
 from .fields import Field, FieldElement, render_scalar
 from .linalg import (
@@ -145,68 +154,31 @@ class RootSystem:
         self.simple = simple
         self.dim = len(simple[0])
         self.coxeter_number = coxeter_number
-        self.lines = self._generate_lines()
+        self.lines, self.orbit_labels, self.orbit_names = self._line_orbits()
         self._line_index = {_vec_key(l): i for i, l in enumerate(self.lines)}
         self.line_norms = tuple(dot(l, l) for l in self.lines)
-        self.orbit_labels, self.orbit_names = self._label_orbits()
         self._simple_line = tuple(self._line_index[_vec_key(_line_rep(s))] for s in self.simple)
 
     # -- construction -------------------------------------------------------
 
-    def _generate_lines(self) -> tuple[Vector, ...]:
-        norms = [dot(s, s) for s in self.simple]
-        seen: dict[tuple, Vector] = {}
-        frontier = [_line_rep(s) for s in self.simple]
-        for r in frontier:
-            seen[_vec_key(r)] = r
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for s, ns in zip(self.simple, norms):
-                    img = _line_rep(reflect(r, s, ns))
-                    k = _vec_key(img)
-                    if k not in seen:
-                        seen[k] = img
-                        nxt.append(img)
-            frontier = nxt
-        return tuple(sorted(seen.values(), key=_vec_key))
+    def _line_orbits(self) -> tuple[tuple[Vector, ...], tuple[int, ...], tuple[str, ...]]:
+        """Root lines sorted by key, each line's orbit label, and the orbit names.
 
-    def _label_orbits(self) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        # connected components of the line set under the simple reflections
-        norms = [dot(s, s) for s in self.simple]
-        n = len(self.lines)
-        comp = [-1] * n
-        order: list[int] = []
-        for start in range(n):
-            if comp[start] >= 0:
-                continue
-            cid = len(order)
-            order.append(start)
-            stack = [start]
-            comp[start] = cid
-            while stack:
-                i = stack.pop()
-                for s, ns in zip(self.simple, norms):
-                    j = self._line_index[_vec_key(_line_rep(reflect(self.lines[i], s, ns)))]
-                    if comp[j] < 0:
-                        comp[j] = cid
-                        stack.append(j)
-        ncomp = len(order)
-        # name orbits in order of first appearance among the simple roots
-        first_seen: list[int] = []
+        Every root is conjugate to a simple root, so the lines are the union
+        of the orbits of the simple-root lines.  Orbits are numbered in order
+        of first appearance among the simple roots.
+        """
+        moves = [lambda r, s=s, n=dot(s, s): _line_rep(reflect(r, s, n)) for s in self.simple]
+        orbits: list[dict[tuple, Vector]] = []
         for s in self.simple:
-            cid = comp[self._line_index[_vec_key(_line_rep(s))]]
-            if cid not in first_seen:
-                first_seen.append(cid)
-        for cid in range(ncomp):
-            if cid not in first_seen:
-                first_seen.append(cid)
-        rename = {cid: i for i, cid in enumerate(first_seen)}
-        labels = tuple(rename[c] for c in comp)
-        if ncomp == 1:
-            return labels, ("c",)
-        names = tuple(f"c{i+1}" for i in range(ncomp))
-        return labels, names
+            start = _line_rep(s)
+            if not any(_vec_key(start) in orbit for orbit in orbits):
+                orbits.append(orbit_walk(start, moves, math.inf, key=_vec_key))
+        label = {k: i for i, orbit in enumerate(orbits) for k in orbit}
+        keys = sorted(label)
+        lines = tuple(orbits[label[k]][k] for k in keys)
+        names = ("c",) if len(orbits) == 1 else tuple(f"c{i + 1}" for i in range(len(orbits)))
+        return lines, tuple(label[k] for k in keys), names
 
     # -- basic queries -------------------------------------------------------
 
@@ -697,23 +669,24 @@ def parabolic_stratum(rs: RootSystem, indices) -> Stratum:
     return Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=label)
 
 
-def orbit_walk(start: Subspace, moves, cap: int) -> dict[tuple, Subspace]:
-    """Breadth-first orbit of start under moves, each a map Subspace -> Subspace.
+def orbit_walk(start, moves, cap, key=attrgetter("key")) -> dict:
+    """Breadth-first orbit of start under moves, as a dict key(member) -> member.
 
     The moves must generate the group.  Raises OrbitCapExceeded when the
     orbit grows past cap.
     """
-    seen = {start.key: start}
+    seen = {key(start): start}
     frontier = [start]
     while frontier:
         nxt = []
         for s in frontier:
             for move in moves:
                 img = move(s)
-                if img.key not in seen:
+                k = key(img)
+                if k not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
-                    seen[img.key] = img
+                    seen[k] = img
                     nxt.append(img)
         frontier = nxt
     return seen
@@ -780,36 +753,46 @@ def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> S
     return Stratum(rs, Subspace(field, n_coords, rows), gamma0=None, label=label)
 
 
+def parabolic_classes(rs: RootSystem, size: int, label: str | None = None, cap: int | None = None):
+    """One new Stratum per group-orbit class of the size-subsets of the simple roots.
+
+    Subsets run in lex order, and only those of type label when it is given.
+    A subset starts a new class unless its subspace lies in the orbit of an
+    earlier class of its type, so the orbit of a class is built only when a
+    later subset of that type is compared with it.  Each class is labelled
+    with its unsuffixed type.
+    """
+    by_type: dict[str, list[Stratum]] = {}
+    for indices in combinations(range(rs.rank), size):
+        try:
+            name = subgraph_type_name(classify_indices(rs, indices))
+        except ValueError:
+            continue
+        if label is not None and name != label:
+            continue
+        sub = parabolic_subspace(rs, indices)
+        bucket = by_type.setdefault(name, [])
+        if any(sub.key in st.orbit(cap) for st in bucket):
+            continue
+        st = Stratum(rs, sub, gamma0=indices, label=name)
+        bucket.append(st)
+        yield st
+
+
 def enumerate_parabolic_strata(rs: RootSystem, max_size: int | None = None, cap: int | None = None) -> list[Stratum]:
     """Distinct strata from nonempty subsets of the simple roots.
 
-    Two subsets give one stratum when their subspaces lie in the same group
-    orbit; a representative orbit is computed per class and membership of
-    later candidates is tested against it.
+    The classes of each size come from parabolic_classes, in (size, lex)
+    order of their first subsets, and the orbit of each is computed.  A type
+    with several classes gets the suffixes :1, :2, ... in that order.
     """
     if max_size is None:
         max_size = rs.rank
-    by_type: dict[str, list[Stratum]] = {}
     out = []
     for size in range(1, max_size + 1):
-        for indices in combinations(range(rs.rank), size):
-            try:
-                comps = classify_indices(rs, indices)
-            except ValueError:
-                continue
-            label = subgraph_type_name(comps)
-            sub = parabolic_subspace(rs, indices)
-            bucket = by_type.setdefault(label, [])
-            found = None
-            for st in bucket:
-                if sub.key in st.orbit(cap):
-                    found = st
-                    break
-            if found is None:
-                st = Stratum(rs, sub, gamma0=tuple(indices), label=label)
-                st.orbit(cap)
-                bucket.append(st)
-                out.append(st)
+        for st in parabolic_classes(rs, size, cap=cap):
+            st.orbit(cap)
+            out.append(st)
     # mark doubled types with variant suffixes
     counts: dict[str, int] = {}
     for st in out:

@@ -1,0 +1,66 @@
+"""Test-only reference for the root lines of a root system and their orbits.
+
+Builds the line set by a breadth-first closure under the simple
+reflections, then labels it by a second, independent pass: the connected
+components of the line set under the same reflections, numbered in order
+of first appearance among the simple roots.  It reads only the simple
+roots, never the lines or labels a RootSystem computed.
+"""
+
+from __future__ import annotations
+
+from dunklcm.linalg import dot, reflect
+
+
+def _key(v) -> tuple:
+    return tuple(x.sort_key() for x in v)
+
+
+def _line_rep(v):
+    neg = tuple(-x for x in v)
+    return v if _key(v) >= _key(neg) else neg
+
+
+def reference_lines(simple) -> tuple[tuple, tuple[int, ...], tuple[str, ...]]:
+    """(lines sorted by key, orbit label per line, orbit names) from the simple roots."""
+    norms = [dot(s, s) for s in simple]
+    seen = {}
+    frontier = [_line_rep(s) for s in simple]
+    for r in frontier:
+        seen[_key(r)] = r
+    while frontier:
+        nxt = []
+        for r in frontier:
+            for s, ns in zip(simple, norms):
+                img = _line_rep(reflect(r, s, ns))
+                if _key(img) not in seen:
+                    seen[_key(img)] = img
+                    nxt.append(img)
+        frontier = nxt
+    lines = tuple(sorted(seen.values(), key=_key))
+    index = {_key(l): i for i, l in enumerate(lines)}
+
+    comp = [-1] * len(lines)
+    ncomp = 0
+    for start in range(len(lines)):
+        if comp[start] >= 0:
+            continue
+        comp[start] = ncomp
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for s, ns in zip(simple, norms):
+                j = index[_key(_line_rep(reflect(lines[i], s, ns)))]
+                if comp[j] < 0:
+                    comp[j] = ncomp
+                    stack.append(j)
+        ncomp += 1
+    order: list[int] = []
+    for s in simple:
+        cid = comp[index[_key(_line_rep(s))]]
+        if cid not in order:
+            order.append(cid)
+    assert len(order) == ncomp, "a line orbit holds no simple root"
+    labels = tuple(order.index(c) for c in comp)
+    names = ("c",) if ncomp == 1 else tuple(f"c{i + 1}" for i in range(ncomp))
+    return lines, labels, names

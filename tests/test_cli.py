@@ -6,6 +6,7 @@ import pytest
 from dunklcm import cli, invariance
 from dunklcm.cli import main
 from dunklcm.restriction import _load_catalog_rows
+from dunklcm.rootsystems import enumerate_parabolic_strata, root_system
 
 
 def run(capsys, *argv):
@@ -329,3 +330,67 @@ def test_verify_commutativity_uses_given_complex_weights(capsys):
     code, out = run(capsys, "verify", "commutativity", "--group", "G(3,3,3)", "--c1", "9", "--degree", "1")
     assert code == 2
     assert "c1" in out["error"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["--family", "A", "--rank", "3", "--subgraph", "A1", "--c1", "1/3"], "--c1"),
+    (["--group", "G(4,2,3)", "--blocks", "1,2", "--c2", "1/3"], "--c2"),
+    (["--family", "A", "--rank", "3", "--subgraph", "A1", "--direct"], "--direct"),
+], ids=["family-weight", "group-weight", "direct"])
+def test_symbolic_rejects_weights_and_direct(capsys, argv, flags):
+    code, out = run(capsys, "check", *argv, "--symbolic")
+    assert code == 2
+    assert out["error"].endswith(f"got {flags}")
+
+
+GOLDEN_ROW = {"index": 7, "family": "E8", "type": "A1", "gamma0": [1], "dim": 7, "size": 91,
+              "mults": {"1": 28, "1/2": 63}}
+
+
+@pytest.mark.parametrize("command", [["catalog"], ["verify", "catalog"]], ids=["catalog", "verify-catalog"])
+@pytest.mark.parametrize("fault,message", [
+    ({"index": 1, "type": "A1"}, "catalog row 1 in {path!r} lacks family, gamma0"),
+    ({"family": "Q8"}, "catalog row 7 in {path!r}: unknown family 'Q8'"),
+    ({"gamma0": [9]}, "catalog row 7 in {path!r}: simple root index 8 out of range"),
+], ids=["missing-keys", "unknown-family", "gamma0-out-of-range"])
+def test_golden_row_faults_are_usage_errors(capsys, tmp_path, command, fault, message):
+    row = fault if "index" in fault else dict(GOLDEN_ROW, **fault)
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps({"rows": [GOLDEN_ROW, row]}))
+    code, out = run(capsys, *command, "--golden", str(golden))
+    assert code == 2
+    assert out["error"].startswith(message.format(path=str(golden)))
+
+
+def test_shipped_catalog_fault_stays_internal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_catalog_rows", lambda: [dict(GOLDEN_ROW, family="Q8")])
+    code, out = run(capsys, "catalog")
+    assert code == 4
+    assert out["internal"] is True
+
+
+@pytest.mark.parametrize("subgraph,token", [
+    ("A1:x=2", "'x=2'"),
+    ("A1:2,3", "'3'"),
+    ("A1:0", "'0'"),
+    ("A1:-1", "'-1'"),
+    ("A1:k=two", "'k=two'"),
+    ("A1^2:k=2,k=3", "'k=3'"),
+    ("A1^2:2,k=2", "'k=2'"),
+    ("A1^2:k=2,m=2,2", "'2'"),
+])
+def test_bad_subgraph_option_is_a_usage_error(capsys, subgraph, token):
+    code, out = run(capsys, "solve", "--family", "A", "--rank", "5", "--subgraph", subgraph)
+    assert code == 2
+    assert token in out["error"]
+
+
+@pytest.mark.parametrize("family,rank_", [
+    ("A", 3), ("B", 3), ("B", 4), ("D", 4), ("D", 5), ("F4", None), ("H3", None),
+])
+def test_resolve_subgraph_names_every_enumerated_class(family, rank_):
+    rs = root_system(family, rank_)
+    for st in enumerate_parabolic_strata(rs):
+        got = cli.resolve_subgraph(rs, st.label)
+        assert (got.gamma0, got.subspace) == (st.gamma0, st.subspace), st.label
+        assert got.label == st.label.removesuffix(":1")  # the first class keeps its bare type

@@ -21,6 +21,8 @@ from dunklcm.rootsystems import (
     type_coxeter_number,
 )
 
+from rootsystem_reference import reference_lines
+
 LINE_COUNTS = {
     ("A", 3, None): 6,
     ("A", 5, None): 15,
@@ -62,6 +64,20 @@ def test_unknown_families_rejected():
         root_system("I2", m=7)
     with pytest.raises(ValueError):
         root_system("B", 1)
+
+
+ORACLE_SYSTEMS = [
+    ("A", 1, None), ("A", 4, None), ("B", 2, None), ("B", 4, None), ("D", 4, None), ("D", 6, None),
+    ("E6", None, None), ("E7", None, None), ("E8", None, None), ("F4", None, None), ("G2", None, None),
+    ("H3", None, None), ("H4", None, None),
+    *[("I2", None, m) for m in (3, 4, 5, 6, 8, 12)],
+]
+
+
+@pytest.mark.parametrize("fam,rank_,m", ORACLE_SYSTEMS)
+def test_lines_and_orbit_labels_match_reference(fam, rank_, m):
+    rs = root_system(fam, rank_, m=m)
+    assert (rs.lines, rs.orbit_labels, rs.orbit_names) == reference_lines(rs.simple)
 
 
 def test_orbit_label_counts_B3():
