@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -53,6 +54,7 @@ from .restriction import (
     catalog_compare,
     catalog_row_result,
     catalog_stratum,
+    catalog_weight,
     conservation_defect,
     deformed_restriction_constant,
     gauge_defects,
@@ -307,8 +309,8 @@ _VERIFY_CATALOG_KEYS = _CATALOG_KEYS + ("dim", "size", "mults")
 def _golden_rows(path: str | None, keys: tuple[str, ...]) -> list[dict]:
     """The catalog rows of --golden, else the shipped ones.
 
-    Each row of --golden must hold keys and name a stratum; a row that does
-    not is a usage error naming the row.
+    Each row of --golden must hold keys and name a stratum that pins the
+    weight c; a row that does not is a usage error naming the row.
     """
     if path is None:
         return _load_catalog_rows()
@@ -331,7 +333,7 @@ def _golden_rows(path: str | None, keys: tuple[str, ...]) -> list[dict]:
         ):
             raise UsageError(f"{where}: family must be a name and gamma0 a list of vertex numbers")
         try:
-            catalog_stratum(row)
+            catalog_weight(catalog_stratum(row), row)
         except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from None
     return rows
@@ -348,8 +350,15 @@ def _emit(args, payload: dict, pretty_lines=None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; later writes, the flush at exit included, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _system_name(rs) -> str:

@@ -5,8 +5,10 @@ multiplicities of lines with a common image yields the vector configuration
 of the restricted operator.  The lines are grouped by their Gram
 coordinates over the subspace's basis, which determine the projection, so
 each restricted line is projected once.  The identities verified here are
-exact polynomial statements: every rational-function equality is cleared
-of denominators first.
+exact, and their denominators are never cleared: a sum of a_k/l_k over
+pairwise non-proportional linear forms l_k is a polynomial exactly when
+each l_k divides a_k, so each identity is decided line by line, by summed
+residues or by exact division.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
 from .linalg import Vector, dot, gram, invert, mat_vec, rank, vec_is_zero
-from .polynomials import Polynomial, render_polynomial
+from .polynomials import Polynomial, divide_by_linear, render_polynomial
 from .rootsystems import (
     Multiplicities,
     RootSystem,
@@ -182,29 +184,18 @@ def conservation_defect(stratum: Stratum, mults: Multiplicities) -> Polynomial:
 # identity checks
 
 
-def _partial_products(forms: list[Polynomial]) -> tuple[Polynomial, list[Polynomial]]:
-    """Product of all forms and, per index, the product of the others."""
-    n = len(forms)
-    field = forms[0].field
-    nvars = forms[0].nvars
-    one = Polynomial.constant(field, nvars, field.one())
-    prefix = [one]
-    for f in forms:
-        prefix.append(prefix[-1] * f)
-    suffix = [one] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * forms[i]
-    total = prefix[n]
-    others = [prefix[i] * suffix[i + 1] for i in range(n)]
-    return total, others
-
-
 def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
     """Residue cancellation on every projected line, at numeric weights.
 
     For each configuration vector u the weighted sum of (u,w)/(w,x) over the
     other vectors must vanish identically on the part of the stratum where
     (u,x) = 0.  Returns the indices of vectors where it does not.
+
+    A sum of a_k/l_k over pairwise non-proportional linear forms is a
+    polynomial only if each l_k divides a_k (multiply by the product of the
+    forms and restrict to l_1 = 0).  Here the a_k are constants, so the rows
+    are grouped by their monic form and each group's sum of coeff/lead must
+    vanish.
     """
     if not mults.is_numeric:
         raise ValueError("numeric multiplicities required")
@@ -219,8 +210,8 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
         sbasis = sl.basis
         if not sbasis:
             continue
-        nslice = len(sbasis)
-        terms = []
+        # (nums, den) of each entry of the monic row -> summed coeff/lead
+        residues: dict[tuple, FieldElement] = {}
         for j, w in enumerate(config.vectors):
             if j == i:
                 continue
@@ -231,14 +222,11 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
             if vec_is_zero(row):
                 # w projects to the u-line itself; excluded from the sum
                 continue
-            terms.append((coeff, Polynomial.linear_form(field, row)))
-        if not terms:
-            continue
-        _, others = _partial_products([f for _, f in terms])
-        acc = Polynomial.zero(field, nslice)
-        for (coeff, _), rest in zip(terms, others):
-            acc = acc + rest * coeff
-        if not acc.is_zero():
+            rep = _monic(row)
+            key = tuple((x.nums, x.den) for x in rep)
+            residue = coeff / next(x for x in row if not x.is_zero())
+            residues[key] = residues.get(key, field.zero()) + residue
+        if any(not c.is_zero() for c in residues.values()):
             bad.append(i)
     return bad
 
@@ -272,10 +260,18 @@ def restriction_defects(
 ) -> list[int]:
     """Compares the restricted operator with the projected radial form.
 
-    Both sides act on invariant root power sums; the equality is cleared of
-    denominators by the product of the configuration forms.  For the
-    deformed check the confinement variable rides along and the exact
-    additive constant is part of the identity.  Returns degrees that fail.
+    Both sides act on invariant root power sums g: the restricted operator
+    must equal the radial part minus the sum of 2 m_v d_v g / (v, x) over
+    the configuration.  Its forms are pairwise non-proportional (distinct
+    monic lines in the span of the basis, and v -> ((v, b))_b is injective),
+    so the sum is a polynomial only if each form divides its numerator, as
+    in `gauge_defects`.  A degree therefore fails when a division leaves a
+    remainder or when the quotients do not close the identity.  A remainder
+    needs a stratum that is no flat: at a point of a flat X on the mirror of
+    alpha, grad f is fixed by s_alpha and by the reflections fixing X, so it
+    lies in X and is orthogonal to alpha, hence to v.  For the deformed
+    check the confinement variable rides along and the exact additive
+    constant is part of the identity.  Returns degrees that fail.
     """
     if not mults.is_numeric:
         raise ValueError("numeric multiplicities required")
@@ -302,19 +298,9 @@ def restriction_defects(
     forms = []
     dirs = []
     for v in config.vectors:
-        row = tuple(dot(v, b) for b in basis) + (field.zero(),) * extra
-        forms.append(Polynomial.linear_form(field, row))
+        forms.append(tuple(dot(v, b) for b in basis) + (field.zero(),) * extra)
         coeffs = mat_vec(ginv, tuple(dot(b, v) for b in basis))
         dirs.append(coeffs)
-    if forms:
-        denom, others = _partial_products(forms)
-    else:
-        denom = Polynomial.constant(field, nt, field.one())
-        others = []
-
-    total_c = field.zero()
-    for i in range(len(rs.lines)):
-        total_c = total_c + mults.line_scalar(i)
 
     bad = []
     for k in degrees:
@@ -342,16 +328,20 @@ def restriction_defects(
                     if not gmat[a][b].is_zero():
                         quad = quad + ta * Polynomial.variable(field, nt, b) * gmat[a][b]
             radial = radial - omega * omega * quad * g
-            const = field.element(-rs.dim) + total_c * 2
-            radial = radial + omega * g * const
-        rhs = denom * radial
-        for (v, m, coeffs, rest) in zip(config.vectors, ms, dirs, others):
-            dv = Polynomial.zero(field, nt)
-            for j, cj in enumerate(coeffs):
-                if not cj.is_zero():
-                    dv = dv + g.partial(j) * cj
-            rhs = rhs - rest * dv * (m * 2)
-        if denom * lhs != rhs:
+            radial = radial + omega * g * deformed_restriction_constant(stratum, mults)
+        try:
+            for form, m, coeffs in zip(forms, ms, dirs):
+                dv = Polynomial.zero(field, nt)
+                for j, cj in enumerate(coeffs):
+                    if not cj.is_zero():
+                        dv = dv + g.partial(j) * cj
+                radial = radial - divide_by_linear(dv * (m * 2), form)
+        except ZeroDivisionError:
+            raise
+        except ArithmeticError:
+            bad.append(k)
+            continue
+        if lhs != radial:
             bad.append(k)
     return bad
 
@@ -385,14 +375,19 @@ def catalog_stratum(row: dict) -> Stratum:
     return st
 
 
+def catalog_weight(st: Stratum, row: dict) -> str:
+    """The one weight c that the invariance conditions of a row's stratum pin."""
+    solved = solve_multiplicities(st)
+    if solved["status"] != "unique" or list(solved["values"]) != ["c"]:
+        raise ValueError(f"catalog stratum {row['type']} in {row['family']} does not pin the multiplicity")
+    return solved["values"]["c"]
+
+
 def catalog_row_result(row: dict) -> dict:
     """Recomputes one catalog entry at its solved multiplicity."""
     st = catalog_stratum(row)
     rs = st.rs
-    solved = solve_multiplicities(st)
-    if solved["status"] != "unique":
-        raise ValueError(f"catalog stratum {row['type']} in {row['family']} does not pin the multiplicity")
-    c_text = solved["values"]["c"]
+    c_text = catalog_weight(st, row)
     mults = Multiplicities.numeric(rs, {"c": Fraction(c_text)})
     config = restricted_configuration(st, mults)
     # dimension inside the reflection representation, not the coordinate space

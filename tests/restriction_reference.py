@@ -5,11 +5,22 @@ for the coordinates, then sum the basis vectors entry by entry) and groups
 the lines by their monic projection, in first-seen order.  This is the
 per-line path that grouping by Gram coordinates replaced; it shares only
 the exact inner product and the Gram inverse with the code under test.
+
+It also holds the gauge and restriction identities as they were checked
+before the residue argument replaced them: each rational identity is
+multiplied through by the product of its linear forms and compared as a
+polynomial.  These share the restricted configuration, the Dunkl operators
+and the polynomial arithmetic with the code under test, but not the
+grouping by line or the exact division.
 """
 
 from __future__ import annotations
 
+from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.linalg import dot, gram, invert, mat_vec, vec_is_zero
+from dunklcm.polynomials import Polynomial
+from dunklcm.restriction import invariant_power_sum, restricted_configuration
+from dunklcm.rootsystems import Subspace
 
 
 def project_onto(basis, gram_inv, v):
@@ -51,3 +62,117 @@ def reference_configuration(stratum, mults) -> tuple[list, list]:
         else:
             groups[key] = [rep, mults.line_value(i)]
     return [v for v, _ in groups.values()], [m for _, m in groups.values()]
+
+
+# ---------------------------------------------------------------------------
+# the identities with denominators cleared
+
+
+def partial_products(forms):
+    """Product of all forms and, per index, the product of the others."""
+    n = len(forms)
+    field = forms[0].field
+    one = Polynomial.constant(field, forms[0].nvars, field.one())
+    prefix = [one]
+    for f in forms:
+        prefix.append(prefix[-1] * f)
+    suffix = [one] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * forms[i]
+    return prefix[n], [prefix[i] * suffix[i + 1] for i in range(n)]
+
+
+def reference_gauge_defects(stratum, mults) -> list[int]:
+    """`gauge_defects` by clearing denominators: for each vector u, the sum
+    of (u,w) m_w times the product of the other slice forms must vanish."""
+    rs = stratum.rs
+    field = rs.field
+    config = restricted_configuration(stratum, mults)
+    ms = config.scalar_mults()
+    bad = []
+    for i, u in enumerate(config.vectors):
+        sbasis = Subspace(field, rs.dim, list(stratum.subspace.annihilator) + [u]).basis
+        if not sbasis:
+            continue
+        terms = []
+        for j, w in enumerate(config.vectors):
+            coeff = dot(u, w) * ms[j]
+            row = tuple(dot(w, b) for b in sbasis)
+            if j != i and not coeff.is_zero() and not vec_is_zero(row):
+                terms.append((coeff, Polynomial.linear_form(field, row)))
+        if not terms:
+            continue
+        _, others = partial_products([f for _, f in terms])
+        acc = Polynomial.zero(field, len(sbasis))
+        for (coeff, _), rest in zip(terms, others):
+            acc = acc + rest * coeff
+        if not acc.is_zero():
+            bad.append(i)
+    return bad
+
+
+def reference_restriction_defects(stratum, mults, degrees=(2, 4, 6), deformed=False) -> list[int]:
+    """`restriction_defects` by multiplying the identity through by the
+    product of the configuration forms."""
+    rs = stratum.rs
+    field = rs.field
+    basis = stratum.subspace.basis
+    r = len(basis)
+    if r == 0:
+        return []
+    config = restricted_configuration(stratum, mults)
+    ms = config.scalar_mults()
+    gmat = gram(basis)
+    ginv = invert(gmat, field)
+    extra = 1 if deformed else 0
+    ctx = DeformedContext(rs, mults) if deformed else DunklContext(rs, mults, extra_vars=0)
+    nt = r + extra
+    ext_basis = [tuple(b) + (field.zero(),) * extra for b in basis]
+    if deformed:
+        ext_basis.append((field.zero(),) * rs.dim + (field.one(),))
+    ext_basis = tuple(ext_basis)
+    forms = []
+    dirs = []
+    for v in config.vectors:
+        row = tuple(dot(v, b) for b in basis) + (field.zero(),) * extra
+        forms.append(Polynomial.linear_form(field, row))
+        dirs.append(mat_vec(ginv, tuple(dot(b, v) for b in basis)))
+    if forms:
+        denom, others = partial_products(forms)
+    else:
+        denom, others = Polynomial.constant(field, nt, field.one()), []
+    total_c = field.zero()
+    for i in range(len(rs.lines)):
+        total_c = total_c + mults.line_scalar(i)
+    bad = []
+    for k in degrees:
+        f = invariant_power_sum(rs, k, nvars=ctx.nvars)
+        lf = ctx.total_power(1, f) if deformed else ctx.laplacian(f)
+        lhs = lf.restrict_to(ext_basis)
+        g = f.restrict_to(ext_basis)
+        radial = Polynomial.zero(field, nt)
+        for a in range(r):
+            ga = g.partial(a)
+            for b in range(r):
+                if not ginv[a][b].is_zero():
+                    radial = radial + ga.partial(b) * ginv[a][b]
+        if deformed:
+            omega = Polynomial.variable(field, nt, r)
+            quad = Polynomial.zero(field, nt)
+            for a in range(r):
+                ta = Polynomial.variable(field, nt, a)
+                for b in range(r):
+                    if not gmat[a][b].is_zero():
+                        quad = quad + ta * Polynomial.variable(field, nt, b) * gmat[a][b]
+            radial = radial - omega * omega * quad * g
+            radial = radial + omega * g * (field.element(-rs.dim) + total_c * 2)
+        rhs = denom * radial
+        for m, coeffs, rest in zip(ms, dirs, others):
+            dv = Polynomial.zero(field, nt)
+            for j, cj in enumerate(coeffs):
+                if not cj.is_zero():
+                    dv = dv + g.partial(j) * cj
+            rhs = rhs - rest * dv * (m * 2)
+        if denom * lhs != rhs:
+            bad.append(k)
+    return bad

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -352,7 +354,10 @@ GOLDEN_ROW = {"index": 7, "family": "E8", "type": "A1", "gamma0": [1], "dim": 7,
     ({"index": 1, "type": "A1"}, "catalog row 1 in {path!r} lacks family, gamma0"),
     ({"family": "Q8"}, "catalog row 7 in {path!r}: unknown family 'Q8'"),
     ({"gamma0": [9]}, "catalog row 7 in {path!r}: simple root index 8 out of range"),
-], ids=["missing-keys", "unknown-family", "gamma0-out-of-range"])
+    ({"family": "F4"}, "catalog row 7 in {path!r}: catalog stratum A1 in F4 does not pin the multiplicity"),
+    ({"family": "F4", "gamma0": [1, 3]}, "catalog row 7 in {path!r}: catalog stratum A1 in F4 does not pin the multiplicity"),
+    ({"gamma0": []}, "catalog row 7 in {path!r}: catalog stratum A1 in E8 does not pin the multiplicity"),
+], ids=["missing-keys", "unknown-family", "gamma0-out-of-range", "free-weight", "two-weights", "no-conditions"])
 def test_golden_row_faults_are_usage_errors(capsys, tmp_path, command, fault, message):
     row = fault if "index" in fault else dict(GOLDEN_ROW, **fault)
     golden = tmp_path / "golden.json"
@@ -367,6 +372,33 @@ def test_shipped_catalog_fault_stays_internal(capsys, monkeypatch):
     code, out = run(capsys, "catalog")
     assert code == 4
     assert out["internal"] is True
+
+
+def test_shipped_row_that_pins_no_weight_stays_internal(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_catalog_rows", lambda: [dict(GOLDEN_ROW, gamma0=[])])
+    code, out = run(capsys, "catalog")
+    assert code == 4
+    assert out["internal"] is True
+    assert "does not pin the multiplicity" in out["error"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["catalog"], 0),
+    (["check", "--family", "F4", "--subgraph", "A1A1", "--c1", "1/2", "--c2", "1/3"], 1),
+], ids=["catalog", "check-not-invariant"])
+def test_closed_stdout_is_not_a_failure(argv, code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: the first write breaks the pipe
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dunklcm.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, b"")
 
 
 @pytest.mark.parametrize("subgraph,token", [

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,21 @@ from dunklcm.restriction import (
     restricted_configuration,
     restriction_defects,
 )
+from dunklcm.polynomials import divide_by_linear
 from dunklcm.rootsystems import (
     Multiplicities,
+    Stratum,
+    Subspace,
     block_stratum,
     enumerate_parabolic_strata,
     parabolic_stratum,
     root_system,
 )
-from restriction_reference import reference_configuration
+from restriction_reference import (
+    reference_configuration,
+    reference_gauge_defects,
+    reference_restriction_defects,
+)
 
 
 def test_pair_block_configuration():
@@ -130,6 +138,15 @@ def test_catalog_rows_recompute():
     assert r15["mults"] == {"9/4": 3, "1/12": 3}
 
 
+def test_gauge_residues_cancel_on_every_catalog_row():
+    rows = _load_catalog_rows()
+    assert len(rows) == 41
+    for row in rows:
+        st = catalog_stratum(row)
+        mults = Multiplicities.numeric(st.rs, Fraction(row["c"]))
+        assert gauge_defects(st, mults) == [], (row["index"], row["family"], row["type"])
+
+
 def test_catalog_compare_smoke():
     rows = _load_catalog_rows()
     diffs = catalog_compare()
@@ -172,3 +189,102 @@ def test_grouped_projection_matches_reference_on_parabolic_strata(family):
 
 def test_grouped_projection_matches_reference_on_block_stratum():
     assert_matches_reference(block_stratum(root_system("B", 4), m=1, k=2, l=1))
+
+
+# ---------------------------------------------------------------------------
+# residues and exact division against the cleared denominators
+
+
+class PlantedWeight(Multiplicities):
+    """Orbit weights with one root line shifted, so that the weights are
+    no longer constant on orbits and the residues can fail to cancel."""
+
+    def __init__(self, base: Multiplicities, line: int, shift):
+        super().__init__(base.rs, base.values, base.params)
+        self.line = line
+        self.shift = base.rs.field.element(shift)
+
+    def line_value(self, line_idx):
+        value = super().line_value(line_idx)
+        return value + self.shift if line_idx == self.line else value
+
+
+def oracle_strata(system):
+    if system == "B4":
+        return [block_stratum(root_system("B", 4), m=1, k=2, l=1)]
+    return enumerate_parabolic_strata(root_system(system))
+
+
+@pytest.mark.parametrize("system", ["H3", "F4", "H4", "B4"])
+def test_gauge_matches_cleared_denominators(system):
+    strata = oracle_strata(system)
+    rs = strata[0].rs
+    # a zero shift keeps the orbit weights, at which the residues cancel
+    plants = ((0, 0), (0, 1), (len(rs.lines) // 2, 1), (len(rs.lines) - 1, 1))
+    with_defects = 0
+    for st in strata:
+        for line, shift in plants:
+            mults = PlantedWeight(orbit_weights(rs), line, shift)
+            got = gauge_defects(st, mults)
+            assert got == reference_gauge_defects(st, mults), (st.label, line, shift)
+            with_defects += bool(got)
+    assert with_defects
+
+
+@pytest.mark.parametrize("system", ["H3", "F4", "H4", "B4"])
+def test_restriction_matches_cleared_denominators(system):
+    strata = oracle_strata(system)
+    rs = strata[0].rs
+    rng = random.Random(system)
+    mults = Multiplicities.numeric(
+        rs, {name: Fraction(rng.randint(1, 9), rng.randint(2, 9)) for name in rs.orbit_names}
+    )
+    # the Laplacian of the power sum dominates and is the same on every
+    # stratum, so one stratum of each dimension keeps the cost down
+    by_dim = {}
+    for st in strata:
+        by_dim.setdefault(st.subspace.dim, st)
+    for st in by_dim.values():
+        got = restriction_defects(st, mults, degrees=(2, 4))
+        assert got == reference_restriction_defects(st, mults, degrees=(2, 4)), st.label
+
+
+@pytest.mark.parametrize("family, rank_, weights", [
+    ("A", 3, Fraction(1, 2)),
+    ("A", 3, Fraction(1, 3)),
+    ("B", 3, {"c1": Fraction(1, 2), "c2": Fraction(1, 2)}),
+    ("B", 3, {"c1": Fraction(2, 3), "c2": Fraction(1, 5)}),
+], ids=["A3-invariant", "A3-off-locus", "B3-invariant", "B3-off-locus"])
+def test_deformed_restriction_matches_cleared_denominators(family, rank_, weights):
+    rs = root_system(family, rank_)
+    mults = Multiplicities.numeric(rs, weights)
+    st = block_stratum(rs, m=1, k=2) if family == "A" else block_stratum(rs, m=1, k=2, l=1)
+    got = restriction_defects(st, mults, degrees=(2, 4), deformed=True)
+    assert got == reference_restriction_defects(st, mults, degrees=(2, 4), deformed=True)
+
+
+@pytest.mark.parametrize("family, rank_, row", [("A", 3, (1, 2, 3, 0)), ("B", 3, (1, 2, 0))])
+def test_identities_off_a_flat_match_cleared_denominators(family, rank_, row):
+    # a plane that is no intersection of mirrors: d_v g need not vanish where
+    # (v, x) does, so an exact division leaves a remainder
+    rs = root_system(family, rank_)
+    st = Stratum(rs, Subspace(rs.field, rs.dim, [tuple(rs.field.element(x) for x in row)]))
+    mults = Multiplicities.numeric(rs, Fraction(1, 2))
+    got = restriction_defects(st, mults, degrees=(2, 4))
+    assert got == reference_restriction_defects(st, mults, degrees=(2, 4)) == [2, 4]
+    assert gauge_defects(st, mults) == reference_gauge_defects(st, mults) != []
+
+
+def test_zero_form_is_an_error_not_a_failing_degree(monkeypatch):
+    import dunklcm.restriction as restriction
+
+    rs = root_system("B", 3)
+    st = block_stratum(rs, m=1, k=2, l=1)
+    mults = Multiplicities.numeric(rs, {"c1": Fraction(1, 3), "c2": Fraction(1, 5)})
+
+    def zero_form(f, form):
+        return divide_by_linear(f, tuple(x - x for x in form))
+
+    monkeypatch.setattr(restriction, "divide_by_linear", zero_form)
+    with pytest.raises(ZeroDivisionError):
+        restriction_defects(st, mults, degrees=(2,))
