@@ -41,9 +41,11 @@ from .rootsystems import (
     parabolic_classes,
     parabolic_stratum,
     root_system,
+    type_name_from_counts,
 )
 from .dunkl import DeformedContext, DunklContext
 from .invariance import (
+    DIRECT_ORBIT_LIMIT,
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
@@ -63,6 +65,7 @@ from .restriction import (
     _load_catalog_rows,
 )
 from .complexgroups import (
+    COMPLEX_DIRECT_ORBIT_LIMIT,
     ComplexDunklContext,
     collision_subspace,
     condition_forms,
@@ -120,13 +123,6 @@ def _parse_type_expr(text: str) -> dict[str, int]:
     if not counts:
         raise UsageError(f"empty subgraph type in {text!r}")
     return counts
-
-
-def _canonical_type(counts: dict[str, int]) -> str:
-    return "*".join(
-        name if counts[name] == 1 else f"{name}^{counts[name]}"
-        for name in sorted(counts)
-    )
 
 
 def _atom_rank(name: str) -> int:
@@ -190,7 +186,7 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
             raise UsageError(f"{head} needs l= (or p=) zero coordinates")
         return block_stratum(rs, m, k, l=l, eps=eps)
     counts = _parse_type_expr(head)
-    canonical = _canonical_type(counts)
+    canonical = type_name_from_counts(counts)
     size = sum(_atom_rank(name) * n for name, n in counts.items())
     if size > rs.rank:
         raise UsageError(f"type {canonical} needs {size} vertices; rank is {rs.rank}")
@@ -410,7 +406,8 @@ def cmd_check(args) -> int:
     payload["multiplicities"] = {k: str(v) for k, v in sorted(vals.items())}
     payload["invariant"] = invariant
     if args.direct:
-        viol = direct_invariance_violations(st, mults, seed=args.seed)
+        limit = min(args.orbit_cap, DIRECT_ORBIT_LIMIT)
+        viol = direct_invariance_violations(st, mults, seed=args.seed, orbit_limit=limit)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
         payload["seed"] = args.seed
@@ -471,7 +468,8 @@ def _check_complex(args) -> int:
     payload["invariant"] = invariant
     if args.direct:
         ctx = ComplexDunklContext.at_weights(group, point)
-        viol = direct_ideal_violations(ctx, sub, seed=args.seed)
+        limit = min(args.orbit_cap, COMPLEX_DIRECT_ORBIT_LIMIT)
+        viol = direct_ideal_violations(ctx, sub, seed=args.seed, orbit_limit=limit)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
         payload["seed"] = args.seed
@@ -597,7 +595,15 @@ def cmd_catalog(args) -> int:
 # verification suites
 
 
+def _require_at_least(args, flag: str, floor: int) -> None:
+    value = getattr(args, flag)
+    if value < floor:
+        raise UsageError(f"verify {args.suite} needs --{flag} >= {floor}, got {value}")
+
+
 def _verify_commutativity(args) -> tuple[dict, int]:
+    _require_at_least(args, "degree", 0)
+    _require_at_least(args, "samples", 1)
     rng = random.Random(args.seed)
     report = {"suite": "commutativity", "samples": [], "violations": 0}
     if args.group:
@@ -657,6 +663,7 @@ def _verify_gauge(args) -> tuple[dict, int]:
 
 
 def _verify_restriction(args) -> tuple[dict, int]:
+    _require_at_least(args, "degree", 2)
     rs = _root_system(args)
     st = _stratum(rs, args)
     vals = _collect_mult_values(args)
@@ -682,6 +689,7 @@ def _verify_restriction(args) -> tuple[dict, int]:
 
 
 def _verify_deformed(args) -> tuple[dict, int]:
+    _require_at_least(args, "degree", 0)
     rs = _root_system(args)
     rng = random.Random(args.seed)
     vals = _collect_mult_values(args) or _random_sample(rng, rs.orbit_names)

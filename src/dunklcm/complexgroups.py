@@ -45,6 +45,8 @@ from .linalg import identity
 from .polynomials import Polynomial
 from .rootsystems import Subspace, orbit_walk
 
+COMPLEX_DIRECT_ORBIT_LIMIT = 64
+
 
 class ComplexReflectionGroup:
     def __init__(self, m: int, p: int, N: int):
@@ -203,7 +205,7 @@ def direct_ideal_violations(
     ctx: ComplexDunklContext,
     sub: Subspace,
     seed: int = 0,
-    orbit_limit: int = 64,
+    orbit_limit: int = COMPLEX_DIRECT_ORBIT_LIMIT,
 ) -> list:
     """Same generic-witness membership test as in the real case."""
     orbit = subspace_orbit(ctx.group, sub, cap=orbit_limit)

@@ -82,9 +82,8 @@ def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Matrix, tuple[int, ..
     return tuple(tuple(row) for row in work[:r]), tuple(pivots)
 
 
-def nullspace(rows: tuple[Vector, ...], ncols: int, field: Field) -> tuple[Vector, ...]:
-    """Basis of the solution space of rows . x = 0."""
-    reduced, pivots = rref(rows)
+def nullspace(reduced: Matrix, pivots: tuple[int, ...], ncols: int, field: Field) -> tuple[Vector, ...]:
+    """Basis of the solution space of reduced . x = 0, given rref's (rows, pivot columns)."""
     free = [c for c in range(ncols) if c not in pivots]
     zero, one = field.zero(), field.one()
     basis = []

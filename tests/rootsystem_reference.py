@@ -1,15 +1,22 @@
-"""Test-only reference for the root lines of a root system and their orbits.
+"""Test-only references for the root lines of a root system and their
+weighted Coxeter numbers.
 
-Builds the line set by a breadth-first closure under the simple
-reflections, then labels it by a second, independent pass: the connected
-components of the line set under the same reflections, numbered in order
-of first appearance among the simple roots.  It reads only the simple
-roots, never the lines or labels a RootSystem computed.
+reference_lines builds the line set by a breadth-first closure under the
+simple reflections, then labels it by a second, independent pass: the
+connected components of the line set under the same reflections, numbered
+in order of first appearance among the simple roots.  It reads only the
+simple roots, never the lines or labels a RootSystem computed.
+
+reference_coxeter_number builds the weighted root form
+sum_alpha c_alpha (alpha,u)(alpha,v)/(alpha,alpha) as a matrix on a basis
+of the span of the lines and checks entry by entry that it is h times the
+scalar product, where the program takes the trace in closed form.
 """
 
 from __future__ import annotations
 
-from dunklcm.linalg import dot, reflect
+from dunklcm.linalg import dot, gram, reflect, rref
+from dunklcm.polynomials import Polynomial
 
 
 def _key(v) -> tuple:
@@ -64,3 +71,32 @@ def reference_lines(simple) -> tuple[tuple, tuple[int, ...], tuple[str, ...]]:
     labels = tuple(order.index(c) for c in comp)
     names = ("c",) if ncomp == 1 else tuple(f"c{i + 1}" for i in range(ncomp))
     return lines, labels, names
+
+
+def reference_coxeter_number(rs, mults, line_indices) -> Polynomial:
+    """The ratio h of the weighted root form to the scalar product on the span.
+
+    The sum runs over the full root set (both signs), so each stored line
+    contributes twice.  The basis is the reduced echelon rows of the lines;
+    proportionality does not depend on the basis.  Raises ValueError when
+    the form is not proportional to the scalar product, as on a reducible
+    set of lines with unequal weights.
+    """
+    basis, _ = rref(tuple(rs.lines[i] for i in line_indices))
+    size = len(basis)
+    zero = Polynomial.zero(rs.field, len(mults.params))
+    form = [[zero] * size for _ in range(size)]
+    for i in line_indices:
+        alpha = rs.lines[i]
+        c = mults.line_value(i)
+        proj = [dot(alpha, u) for u in basis]
+        for a in range(size):
+            for b in range(size):
+                form[a][b] = form[a][b] + c * (proj[a] * proj[b] / rs.line_norms[i] * 2)
+    metric = gram(basis)
+    h = form[0][0] * metric[0][0].inverse()
+    for a in range(size):
+        for b in range(size):
+            if form[a][b] != h * metric[a][b]:
+                raise ValueError("weighted root form is not proportional to the scalar product")
+    return h

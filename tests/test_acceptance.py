@@ -40,6 +40,8 @@ from dunklcm.rootsystems import (
     root_system,
 )
 
+from rootsystem_reference import reference_coxeter_number
+
 COXETER_INSTANCES = (
     ("A", 5, None, 6),
     ("B", 4, None, 8),
@@ -60,9 +62,11 @@ def test_criterion_01_coxeter_number_lemma():
     for fam, rank_, m, h in COXETER_INSTANCES:
         rs = root_system(fam, rank_, m=m)
         ones = Multiplicities.numeric(rs, {name: 1 for name in rs.orbit_names})
-        # proportionality to the scalar product is asserted inside
-        got = generalized_coxeter_number(rs, ones, range(len(rs.lines)))
+        everything = range(len(rs.lines))
+        got = generalized_coxeter_number(rs, ones, everything)
         assert got.constant_term() == rs.field.element(h), (fam, h)
+        # the full weighted form, asserted entry by entry to be h times the scalar product
+        assert reference_coxeter_number(rs, ones, everything) == got, (fam, h)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 1: PASS — weighted root sum equals h times the scalar product "

@@ -68,6 +68,19 @@ def test_orbit_cap_exit(capsys, monkeypatch):
     assert out["capped"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
+    ["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2"],
+], ids=["real", "complex"])
+def test_orbit_cap_bounds_the_direct_route(capsys, argv):
+    # the orbits have 6 and 9 members, inside the direct route's own limits
+    code, out = run(capsys, *argv, "--direct")
+    assert code == 0
+    code, out = run(capsys, *argv, "--direct", "--orbit-cap", "2")
+    assert code == 3
+    assert out["capped"] is True
+
+
 def test_check_complex_group(capsys):
     code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2")
     assert code == 0
@@ -293,6 +306,11 @@ def test_unknown_complex_weight_name(capsys, flag, value, name):
     ["check", "--group", "G(3,3,3)", "--blocks", "2,2", "--c0", "1/2"],
     ["solve", "--group", "G(3,3,3)", "--blocks", "2,2"],
     ["check", "--family", "Q", "--subgraph", "A1", "--c", "1/2"],
+    # suites that would check nothing
+    ["verify", "restriction", "--family", "B", "--rank", "3", "--subgraph", "A1", "--degree", "1"],
+    ["verify", "commutativity", "--family", "A", "--rank", "3", "--samples", "0"],
+    ["verify", "commutativity", "--family", "A", "--rank", "3", "--degree", "-1"],
+    ["verify", "deformed", "--family", "A", "--rank", "3", "--degree", "-1"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out = run(capsys, *argv)

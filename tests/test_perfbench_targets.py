@@ -38,3 +38,15 @@ def test_stratum_orbit_goes_through_the_traced_function():
         tracer.uninstall()
     assert tracer.stats["rootsystems.orbit_of_subspace"][0] == 1
     assert tracer.counts["orbit_members"] == 6
+
+
+def test_solve_goes_through_the_traced_coxeter_number(capsys):
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = dunklcm.cli.main(["solve", "--family", "A", "--rank", "3", "--subgraph", "A1"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.stats["rootsystems.generalized_coxeter_number"][0] > 0

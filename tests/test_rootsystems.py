@@ -1,4 +1,6 @@
+import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,6 +12,7 @@ from dunklcm.rootsystems import (
     Multiplicities,
     OrbitCapExceeded,
     Stratum,
+    Subspace,
     block_stratum,
     classify_indices,
     enumerate_parabolic_strata,
@@ -21,7 +24,7 @@ from dunklcm.rootsystems import (
     type_coxeter_number,
 )
 
-from rootsystem_reference import reference_lines
+from rootsystem_reference import reference_coxeter_number, reference_lines
 
 LINE_COUNTS = {
     ("A", 3, None): 6,
@@ -120,8 +123,11 @@ def test_coxeter_number_lemma_all_families():
     for fam, rank_, m in ALL_FAMILIES:
         rs = root_system(fam, rank_, m=m)
         ones = Multiplicities.numeric(rs, {n: 1 for n in rs.orbit_names})
-        h = generalized_coxeter_number(rs, ones, range(len(rs.lines)))
+        everything = range(len(rs.lines))
+        h = generalized_coxeter_number(rs, ones, everything)
         assert h.constant_term() == rs.field.element(rs.coxeter_number)
+        # the reference asserts proportionality to the scalar product
+        assert reference_coxeter_number(rs, ones, everything) == h
     assert time.time() - start < 10.0
 
 
@@ -147,7 +153,73 @@ def test_generalized_number_rejects_reducible():
         rs.line_index(vec(rs.field, [0, 0, 0, 1])),
     ]
     with pytest.raises(ValueError):
-        generalized_coxeter_number(rs, mu, mixed)
+        reference_coxeter_number(rs, mu, mixed)
+
+
+# systems whose parabolic strata are all covered, every subset of the simple
+# roots standing for its stratum
+ORACLE_SYSTEMS = [
+    ("A", 5, None), ("B", 3, None), ("B", 4, None), ("D", 4, None), ("D", 5, None),
+    ("E6", None, None), ("F4", None, None), ("G2", None, None), ("H3", None, None),
+    ("H4", None, None), ("I2", None, 5), ("I2", None, 8), ("I2", None, 12),
+]
+E7_SUBSETS = [(0,), (1, 2, 3), (0, 2, 3, 4), (1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)]
+BLOCK_STRATA = [
+    ("A", 5, dict(m=2, k=3)),
+    ("B", 4, dict(m=1, k=2, l=2)),
+    ("B", 4, dict(m=2, k=2)),
+    ("D", 4, dict(m=2, k=2, eps=-1)),
+    ("D", 5, dict(m=1, k=3, l=2)),
+]
+# annihilators spanned by some roots and a vector off every root line: the
+# strata are not flats, but their vanishing lines still form root subsystems
+OFF_FLAT_ROWS = [
+    ("A", 5, [(1, -1, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0), (0, 0, 0, 1, 2, 3)]),
+    ("B", 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 2)]),
+]
+
+
+def _oracle_cases():
+    for fam, rank_, m in ORACLE_SYSTEMS:
+        rs = root_system(fam, rank_, m=m)
+        for size in range(1, rs.rank + 1):
+            for idx in combinations(range(rs.rank), size):
+                yield parabolic_stratum(rs, idx)
+    rs = root_system("E7")
+    for idx in E7_SUBSETS:
+        yield parabolic_stratum(rs, idx)
+    for fam, rank_, shape in BLOCK_STRATA:
+        yield block_stratum(root_system(fam, rank_), **shape)
+    for fam, rank_, rows in OFF_FLAT_ROWS:
+        rs = root_system(fam, rank_)
+        yield Stratum(rs, Subspace(rs.field, rs.dim, [tuple(rs.field.element(x) for x in r) for r in rows]))
+
+
+def test_closed_form_matches_weighted_form_on_every_component():
+    rng = random.Random(9)
+    checked = 0
+    for st in _oracle_cases():
+        rs = st.rs
+        weightings = [
+            Multiplicities.symbolic(rs),
+            Multiplicities.numeric(rs, {n: Fraction(rng.randint(1, 9), rng.randint(2, 9)) for n in rs.orbit_names}),
+        ]
+        ones = Multiplicities.numeric(rs, 1)
+        components = st.components()
+        assert components, st.label
+        for comp in components:
+            for mults in weightings:
+                assert generalized_coxeter_number(rs, mults, comp) == reference_coxeter_number(rs, mults, comp)
+            if st.gamma0:
+                # at unit weights, the Coxeter number of the one diagram component holding the lines
+                [held] = [
+                    (letter, param) for letter, param, verts in classify_indices(rs, st.gamma0)
+                    if rs.line_index(rs.simple[verts[0]]) in comp
+                ]
+                h = generalized_coxeter_number(rs, ones, comp).constant_term()
+                assert h == rs.field.element(type_coxeter_number(held))
+            checked += 1
+    assert checked > 300
 
 
 @pytest.mark.parametrize(
