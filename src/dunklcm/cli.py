@@ -65,7 +65,6 @@ from .restriction import (
     _load_catalog_rows,
 )
 from .complexgroups import (
-    COMPLEX_DIRECT_ORBIT_LIMIT,
     ComplexDunklContext,
     collision_subspace,
     condition_forms,
@@ -211,6 +210,9 @@ def _weight_literal(name: str, text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"weight {name} must be a rational number, got {text!r}") from None
+
+
+_WEIGHT_FLAGS = ("c", "c1", "c2", "c0", "c0_odd", "mult")
 
 
 def _collect_mult_values(args) -> dict[str, Fraction]:
@@ -380,7 +382,7 @@ def cmd_check(args) -> int:
     if args.symbolic:
         ignored = [
             f"--{name.replace('_', '-')}"
-            for name in ("c", "c1", "c2", "c0", "c0_odd", "mult", "direct")
+            for name in (*_WEIGHT_FLAGS, "direct")
             if getattr(args, name) not in (None, False)
         ]
         if ignored:
@@ -468,7 +470,7 @@ def _check_complex(args) -> int:
     payload["invariant"] = invariant
     if args.direct:
         ctx = ComplexDunklContext.at_weights(group, point)
-        limit = min(args.orbit_cap, COMPLEX_DIRECT_ORBIT_LIMIT)
+        limit = min(args.orbit_cap, DIRECT_ORBIT_LIMIT)
         viol = direct_ideal_violations(ctx, sub, seed=args.seed, orbit_limit=limit)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
@@ -595,6 +597,42 @@ def cmd_catalog(args) -> int:
 # verification suites
 
 
+# the options of the verify parser each suite reads, beside those every command takes
+_VERIFY_READS = {
+    "commutativity": ("family", "rank", "group", *_WEIGHT_FLAGS, "degree", "samples"),
+    "gauge": ("family", "rank", "subgraph"),
+    "restriction": ("family", "rank", "subgraph", *_WEIGHT_FLAGS, "degree"),
+    "deformed": ("family", "rank", "subgraph", *_WEIGHT_FLAGS, "degree", "k", "l"),
+    "catalog": ("golden",),
+}
+_VERIFY_DEFAULTS = {"degree": 4, "samples": 3, "k": 1, "l": 2}
+
+
+def _verify_options(args) -> None:
+    """Rejects options the suite would not read, then fills in its defaults."""
+    reads = set(_VERIFY_READS[args.suite])
+    if args.suite == "commutativity":
+        # a group replaces the family; given weights replace the random samples
+        if args.group:
+            reads -= {"family", "rank"}
+        if any(getattr(args, name) is not None for name in _WEIGHT_FLAGS):
+            reads.discard("samples")
+    common = argparse.ArgumentParser()
+    _add_common(common)
+    reads |= {"command", "suite", "func", *vars(common.parse_args([]))}
+    # an option not given is None, or "" for --subgraph
+    ignored = [
+        f"--{name.replace('_', '-')}"
+        for name, value in vars(args).items()
+        if name not in reads and value not in (None, "")
+    ]
+    if ignored:
+        raise UsageError(f"verify {args.suite} does not use {', '.join(ignored)}")
+    for name, value in _VERIFY_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _require_at_least(args, flag: str, floor: int) -> None:
     value = getattr(args, flag)
     if value < floor:
@@ -710,6 +748,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
         degrees = tuple(range(2, args.degree + 1, 2)) or (2,)
         defects = restriction_defects(st, mults, degrees=degrees, deformed=True)
         report["restriction_label"] = st.label
+        report["restriction_degrees"] = list(degrees)
         report["restriction_failing_degrees"] = list(defects)
         report["restriction_constant"] = render_scalar(
             deformed_restriction_constant(st, mults)
@@ -751,6 +790,7 @@ def cmd_verify(args) -> int:
         "deformed": _verify_deformed,
         "catalog": _verify_catalog,
     }
+    _verify_options(args)
     report, code = suites[args.suite](args)
     lines = [f"suite {args.suite}: {'pass' if code == 0 else 'FAIL'}"]
     if args.suite == "catalog":
@@ -796,8 +836,8 @@ def _add_mults(sub):
 def _add_group(sub):
     sub.add_argument("--group", help="complex group, e.g. G(4,2,3)")
     sub.add_argument("--blocks", help="collision blocks 'q,r' (or just 'r')")
-    sub.add_argument("--zeros", type=int, default=0, help="trailing zero coordinates")
-    sub.add_argument("--eps", type=int, default=0, help="root-of-unity twist power on the last block")
+    sub.add_argument("--zeros", type=int, default=None, help="trailing zero coordinates (0)")
+    sub.add_argument("--eps", type=int, default=None, help="root-of-unity twist power on the last block (0)")
     sub.add_argument("--c0", help="reflection weight")
     sub.add_argument("--c0-odd", dest="c0_odd", help="odd-twist reflection weight (N=2, even p)")
 
@@ -830,10 +870,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family(p)
     _add_group(p)
     _add_mults(p)
-    p.add_argument("--degree", type=int, default=4, help="max monomial degree for operator identities")
-    p.add_argument("--samples", type=int, default=3, help="random multiplicity samples")
-    p.add_argument("--k", type=int, default=1, help="first conserved-power exponent")
-    p.add_argument("--l", type=int, default=2, help="second conserved-power exponent")
+    # None marks an option not given; _verify_options fills in the defaults
+    defaults = _VERIFY_DEFAULTS
+    p.add_argument("--degree", type=int, default=None,
+                   help=f"max monomial degree for operator identities ({defaults['degree']})")
+    p.add_argument("--samples", type=int, default=None, help=f"random multiplicity samples ({defaults['samples']})")
+    p.add_argument("--k", type=int, default=None, help=f"first conserved-power exponent ({defaults['k']})")
+    p.add_argument("--l", type=int, default=None, help=f"second conserved-power exponent ({defaults['l']})")
     p.add_argument("--golden", default=None, help="alternate golden catalog JSON")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

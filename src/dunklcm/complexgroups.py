@@ -40,12 +40,10 @@ from math import factorial
 
 from .dunkl import DunklContext
 from .fields import Field
-from .invariance import _render_equations, witness_violations
+from .invariance import DIRECT_ORBIT_LIMIT, _render_equations, witness_violations
 from .linalg import identity
 from .polynomials import Polynomial
 from .rootsystems import Subspace, orbit_walk
-
-COMPLEX_DIRECT_ORBIT_LIMIT = 64
 
 
 class ComplexReflectionGroup:
@@ -156,6 +154,21 @@ class ComplexDunklContext(DunklContext):
                 lowered[key] = coeff * self.cdiag[t - 1] * scale
         return out - Polynomial(self.field, self.nvars, lowered)
 
+    def _point_images(self, p, grad, mirrors) -> list:
+        """The pair-reflection images at p, minus the diagonal term.
+
+        With d = m/p the term is sum_t c_t d f_t(p) / p_v, where d f_t(p)
+        sums eta^(-st) f(p with p_v -> eta^s p_v) over s.  Those maps are in
+        the group, so every such value is zero where p_v != 0.  Where p_v = 0
+        only the x_v-linear part of f survives the division: f_t / x_v is
+        d_v f(p) for t = 1 and 0 beyond.
+        """
+        images = super()._point_images(p, grad, mirrors)
+        if not self.cdiag or self.cdiag[0].is_zero():
+            return images
+        weight = self.cdiag[0] * self.field.element(self.group.diag_order)
+        return [x - weight * g if pv.is_zero() else x for x, g, pv in zip(images, grad, p)]
+
     @classmethod
     def at_weights(cls, group: ComplexReflectionGroup, values: dict) -> "ComplexDunklContext":
         """The context at named weights, defaults filled in by weight_point."""
@@ -205,9 +218,12 @@ def direct_ideal_violations(
     ctx: ComplexDunklContext,
     sub: Subspace,
     seed: int = 0,
-    orbit_limit: int = COMPLEX_DIRECT_ORBIT_LIMIT,
+    orbit_limit: int = DIRECT_ORBIT_LIMIT,
 ) -> list:
-    """Same generic-witness membership test as in the real case."""
+    """Same pointwise witness test as in the real case.
+
+    Raises OrbitCapExceeded when the orbit is larger than orbit_limit.
+    """
     orbit = subspace_orbit(ctx.group, sub, cap=orbit_limit)
     return witness_violations(ctx, orbit, sub, seed)
 

@@ -30,6 +30,18 @@ sum of the coordinate operators it combines.  The checks over a monomial
 basis (commutativity, equivariance, confined integrability) run on extend.
 Cached images are shared objects that callers must not change.
 
+witness_images evaluates T_v f exactly at points of an orbit's members for
+the witness of the direct ideal test, a product f of linear forms that
+vanishes on the whole orbit, without expanding f.  At such a point p,
+f(p) = 0 and f(s_r p) = 0, since s_r p lies on a member too, so D_r f(p)
+vanishes unless alpha_r(p) = 0, where s_r fixes p and D_r f(p) is
+d_{alpha_r^v} f(p):
+
+    T_v f(p) = d_v f(p) - sum_{r: alpha_r(p) = 0} c_r alpha_r(e_v) d_{alpha_r^v} f(p),
+
+every derivative a sum over the forms l_k of l_k(direction) times the
+product of the other l_j(p).
+
 Multiplicities must be numeric here; symbolic parameters only enter the
 linear invariance conditions, never an operator application.
 """
@@ -41,6 +53,20 @@ from itertools import combinations
 from .linalg import reflect, vec
 from .polynomials import Polynomial, add_scaled, divide_by_linear, monomials
 from .rootsystems import Multiplicities, RootSystem
+
+
+def cofactors(values, one) -> list:
+    """[prod_{j != k} values[j] for each k], from prefix and suffix products."""
+    out = []
+    prefix = one
+    for x in values:
+        out.append(prefix)
+        prefix = prefix * x
+    suffix = one
+    for k in range(len(values) - 1, -1, -1):
+        out[k] = out[k] * suffix
+        suffix = suffix * values[k]
+    return out
 
 
 class DunklContext:
@@ -192,6 +218,38 @@ class DunklContext:
     def laplacian(self, f: Polynomial) -> Polynomial:
         one = self.field.one()
         return self._combine((self.apply(v, self.apply(v, f)), one) for v in range(self.nx))
+
+    # -- pointwise images of the direct test's witness -----------------------
+
+    def witness_images(self, forms, points) -> list[list]:
+        """[T_v f(p) for each direction v] for each point p, f = prod_k l_k.
+
+        Each point must lie on a member of an orbit on which f vanishes (see
+        the module docstring).  Exact field values; reflections of weight
+        zero are skipped.
+        """
+        field = self.field
+        dot, one = field.dot, field.one()
+        needed = sorted({r for scales in self._scales for r, _ in scales})
+        # l_k(alpha_r^v) per reflection, shared by every point
+        along = {r: [dot(form, self.reflections[r][1]) for form in forms] for r in needed}
+        columns = [[form[v] for form in forms] for v in range(self.nx)]
+        out = []
+        for p in points:
+            cof = cofactors([dot(form, p) for form in forms], one)
+            grad = [dot(column, cof) for column in columns]
+            mirrors = {r: dot(along[r], cof) for r in needed if dot(self.reflections[r][0], p).is_zero()}
+            out.append(self._point_images(p, grad, mirrors))
+        return out
+
+    def _point_images(self, p, grad, mirrors) -> list:
+        """T_v f(p) per direction from grad[v] = d_v f(p) and, for each
+        reflection r whose mirror holds p, mirrors[r] = d_{alpha_r^v} f(p)."""
+        dot = self.field.dot
+        return [
+            g - dot((s for r, s in scales if r in mirrors), (mirrors[r] for r, _ in scales if r in mirrors))
+            for g, scales in zip(grad, self._scales)
+        ]
 
     def commutativity_violations(self, max_degree: int, pairs=None) -> list:
         """Monomial witnesses with a nonzero commutator, empty when commuting."""

@@ -444,3 +444,37 @@ def test_resolve_subgraph_names_every_enumerated_class(family, rank_):
         got = cli.resolve_subgraph(rs, st.label)
         assert (got.gamma0, got.subspace) == (st.gamma0, st.subspace), st.label
         assert got.label == st.label.removesuffix(":1")  # the first class keeps its bare type
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["verify", "gauge", "--family", "A", "--rank", "3", "--degree", "-5"], "--degree"),
+    (["verify", "gauge", "--family", "A", "--rank", "3", "--c", "1/2", "--samples", "2"], "--c, --samples"),
+    (["verify", "commutativity", "--family", "A", "--rank", "3", "--c", "1/2", "--samples", "5"], "--samples"),
+    (["verify", "commutativity", "--group", "G(3,3,3)", "--family", "A", "--rank", "2"], "--family, --rank"),
+    (["verify", "commutativity", "--family", "A", "--rank", "3", "--subgraph", "A1", "--k", "2"], "--subgraph, --k"),
+    (["verify", "restriction", "--family", "A", "--rank", "3", "--subgraph", "A1", "--l", "3"], "--l"),
+    (["verify", "deformed", "--family", "A", "--rank", "3", "--zeros", "1", "--eps", "0"], "--zeros, --eps"),
+    (["verify", "catalog", "--family", "E6", "--golden", "x.json"], "--family"),
+], ids=["gauge-degree", "gauge-weights", "samples-beside-weights", "family-beside-group",
+        "commutativity-subgraph", "restriction-l", "deformed-group-shape", "catalog-family"])
+def test_verify_rejects_options_its_suite_ignores(capsys, argv, flags):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out["error"] == f"verify {argv[1]} does not use {flags}"
+
+
+def test_verify_defaults_are_unchanged(capsys):
+    code, out = run(capsys, "verify", "commutativity", "--family", "A", "--rank", "2", "--seed", "1")
+    assert code == 0 and len(out["samples"]) == 3
+    code, out = run(capsys, "verify", "deformed", "--family", "A", "--rank", "2", "--c", "1/3")
+    assert code == 0 and out["degree"] == 4 and out["powers"] == [1, 2]
+
+
+@pytest.mark.parametrize("degree,checked", [("0", [2]), ("1", [2]), ("2", [2]), ("5", [2, 4])])
+def test_verify_deformed_reports_restriction_degrees(capsys, degree, checked):
+    code, out = run(capsys, "verify", "deformed", "--family", "A", "--rank", "3", "--subgraph", "A1",
+                    "--degree", degree, "--c", "1/2")
+    assert code == 0
+    assert out["degree"] == int(degree)
+    assert out["restriction_degrees"] == checked
+    assert out["restriction_failing_degrees"] == []
