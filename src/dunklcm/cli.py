@@ -99,7 +99,7 @@ def _from_user(make, *args):
 #   "A1^3:2"               second orbit class of that type, discovery order
 #   "A1^2:k=2,m=2"         family A block stratum: m blocks of k coordinates
 #   "Bl:l=2"               family B: l zero coordinates (blocks via k=,m=)
-#   "Dp:p=3"               family D: p zero coordinates
+#   "Dp:p=3"               family D: p >= 2 zero coordinates
 #   "D2^2:k=2,m=2,eps=-1"  family D sign-twisted last block
 
 

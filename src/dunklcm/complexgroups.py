@@ -16,7 +16,7 @@ parity of k is a conjugation invariant and odd k may carry a second weight.
 The pair reflections are handed to the shared operator core of the dunkl
 module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j, and
 the direct ideal test and the orbit walk are the ones real groups use; only
-the diagonal term is computed here.  Every division is exact on polynomials.
+the diagonal term is computed here, by lowering exponents: no division.
 
 The ideal of q blocks of r equal coordinates (the last block twisted by
 xi^eps) and l zero coordinates is invariant exactly where each of its
@@ -104,7 +104,8 @@ class ComplexReflectionGroup:
 
 
 class ComplexDunklContext(DunklContext):
-    """Operator application for G(m,p,N) at numeric weights.
+    """Operator application for G(m,p,N) at numeric weights: the core's
+    pair-reflection operators, minus the diagonal term.
 
     Reflection (i, j, k) with i < j, listed in that order, has the mirror
     x_i = xi^k x_j; its index is k + m * (its pair's index among i < j).

@@ -6,29 +6,33 @@ The operator in direction xi acts on polynomials as
 
     T_xi f = d_xi f - sum_r c_r alpha_r(xi) D_r f,   D_r f = (f - f o s_r) / alpha_r(x)
 
-where every divided difference D_r f is an exact polynomial division.  A
+where D_r f is a polynomial, since f - f o s_r vanishes on the mirror.  A
 root system supplies one reflection per root line; G(m,p,N) supplies its
 pair reflections and adds its cyclic diagonal term (see complexgroups).  The
 deformed variant adds a harmonic confinement parameter, carried as one
 extra inert variable so that all identities stay polynomial.
 
 The core is graded: T_xi is linear and lowers the degree by one, so it is
-fixed by its images of monomials.  A context keeps three memos, each its
-own and never shared with another context (another weight sample gives
-other images):
+fixed by its images of monomials, and no division is left in it.  Writing
+x^a = x_v m with v the first coordinate of positive exponent, the twisted
+Leibniz rule
 
-- x^a o s_r per reflection and exponent tuple, for reflect_poly;
-- D_r x^a per reflection and exponent tuple, so that the operators in all
-  directions share one division per reflection and monomial;
-- T_v x^a per coordinate direction and exponent tuple, filled through
-  apply; extend(v, g) sums g_a T_v x^a from it.
+    D_r(x_v m) = (x_v o s_r) D_r m + alpha_r^v[v] m,   x_v o s_r = x_v - alpha_r^v[v] alpha_r(x)
 
-apply on a monomial reads the second memo; on any other polynomial it makes
-one division per reflection and keeps no quotient, since sums such as the
-invariant power sums cancel most of their monomial quotients.  A vector direction is the
-sum of the coordinate operators it combines.  The checks over a monomial
-basis (commutativity, equivariance, confined integrability) run on extend.
-Cached images are shared objects that callers must not change.
+gives each monomial quotient from a smaller one by one product with a
+linear form; a monomial free of coordinates (a constant, or a power of the
+inert variable) has quotient 0.  apply(v, f) sums d_v f and the terms
+-f_a c_r alpha_r(e_v) D_r x^a in one dict, and reflect_poly(r, f) is
+f - alpha_r D_r f from the same quotients.  A context keeps three memos,
+each its own and never shared with another context (another weight sample
+gives other images): x_v o s_r per reflection and coordinate; D_r x^a per
+reflection and exponent tuple; T_v x^a per coordinate direction and
+exponent tuple, filled through apply, from which extend(v, g) sums g_a T_v x^a.
+
+A vector direction is the sum of the coordinate operators it combines.  The
+checks over a monomial basis (commutativity, equivariance, confined
+integrability) run on extend.  Cached images are shared objects that
+callers must not change.
 
 witness_images evaluates T_v f exactly at points of an orbit's members for
 the witness of the direct ideal test, a product f of linear forms that
@@ -51,7 +55,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .linalg import reflect, vec
-from .polynomials import Polynomial, add_scaled, divide_by_linear, monomials
+from .polynomials import Polynomial, add_scaled, monomials
 from .rootsystems import Multiplicities, RootSystem
 
 
@@ -70,7 +74,7 @@ def cofactors(values, one) -> list:
 
 
 class DunklContext:
-    """Applies Dunkl operators with memoized monomial images.
+    """Applies Dunkl operators from memoized monomial quotients and images.
 
     For a root system the reflections are its root lines, in line order,
     so a reflection index is a line index.
@@ -108,8 +112,7 @@ class DunklContext:
             )
             for v in range(nx)
         )
-        self._mono_cache: dict[int, dict] = {}
-        self._pow_cache: dict[tuple[int, int], list[Polynomial]] = {}
+        self._var_images: dict[tuple[int, int], Polynomial] = {}
         self._quotients: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
         self._images: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
 
@@ -123,50 +126,34 @@ class DunklContext:
         exps = exps + (0,) * (self.nvars - len(exps))
         return Polynomial.monomial(self.field, exps, self.field.one())
 
-    def _var_image_power(self, r: int, v: int, k: int) -> Polynomial:
-        """(x_v o s_r)^k, where x_v o s_r = x_v - coroot_v alpha(x)."""
-        key = (r, v)
-        powers = self._pow_cache.get(key)
-        if powers is None:
+    def _quotient(self, r: int, exps: tuple[int, ...]) -> Polynomial:
+        """D_r x^exps, memoized, by the twisted Leibniz rule on its first coordinate."""
+        q = self._quotients.get((r, exps))
+        if q is None:
+            v = next((v for v in range(self.nx) if exps[v]), None)
+            if v is None:
+                q = Polynomial.zero(self.field, self.nvars)
+            else:
+                lower = exps[:v] + (exps[v] - 1,) + exps[v + 1:]
+                q = self._var_image(r, v) * self._quotient(r, lower)
+                q = q + Polynomial.monomial(self.field, lower, self.reflections[r][1][v])
+            self._quotients[r, exps] = q
+        return q
+
+    def _var_image(self, r: int, v: int) -> Polynomial:
+        """x_v o s_r = x_v - coroot_v alpha(x), memoized."""
+        line = self._var_images.get((r, v))
+        if line is None:
             alpha, coroot, _ = self.reflections[r]
             row = [-(coroot[v] * a) for a in alpha]
             row[v] = row[v] + self.field.one()
-            base = Polynomial.linear_form(self.field, tuple(row))
-            powers = [Polynomial.constant(self.field, self.nvars, self.field.one()), base]
-            self._pow_cache[key] = powers
-        while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
-        return powers[k]
+            line = self._var_images[r, v] = Polynomial.linear_form(self.field, tuple(row))
+        return line
 
     def reflect_poly(self, r: int, f: Polynomial) -> Polynomial:
-        """f composed with reflection r."""
-        memo = self._mono_cache.setdefault(r, {})
-        out: dict = {}
-        for exps, coeff in f.terms.items():
-            img = memo.get(exps)
-            if img is None:
-                inert = (0,) * self.nx + exps[self.nx:]
-                img = Polynomial.monomial(self.field, inert, self.field.one())
-                for v in range(self.nx):
-                    if exps[v]:
-                        img = img * self._var_image_power(r, v, exps[v])
-                memo[exps] = img
-            add_scaled(out, img, coeff)
-        return Polynomial(self.field, self.nvars, out)
-
-    def _divided_difference(self, r: int, f: Polynomial) -> Polynomial | None:
-        """D_r f, or None when f is fixed by reflection r."""
-        diff = f - self.reflect_poly(r, f)
-        if diff.is_zero():
-            return None
-        return divide_by_linear(diff, self.reflections[r][0])
-
-    def _monomial_quotient(self, r: int, exps: tuple[int, ...]) -> Polynomial | None:
-        key = (r, exps)
-        if key not in self._quotients:
-            mono = Polynomial.monomial(self.field, exps, self.field.one())
-            self._quotients[key] = self._divided_difference(r, mono)
-        return self._quotients[key]
+        """f composed with reflection r, as f - alpha_r D_r f."""
+        quotient = self._combine((self._quotient(r, exps), coeff) for exps, coeff in f.terms.items())
+        return f - Polynomial.linear_form(self.field, self.reflections[r][0]) * quotient
 
     # -- the operator ---------------------------------------------------------
 
@@ -177,17 +164,10 @@ class DunklContext:
                 (self.apply(v, f), weight) for v, weight in enumerate(direction) if not weight.is_zero()
             )
         out = dict(f.partial(direction).terms)
-        if len(f.terms) == 1:
-            (exps, coeff), = f.terms.items()
-            for r, scale in self._scales[direction]:
-                q = self._monomial_quotient(r, exps)
-                if q is not None:
-                    add_scaled(out, q, -(scale * coeff))
-        else:
-            for r, scale in self._scales[direction]:
-                q = self._divided_difference(r, f)
-                if q is not None:
-                    add_scaled(out, q, -scale)
+        scales = self._scales[direction]
+        for exps, coeff in f.terms.items():
+            for r, scale in scales:
+                add_scaled(out, self._quotient(r, exps), -(scale * coeff))
         return Polynomial(self.field, self.nvars, out)
 
     def _image(self, v: int, exps: tuple[int, ...]) -> Polynomial:

@@ -716,6 +716,11 @@ def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> S
     if fam not in ("A", "B", "D"):
         raise ValueError("block strata are defined for the classical families A, B, D")
     n_coords = rs.dim
+    if m < 0 or l < 0 or (m and k < 1):
+        raise ValueError(f"need m >= 0, l >= 0 and k >= 1 for blocks; got m={m}, k={k}, l={l}")
+    if fam == "D" and l == 1:
+        # x_i = 0 lies on the mirrors x_i = +-x_j only where x_j = 0 too
+        raise ValueError("family D has no stratum with exactly one zero coordinate (l=1)")
     if m * k + l > n_coords:
         raise ValueError("blocks and zeros do not fit in the coordinate space")
     if fam == "A" and l:

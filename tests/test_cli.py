@@ -101,6 +101,37 @@ def test_solve_zeros_in_d(capsys):
     assert out["values"] == {"c": "1/4"}
 
 
+@pytest.mark.parametrize("subgraph", ["Dp:p=1", "A1^2:k=2,m=1,l=1"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--c", "1/2", "--direct", "--seed", "1"],
+    ["restrict"],
+    ["solve"],
+])
+def test_one_zero_in_d_is_a_usage_error(capsys, argv, subgraph):
+    # x_i = 0 lies on the mirrors x_i = +-x_j only where x_j = 0 too
+    code, out = run(capsys, *argv, "--family", "D", "--rank", "4", "--subgraph", subgraph)
+    assert code == 2
+    assert "l=1" in out["error"]
+
+
+def test_two_zeros_in_d(capsys):
+    code, out = run(capsys, "check", "--family", "D", "--rank", "4", "--subgraph", "Dp:p=2", "--c", "1/2", "--direct")
+    assert code == 0
+    assert out["invariant"] is out["direct_invariant"] is out["routes_agree"] is True
+    assert out["equations"] == ["2*c = 1"]
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["--family", "A", "--rank", "3", "--subgraph", "A1:k=2,m=-1", "--c", "1/2"], "m=-1"),
+    (["--family", "A", "--rank", "3", "--subgraph", "A1:k=0,m=2", "--c", "1/2"], "k=0"),
+    (["--family", "B", "--rank", "3", "--subgraph", "Bl:l=-1", "--c1", "1/2", "--c2", "1/2"], "l=-1"),
+])
+def test_negative_counts_and_empty_blocks_are_usage_errors(capsys, argv, value):
+    code, out = run(capsys, "check", *argv)
+    assert code == 2
+    assert value in out["error"]
+
+
 def test_solve_complex(capsys):
     code, out = run(capsys, "solve", "--group", "G(4,2,3)", "--blocks", "2", "--zeros", "1")
     assert code == 0

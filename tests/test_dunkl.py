@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_reference import reference_apply, reference_commutativity_violations
+from dunkl_reference import _reflected, reference_apply, reference_commutativity_violations
 from dunklcm.complexgroups import ComplexDunklContext, ComplexReflectionGroup
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.polynomials import Polynomial, monomials
@@ -203,6 +203,8 @@ def assert_matches_reference(ctx, f, xi):
         assert ctx.extend(v, f) == want
         assert ctx.apply(v, term) == reference_apply(ctx, v, term)
     assert ctx.apply(xi, f) == reference_apply(ctx, xi, f)
+    for r, (alpha, coroot, _) in enumerate(ctx.reflections):
+        assert ctx.reflect_poly(r, f) == _reflected(ctx, alpha, coroot, f)
 
 
 @pytest.mark.parametrize("name", list(CORE_CASES))
@@ -218,6 +220,18 @@ def test_apply_matches_reference(name, data):
     assert_matches_reference(cold, f, xi)  # the same inputs, all hits
     assert_matches_reference(cold, g, xi)  # partly warm
     assert_matches_reference(warm_context(name), f, xi)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "G(4,2,3)"])
+def test_deep_monomials_match_reference(name):
+    # the quotient recursion runs one level per degree, deeper than the draws above
+    ctx = warm_context(name)
+    for exps in monomials(ctx.nx, 6):
+        f = ctx.monomial(exps)
+        for v in range(ctx.nx):
+            assert ctx.apply(v, f) == reference_apply(ctx, v, f), (exps, v)
+        for r, (alpha, coroot, _) in enumerate(ctx.reflections):
+            assert ctx.reflect_poly(r, f) == _reflected(ctx, alpha, coroot, f), (exps, r)
 
 
 def planted_context(rs, weight_of_line, deformed=False):
