@@ -165,7 +165,12 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
     if not text:
         return Stratum(rs, Subspace(rs.field, rs.dim, []), gamma0=(), label="")
     if text.startswith("verts:"):
-        verts = [int(t) for t in text[len("verts:"):].split(",") if t.strip()]
+        verts = []
+        for token in filter(None, (t.strip() for t in text[len("verts:"):].split(","))):
+            try:
+                verts.append(int(token))
+            except ValueError:
+                raise UsageError(f"subgraph {text!r}: vertex {token!r} is not an integer") from None
         if not verts or min(verts) < 1 or max(verts) > rs.rank:
             raise UsageError(f"vertex list out of range 1..{rs.rank}: {text!r}")
         return parabolic_stratum(rs, [v - 1 for v in verts])
@@ -198,7 +203,7 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
             return st
     if variant > 1:
         raise UsageError(f"type {canonical} has only {found} orbit classes; asked for {variant}")
-    raise UsageError(f"no parabolic subgraph of type {canonical} in {_system_name(rs)}")
+    raise UsageError(f"no parabolic subgraph of type {canonical} in {rs.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +238,7 @@ def _numeric_mults(rs, vals: dict[str, Fraction]) -> Multiplicities:
     unknown = sorted(set(vals) - set(rs.orbit_names))
     if unknown:
         raise UsageError(
-            f"unknown weight name(s) {', '.join(unknown)} for {_system_name(rs)}; "
+            f"unknown weight name(s) {', '.join(unknown)} for {rs.name}; "
             f"its orbit weights are {', '.join(rs.orbit_names)}"
         )
     return _from_user(Multiplicities.numeric, rs, vals)
@@ -359,10 +364,6 @@ def _emit(args, payload: dict, pretty_lines=None) -> None:
         os.close(devnull)
 
 
-def _system_name(rs) -> str:
-    return f"{rs.family}{rs.rank}" if rs.family[-1].isalpha() else rs.family
-
-
 def _stratum_summary(st) -> dict:
     data = {"family": st.rs.family, "rank": st.rs.rank, "label": st.label}
     if st.gamma0 is not None:
@@ -414,7 +415,7 @@ def cmd_check(args) -> int:
         payload["routes_agree"] = (not viol) == invariant
         payload["seed"] = args.seed
     lines = [
-        f"{_system_name(st.rs)} [{st.label or 'whole space'}]",
+        f"{st.rs.name} [{st.label or 'whole space'}]",
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
         f"invariant: {invariant}",
     ]
@@ -524,7 +525,7 @@ def cmd_restrict(args) -> int:
     payload["radial_operator"] = config.radial_text()
     payload["potential_operator"] = config.potential_text()
     lines = [
-        f"{_system_name(rs)} [{st.label or 'whole space'}]: "
+        f"{rs.name} [{st.label or 'whole space'}]: "
         f"{config.size} lines in dim {config.span_dim()}",
     ]
     for vec_text, mult_text in zip(
@@ -652,7 +653,7 @@ def _verify_commutativity(args) -> tuple[dict, int]:
             return ComplexDunklContext.at_weights(group, _from_user(weight_point, group, vals))
     else:
         rs = _root_system(args)
-        report["family"] = _system_name(rs)
+        report["family"] = rs.name
         names = rs.orbit_names
         def context(vals):
             return DunklContext(rs, _numeric_mults(rs, vals))
@@ -693,7 +694,7 @@ def _verify_gauge(args) -> tuple[dict, int]:
         rows.append(row)
     report = {
         "suite": "gauge",
-        "family": _system_name(rs),
+        "family": rs.name,
         "strata": rows,
         "violations": failures,
     }
@@ -717,7 +718,7 @@ def _verify_restriction(args) -> tuple[dict, int]:
     bad = restriction_defects(st, mults, degrees=degrees)
     report = {
         "suite": "restriction",
-        "family": _system_name(rs),
+        "family": rs.name,
         "label": st.label,
         "degrees": list(degrees),
         "failing_degrees": list(bad),
@@ -736,7 +737,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
     bad = ctx.integrability_violations(args.k, args.l, args.degree)
     report = {
         "suite": "deformed",
-        "family": _system_name(rs),
+        "family": rs.name,
         "powers": [args.k, args.l],
         "degree": args.degree,
         "multiplicities": {k: str(v) for k, v in sorted(vals.items())},

@@ -200,7 +200,7 @@ def direct_invariance_violations(
 
     Raises OrbitCapExceeded when the orbit is larger than orbit_limit.
     """
-    orbit = stratum.orbit(cap=orbit_limit)
+    orbit = stratum.members(cap=orbit_limit)
     return witness_violations(DunklContext(stratum.rs, mults), orbit, stratum.subspace, seed)
 
 

@@ -173,10 +173,10 @@ def conservation_defect(stratum: Stratum, mults: Multiplicities) -> Polynomial:
     for m in config.mults:
         total = total + m
     expected = Polynomial.zero(rs.field, len(mults.params))
-    for i, alpha in enumerate(rs.lines):
-        if stratum.subspace.perp_contains(alpha):
-            continue
-        expected = expected + mults.line_value(i)
+    vanishing = set(stratum.lines)
+    for i in range(len(rs.lines)):
+        if i not in vanishing:
+            expected = expected + mults.line_value(i)
     return total - expected
 
 

@@ -7,13 +7,14 @@ for the octagon and the 12-gon.  Root systems store one representative per
 root line; every operation downstream is invariant under negating a root,
 so a geometric choice of positive system is never needed.
 
-Subspaces are kept in a canonical form (reduced echelon annihilator), which
-makes group orbits of subspaces hashable sets.
+Subspaces are kept in canonical form (reduced echelon annihilator), but a
+stratum's flat is keyed by the sorted indices of its root lines, which the
+simple reflections permute; only G(m,p,N) orbits keep Subspace keys.
 
 Every group orbit is built by one breadth-first walk, orbit_walk: the root
 lines are the orbits of the simple-root lines, whose order of appearance
-also labels the weight orbits, and strata are orbits of subspaces (the
-complex groups walk theirs with it too).  Parabolic classes are found by
+also labels the weight orbits, and strata are orbits of line tuples (the
+complex groups walk subspaces with it too).  Parabolic classes are found by
 one search, parabolic_classes, which both the stratum enumeration and the
 command line's --subgraph type lookup consume.
 
@@ -28,6 +29,7 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 
@@ -108,13 +110,6 @@ class Subspace:
         new_rows = [tuple(dot(r, col) for col in cols) for r in self.annihilator]
         return Subspace(self.field, self.ambient, new_rows)
 
-    def contains(self, v: Vector) -> bool:
-        return all(dot(r, v).is_zero() for r in self.annihilator)
-
-    def perp_contains(self, v: Vector) -> bool:
-        """True when v is orthogonal to the whole subspace."""
-        return all(dot(v, b).is_zero() for b in self.basis)
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.key == other.key and self.ambient == other.ambient
 
@@ -192,6 +187,16 @@ class RootSystem:
     def is_root_line(self, v: Vector) -> bool:
         return self.line_index(v) is not None
 
+    @property
+    def name(self) -> str:
+        """The family with its rank where the family name does not carry it: A3, E7, I2(5)."""
+        return f"{self.family}{self.rank}" if self.family[-1].isalpha() else self.family
+
+    @cached_property
+    def simple_perms(self) -> tuple[tuple[int, ...], ...]:
+        """Each simple reflection as the permutation of line indices it induces."""
+        return tuple(tuple(self.line_index(reflect(l, s)) for l in self.lines) for s in self.simple)
+
     def bond(self, i: int, j: int) -> int:
         """Coxeter bond order between simple roots i and j."""
         a, b = self.simple[i], self.simple[j]
@@ -253,7 +258,8 @@ def root_system(family: str, rank_: int | None = None, m: int | None = None) -> 
     """Build one of the supported families (memoized).
 
     family in {A, B, D, E6, E7, E8, F4, G2, H3, H4, I2}; A/B/D need rank_,
-    I2 needs m.  E6 and E7 are realized inside the eight E8 coordinates.
+    I2 needs m.  The other families fix their rank, and a different rank_
+    is an error.  E6 and E7 are realized inside the eight E8 coordinates.
     """
     fam = family.upper()
     if fam == "E" and rank_ in (6, 7, 8):
@@ -261,12 +267,13 @@ def root_system(family: str, rank_: int | None = None, m: int | None = None) -> 
     if fam.startswith("I2(") and fam.endswith(")"):
         m = int(fam[3:-1])
         fam = "I2"
-    key = (fam, rank_, m)
-    cached = _SYSTEM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rs = _build_root_system(fam, rank_, m)
-    _SYSTEM_CACHE[key] = rs
+    fixed = fam not in ("A", "B", "D")
+    key = (fam, None if fixed else rank_, m)
+    rs = _SYSTEM_CACHE.get(key)
+    if rs is None:
+        rs = _SYSTEM_CACHE[key] = _build_root_system(*key)
+    if fixed and rank_ not in (None, rs.rank):
+        raise ValueError(f"{rs.name} has rank {rs.rank}, not {rank_}")
     return rs
 
 
@@ -592,33 +599,38 @@ class Multiplicities:
 
 
 class Stratum:
-    """A reflection-group orbit of a parabolic subspace."""
+    """A reflection-group orbit of a flat, known by the sorted indices of its root lines."""
 
     def __init__(self, rs: RootSystem, subspace: Subspace, gamma0: tuple[int, ...] | None = None, label: str = ""):
         self.rs = rs
         self.subspace = subspace
         self.gamma0 = gamma0
         self.label = label
-        self._orbit: dict[tuple, Subspace] | None = None
+        self.lines = tuple(i for i, l in enumerate(rs.lines) if all(dot(l, b).is_zero() for b in subspace.basis))
+        self._orbit: dict[tuple, tuple] | None = None
 
-    def orbit(self, cap: int | None = None) -> dict[tuple, Subspace]:
-        """The orbit, computed once; the cap holds for the cached orbit too."""
+    def orbit(self, cap: int | None = None) -> dict[tuple, tuple]:
+        """The orbit as {line tuple: line tuple}, computed once; the cap holds for the cached orbit too."""
         if cap is None:
             cap = default_orbit_cap()
-        if self._orbit is None:
-            self._orbit = orbit_of_subspace(self.rs, self.subspace, cap)
-        elif len(self._orbit) > cap:
-            raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
+        try:
+            if self._orbit is None:
+                if rank(self.rs.lines[i] for i in self.lines) != len(self.subspace.annihilator):
+                    raise ValueError(f"{self.rs.name} stratum {self.label!r} is not an intersection of mirrors")
+                self._orbit = orbit_of_subspace(self.rs, self.lines, cap)
+            elif len(self._orbit) > cap:
+                raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
+        except OrbitCapExceeded as exc:
+            raise OrbitCapExceeded(f"{self.rs.name} stratum {self.label}: {exc}") from None
         return self._orbit
 
     def orbit_size(self, cap: int | None = None) -> int:
         return len(self.orbit(cap))
 
-    def vanishing_lines(self) -> tuple[int, ...]:
-        """Indices of root lines orthogonal to the subspace."""
-        return tuple(
-            i for i, l in enumerate(self.rs.lines) if self.subspace.perp_contains(l)
-        )
+    def members(self, cap: int | None = None) -> dict[tuple, Subspace]:
+        """The subspace of each orbit member, annihilated by its lines, keyed by Subspace.key."""
+        subs = (Subspace(self.rs.field, self.rs.dim, [self.rs.lines[i] for i in t]) for t in self.orbit(cap))
+        return {sub.key: sub for sub in subs}
 
     def components(self) -> list[tuple[int, ...]]:
         """Vanishing root lines grouped by orthogonality connectivity.
@@ -627,8 +639,7 @@ class Stratum:
         are closed under their own reflections, and the irreducible parts
         of such a set are its classes under non-orthogonality.
         """
-        lines = self.vanishing_lines()
-        remaining = set(lines)
+        remaining = set(self.lines)
         out: list[tuple[int, ...]] = []
         while remaining:
             start = min(remaining)
@@ -648,7 +659,7 @@ class Stratum:
 
     def ideal_contains(self, f: Polynomial, cap: int | None = None) -> bool:
         """Membership of f in the vanishing ideal of the whole orbit."""
-        return all(f.restrict_to(s.basis).is_zero() for s in self.orbit(cap).values())
+        return all(f.restrict_to(s.basis).is_zero() for s in self.members(cap).values())
 
     def to_json(self) -> dict:
         data = {
@@ -698,11 +709,10 @@ def orbit_walk(start, moves, cap, key=attrgetter("key")) -> dict:
     return seen
 
 
-def orbit_of_subspace(rs: RootSystem, sub: Subspace, cap: int | None = None) -> dict[tuple, Subspace]:
-    if cap is None:
-        cap = default_orbit_cap()
-    moves = [lambda s, a=alpha, n=dot(alpha, alpha): s.reflect(a, n) for alpha in rs.simple]
-    return orbit_walk(sub, moves, cap)
+def orbit_of_subspace(rs: RootSystem, lines: tuple[int, ...], cap: int) -> dict[tuple, tuple]:
+    """The orbit of the flat of lines: a step maps them by a simple reflection and sorts them."""
+    moves = [lambda t, p=p: tuple(sorted(p[i] for i in t)) for p in rs.simple_perms]
+    return orbit_walk(lines, moves, cap, key=tuple)
 
 
 def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> Stratum:
@@ -760,7 +770,7 @@ def parabolic_classes(rs: RootSystem, size: int, label: str | None = None, cap: 
     """One new Stratum per group-orbit class of the size-subsets of the simple roots.
 
     Subsets run in lex order, and only those of type label when it is given.
-    A subset starts a new class unless its subspace lies in the orbit of an
+    A subset starts a new class unless its lines lie in the orbit of an
     earlier class of its type, so the orbit of a class is built only when a
     later subset of that type is compared with it.  Each class is labelled
     with its unsuffixed type.
@@ -773,11 +783,10 @@ def parabolic_classes(rs: RootSystem, size: int, label: str | None = None, cap: 
             continue
         if label is not None and name != label:
             continue
-        sub = parabolic_subspace(rs, indices)
+        st = Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=name)
         bucket = by_type.setdefault(name, [])
-        if any(sub.key in st.orbit(cap) for st in bucket):
+        if any(st.lines in other.orbit(cap) for other in bucket):
             continue
-        st = Stratum(rs, sub, gamma0=indices, label=name)
         bucket.append(st)
         yield st
 

@@ -7,6 +7,10 @@ connected components of the line set under the same reflections, numbered
 in order of first appearance among the simple roots.  It reads only the
 simple roots, never the lines or labels a RootSystem computed.
 
+reference_orbit walks the orbit of a subspace the slow way, by reflecting
+its annihilator rows and re-reducing them, where the program walks the
+sorted indices of its root lines.
+
 reference_coxeter_number builds the weighted root form
 sum_alpha c_alpha (alpha,u)(alpha,v)/(alpha,alpha) as a matrix on a basis
 of the span of the lines and checks entry by entry that it is h times the
@@ -100,3 +104,25 @@ def reference_coxeter_number(rs, mults, line_indices) -> Polynomial:
             if form[a][b] != h * metric[a][b]:
                 raise ValueError("weighted root form is not proportional to the scalar product")
     return h
+
+
+def reference_orbit(rs, sub) -> dict:
+    """The group orbit of a subspace as {Subspace.key: Subspace}.
+
+    A breadth-first walk that reflects every annihilator row of a member in
+    each simple root and re-reduces the rows to the canonical key; it reads
+    no root lines and no line permutations.
+    """
+    norms = [dot(s, s) for s in rs.simple]
+    seen = {sub.key: sub}
+    frontier = [sub]
+    while frontier:
+        nxt = []
+        for member in frontier:
+            for s, ns in zip(rs.simple, norms):
+                img = member.reflect(s, ns)
+                if img.key not in seen:
+                    seen[img.key] = img
+                    nxt.append(img)
+        frontier = nxt
+    return seen

@@ -81,6 +81,38 @@ def test_orbit_cap_bounds_the_direct_route(capsys, argv):
     assert out["capped"] is True
 
 
+def test_orbit_cap_error_names_the_stratum(capsys):
+    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2",
+                    "--direct", "--orbit-cap", "3")
+    assert code == 3
+    assert out == {"capped": True, "error": "A3 stratum A1: subspace orbit exceeded cap 3"}
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("check", ["--symbolic"]),
+    ("solve", []),
+    ("restrict", []),
+])
+@pytest.mark.parametrize("family,rank", [("F4", "3"), ("H3", "4"), ("I2(5)", "7")])
+def test_rank_of_a_fixed_rank_family_must_match(capsys, command, extra, family, rank):
+    code, out = run(capsys, command, "--family", family, "--rank", rank, "--subgraph", "A1", *extra)
+    assert code == 2
+    assert "error" in out
+
+
+@pytest.mark.parametrize("family,rank", [("F4", "4"), ("H3", "3"), ("I2(5)", "2"), ("E", "7"), ("E7", "7")])
+def test_matching_rank_of_a_fixed_rank_family(capsys, family, rank):
+    code, out = run(capsys, "solve", "--family", family, "--rank", rank, "--subgraph", "A1")
+    assert code == 0
+    assert out["stratum"]["rank"] == int(rank)
+
+
+def test_bad_vertex_token(capsys):
+    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "verts:1,x", "--c", "1/2")
+    assert code == 2
+    assert out["error"] == "subgraph 'verts:1,x': vertex 'x' is not an integer"
+
+
 def test_check_complex_group(capsys):
     code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2")
     assert code == 0

@@ -17,6 +17,7 @@ from dunklcm.rootsystems import (
     classify_indices,
     enumerate_parabolic_strata,
     generalized_coxeter_number,
+    parabolic_classes,
     parabolic_stratum,
     parabolic_subspace,
     root_system,
@@ -24,7 +25,7 @@ from dunklcm.rootsystems import (
     type_coxeter_number,
 )
 
-from rootsystem_reference import reference_coxeter_number, reference_lines
+from rootsystem_reference import reference_coxeter_number, reference_lines, reference_orbit
 
 LINE_COUNTS = {
     ("A", 3, None): 6,
@@ -67,6 +68,14 @@ def test_unknown_families_rejected():
         root_system("I2", m=7)
     with pytest.raises(ValueError):
         root_system("B", 1)
+
+
+def test_fixed_rank_families_check_the_rank():
+    assert root_system("F4", 4) is root_system("F4")
+    assert root_system("E", 7) is root_system("E7", 7)
+    for fam, rank_, m in (("F4", 3, None), ("H3", 4, None), ("I2", 7, 5)):
+        with pytest.raises(ValueError, match=f"has rank {root_system(fam, m=m).rank}, not {rank_}"):
+            root_system(fam, rank_, m=m)
 
 
 ORACLE_SYSTEMS = [
@@ -279,7 +288,7 @@ def test_block_strata_D_eps_variants():
     minus = block_stratum(rs, m=2, k=2, eps=-1)
     assert plus.orbit_size() == 6
     assert minus.orbit_size() == 6
-    assert minus.subspace.key not in plus.orbit()
+    assert minus.lines not in plus.orbit()
     with pytest.raises(ValueError):
         block_stratum(rs, m=1, k=3, eps=-1)
     with pytest.raises(ValueError):
@@ -365,10 +374,10 @@ def test_E7_doubled_classes():
                 continue
             if name != want:
                 continue
-            sub = parabolic_subspace(rs, idx)
-            if any(sub.key in st.orbit() for st in classes):
+            st = Stratum(rs, parabolic_subspace(rs, idx), gamma0=idx, label=want)
+            if any(st.lines in other.orbit() for other in classes):
                 continue
-            classes.append(Stratum(rs, sub, gamma0=idx, label=want))
+            classes.append(st)
         reps[want] = classes
     assert len(reps["A1^3"]) == 2
     assert len(reps["A5"]) == 2
@@ -378,6 +387,79 @@ def test_E7_doubled_classes():
     assert sizes == [336, 1008]
 
 
+# every parabolic stratum of these systems is walked against the reference
+REFERENCE_ORBIT_SYSTEMS = [
+    ("A", 3, None), ("B", 3, None), ("D", 4, None), ("G2", None, None), ("H3", None, None),
+    ("F4", None, None), ("I2", None, 5), ("E6", None, None),
+]
+
+
+@pytest.mark.parametrize("fam,rank_,m", REFERENCE_ORBIT_SYSTEMS)
+def test_parabolic_line_orbits_match_reference(fam, rank_, m):
+    rs = root_system(fam, rank_, m=m)
+    walked = []  # (reference orbit, the first stratum found in it)
+    for size in range(1, rs.rank + 1):
+        for idx in combinations(range(rs.rank), size):
+            st = parabolic_stratum(rs, idx)
+            first = next((first for ref, first in walked if st.subspace.key in ref), None)
+            if first is None:
+                ref = reference_orbit(rs, st.subspace)
+                assert st.members().keys() == ref.keys(), idx
+                walked.append((ref, st))
+            else:
+                # the same line tuples, hence the same members
+                assert st.orbit().keys() == first.orbit().keys(), idx
+
+
+def test_E7_doubled_line_orbits_match_reference():
+    rs = root_system("E7")
+    for label, size, want in (("A1^3", 3, [315, 3780]), ("A5", 5, [336, 1008])):
+        sizes = []
+        for st in parabolic_classes(rs, size, label=label):
+            ref = reference_orbit(rs, st.subspace)
+            assert st.members().keys() == ref.keys(), st.gamma0
+            sizes.append(st.orbit_size())
+        assert sorted(sizes) == want
+
+
+@pytest.mark.parametrize("fam,rank_,shape", [
+    ("B", 4, dict(m=0, k=1, l=2)),
+    ("A", 5, dict(m=2, k=2)),
+    ("D", 4, dict(m=2, k=2)),
+    ("D", 4, dict(m=2, k=2, eps=-1)),
+])
+def test_block_line_orbits_match_reference(fam, rank_, shape):
+    rs = root_system(fam, rank_)
+    st = block_stratum(rs, **shape)
+    assert st.members().keys() == reference_orbit(rs, st.subspace).keys()
+
+
+@pytest.mark.parametrize("fam,rank_,rows", OFF_FLAT_ROWS)
+def test_orbit_refuses_a_subspace_off_the_flats(fam, rank_, rows):
+    rs = root_system(fam, rank_)
+    st = Stratum(rs, Subspace(rs.field, rs.dim, [tuple(rs.field.element(x) for x in r) for r in rows]))
+    with pytest.raises(ValueError, match="not an intersection of mirrors"):
+        st.orbit()
+
+
+@pytest.mark.parametrize("fam,rank_", [("A", 4), ("B", 4), ("D", 4), ("D", 5)])
+def test_every_block_stratum_is_a_flat(fam, rank_):
+    rs = root_system(fam, rank_)
+    n = rs.dim
+    accepted = 0
+    for m in range(n + 1):
+        for k in range(1, n + 1) if m else (1,):
+            for l in range(n + 1):
+                for eps in (1, -1):
+                    try:
+                        st = block_stratum(rs, m, k, l=l, eps=eps)
+                    except ValueError:
+                        continue
+                    assert st.orbit_size() == len(reference_orbit(rs, st.subspace)), (m, k, l, eps)
+                    accepted += 1
+    assert accepted >= n
+
+
 def test_vanishing_lines_and_components():
     rs = root_system("B", 3)
     st = block_stratum(rs, m=1, k=2, l=1)  # x1 = x2, x3 = 0
@@ -385,7 +467,7 @@ def test_vanishing_lines_and_components():
     # x1 - x2 is isolated; x3 alone is the other component
     assert len(comps) == 2
     st2 = parabolic_stratum(root_system("A", 3), (0, 2))
-    assert len(st2.vanishing_lines()) == 2
+    assert len(st2.lines) == 2
     assert len(st2.components()) == 2
 
 

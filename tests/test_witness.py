@@ -52,7 +52,7 @@ def _real(family, rank, gamma0, values, shift):
     rs = root_system(family, rank)
     st = parabolic_stratum(rs, gamma0)
     mults = Multiplicities.numeric(rs, {k: v + shift for k, v in values.items()})
-    return DunklContext(rs, mults), st.orbit(cap=DIRECT_ORBIT_LIMIT), st.subspace
+    return DunklContext(rs, mults), st.members(cap=DIRECT_ORBIT_LIMIT), st.subspace
 
 
 def _complex(g, shape, weights, shift):
