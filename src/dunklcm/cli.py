@@ -520,7 +520,7 @@ def cmd_restrict(args) -> int:
     config = restricted_configuration(st, mults)
     payload["configuration"] = config.to_json()
     payload["conservation_defect"] = render_polynomial(
-        conservation_defect(st, mults), names=mults.params or None
+        conservation_defect(st, mults, config), names=mults.params or None
     )
     payload["radial_operator"] = config.radial_text()
     payload["potential_operator"] = config.potential_text()

@@ -65,7 +65,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 class Field:
     """One of Q, Q(sqrt(d)) or Q(zeta_m), produced by the classmethod constructors."""
 
-    __slots__ = ("kind", "param", "degree", "_zeros", "_pow_table", "_zeta_table")
+    __slots__ = ("kind", "param", "degree", "_zeros", "_unit", "_pow_table", "_zeta_table")
 
     _instances: dict[tuple[str, int | None], "Field"] = {}
 
@@ -74,6 +74,7 @@ class Field:
         self.param = param
         self.degree = degree
         self._zeros = (0,) * (degree - 1)
+        self._unit = (1,) + self._zeros
         self._pow_table: tuple[tuple[int, ...], ...] | None = None
         self._zeta_table: tuple[tuple[int, ...], ...] | None = None
 
@@ -190,6 +191,40 @@ class Field:
                 p = [c * s for c in p]
             total = list(map(add, total, p))
         return _reduced(self, tuple(total), den)
+
+    def int_dot(self, a: Iterable[tuple[int, ...]], b: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+        """The integral vector of sum(x * y) over integral vectors x, y of this field."""
+        if self.kind == RATIONAL:
+            return (sum([x[0] * y[0] for x, y in zip(a, b)]),)
+        mul = self._mul_nums
+        total = [0] * self.degree
+        for x, y in zip(a, b):
+            if any(x) and any(y):
+                total = list(map(add, total, mul(x, y)))
+        return tuple(total)
+
+    def norm_cofactor(self, nums: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """(rest, norm) for a nonzero integral vector nums, with nums * rest = norm.
+
+        rest is the product of the other Galois conjugates of nums, so it is
+        integral and norm is the (nonzero integer) norm: 1 and nums[0] over
+        Q or for a rational nums, a - b*sqrt(d) and a^2 - d*b^2 over
+        Q(sqrt(d)).  Multiplying a row by rest makes that entry an integer.
+        """
+        if not any(nums[1:]):
+            return self._unit, nums[0]
+        if self.kind == QUADRATIC:
+            a, b = nums
+            return (a, -b), a * a - self.param * b * b
+        rest = self._unit
+        for k in range(2, self.param):
+            if gcd(k, self.param) == 1:
+                rest = self._mul_nums(rest, self._galois(nums, k))
+        return rest, self._mul_nums(nums, rest)[0]
+
+    def quotient(self, nums: tuple[int, ...], den: int) -> "FieldElement":
+        """The element nums/den for integers nums and a nonzero den of either sign."""
+        return _reduced(self, nums, den)
 
     # -- reduction tables --------------------------------------------------
 
@@ -334,26 +369,12 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        f = self.field
         if self.is_zero():
             raise ZeroDivisionError("division by zero field element")
-        if f.kind == RATIONAL:
-            return _reduced(f, (self.den,), self.nums[0])
-        if f.kind == QUADRATIC:
-            # 1 / ((a + b*sqrt(d)) / den) = den * (a - b*sqrt(d)) / (a^2 - d*b^2)
-            a, b = self.nums
-            norm = a * a - f.param * b * b
-            if norm == 0:
-                raise ZeroDivisionError("division by zero field element")
-            return _reduced(f, (self.den * a, -self.den * b), norm)
-        # x^-1 = den / y for the integral y = sum(nums[j] * zeta^j); 1 / y is the
-        # product of the other Galois conjugates of y over its (integer) norm
-        rest = f.one()
-        for k in range(2, f.param):
-            if gcd(k, f.param) == 1:
-                rest = rest * FieldElement(f, f._galois(self.nums, k))
-        norm = (FieldElement(f, self.nums) * rest).nums[0]
-        return _reduced(f, tuple(self.den * c for c in rest.nums), norm)
+        # 1 / (nums / den) = den * rest / norm, and rest is 1 for a rational value
+        f, den = self.field, self.den
+        rest, norm = f.norm_cofactor(self.nums)
+        return _reduced(f, (den,) + f._zeros if rest is f._unit else tuple([den * c for c in rest]), norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -7,9 +7,23 @@ product on the ambient space.  It is the field's exact inner-product
 kernel (`Field.dot`): one sum of integer numerator products over a common
 denominator, reduced once, so mat_vec, gram and reflect build no
 intermediate field element per term.
+
+Row reduction and line keys run on integer rows: a row scaled by a common
+denominator is a list of integral vectors (`int_rows`), and scaling a row
+leaves its row space and its line alone.  `rref` eliminates by
+cross-multiplying and dividing each updated row by its content (Bareiss's
+integer-preserving elimination, without his determinant divisors), and
+builds field elements only for its final unit-pivot rows.  The one
+field-specific step is `Field.norm_cofactor`: multiplying a row by the
+product of the other Galois conjugates of an entry makes that entry an
+integer, which is how pivots become integers and lines get a canonical
+primitive integer row (`line_key`).
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import gcd, lcm
 
 from .fields import Field, FieldElement
 
@@ -52,34 +66,86 @@ def reflection_matrix(field: Field, alpha: Vector) -> Matrix:
     return tuple(reflect(row, alpha, norm) for row in identity(field, n))
 
 
+def int_rows(rows) -> list[list[tuple[int, ...]]]:
+    """The numerators of the rows' entries over one common denominator."""
+    den = lcm(*(x.den for row in rows for x in row))
+    return [[x.nums if x.den == den else tuple([a * (den // x.den) for a in x.nums]) for x in row] for row in rows]
+
+
+def _primitive(row: list[tuple[int, ...]], sign: int = 1) -> list[tuple[int, ...]]:
+    """row divided by sign times the gcd of all its integers."""
+    g = gcd(*chain.from_iterable(row)) * sign
+    return row if g in (0, 1) else [tuple([a // g for a in x]) for x in row]
+
+
+def _lead_to_integer(field: Field, row: list[tuple[int, ...]], lead: tuple[int, ...]):
+    """(row times the norm cofactor of its entry lead, the integer that lead becomes)."""
+    rest, norm = field.norm_cofactor(lead)
+    if rest != field._unit:
+        mul = field._mul_nums
+        row = [mul(x, rest) for x in row]
+    return row, norm
+
+
+def line_key(field: Field, row: list[tuple[int, ...]]) -> tuple | None:
+    """Canonical key of the line through an integral row; None for the zero row.
+
+    The first nonzero entry is made an integer, then the row is divided by
+    its content, signed so that this entry is positive.  Rows that are
+    proportional over the field get the same key.
+    """
+    lead = next((x for x in row if any(x)), None)
+    if lead is None:
+        return None
+    row, norm = _lead_to_integer(field, row, lead)
+    return tuple(_primitive(row, -1 if norm < 0 else 1))
+
+
+def monic_row(field: Field, row: list[tuple[int, ...]]) -> Vector:
+    """The nonzero integral row as field elements, scaled so its first nonzero entry is 1."""
+    row, norm = _lead_to_integer(field, row, next(x for x in row if any(x)))
+    return tuple(field.quotient(x, norm) for x in row)
+
+
 def rref(rows: list[Vector] | tuple[Vector, ...]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    if not work:
+    """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
+
+    The elimination runs on integer rows.  A pivot row is multiplied by the
+    norm cofactor of its pivot, so the pivot is an integer p; every other
+    row with an entry b in the pivot column becomes p*row - b*(pivot row),
+    divided by its content.  Pivot entries stay integers, and the final
+    rows are divided by them.  The reduced form of a row space is unique,
+    so this is the same matrix a field-element elimination gives.
+    """
+    if not rows or not rows[0]:
         return (), ()
+    field = rows[0][0].field
+    mul = field._mul_nums
+    work = [_primitive(row) for row in int_rows(rows)]
     ncols = len(work[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if not work[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(work)) if any(work[i][c])), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [inv * x for x in work[r]]
+        prow = work[r] = _primitive(_lead_to_integer(field, work[r], work[r][c])[0])
+        p = prow[c][0]
         for i in range(len(work)):
-            if i != r and not work[i][c].is_zero():
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+            b = work[i][c]
+            if i != r and any(b):
+                if any(b[1:]):
+                    update = [tuple([p * s - t for s, t in zip(x, mul(b, y))]) for x, y in zip(work[i], prow)]
+                else:
+                    q = b[0]
+                    update = [tuple([p * s - q * t for s, t in zip(x, y)]) for x, y in zip(work[i], prow)]
+                work[i] = _primitive(update)
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return tuple(monic_row(field, row) for row in work[:r]), tuple(pivots)
 
 
 def nullspace(reduced: Matrix, pivots: tuple[int, ...], ncols: int, field: Field) -> tuple[Vector, ...]:

@@ -3,12 +3,14 @@
 Projecting the root lines orthogonally onto the subspace and adding up the
 multiplicities of lines with a common image yields the vector configuration
 of the restricted operator.  The lines are grouped by their Gram
-coordinates over the subspace's basis, which determine the projection, so
-each restricted line is projected once.  The identities verified here are
-exact, and their denominators are never cleared: a sum of a_k/l_k over
-pairwise non-proportional linear forms l_k is a polynomial exactly when
-each l_k divides a_k, so each identity is decided line by line, by summed
-residues or by exact division.
+coordinates over the subspace's basis, which determine the projection:
+each stratum keeps one integral Gram row per root line, keyed up to scale
+(`Stratum.line_keys`), so the grouping compares integer tuples and each
+restricted line is projected once, on integer rows.  The identities
+verified here are exact, and their denominators are never cleared: a sum
+of a_k/l_k over pairwise non-proportional linear forms l_k is a polynomial
+exactly when each l_k divides a_k, so each identity is decided line by
+line, by summed residues or by exact division.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
-from .linalg import Vector, dot, gram, invert, mat_vec, rank, vec_is_zero
+from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, rank
 from .polynomials import Polynomial, divide_by_linear, render_polynomial
 from .rootsystems import (
     Multiplicities,
@@ -119,56 +121,40 @@ class Configuration:
         }
 
 
-def _monic(v: Vector) -> Vector:
-    for x in v:
-        if not x.is_zero():
-            inv = x.inverse()
-            return tuple(inv * y for y in v)
-    return v
-
-
 def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configuration:
     """Orthogonal projections of the root lines, grouped and weighted.
 
-    A line alpha is grouped by its Gram coordinates r = ((b, alpha))_b over
-    the basis.  Its projection sum_a (G^-1 r)_a b_a is injective in r, so it
-    vanishes exactly when r does, and two lines have proportional
-    projections exactly when their r are proportional: grouping by the
-    monic r gives the groups of the monic projections, in the same order.
-    Each group is then projected once.
+    The projection of a line alpha is sum_a (G^-1 r)_a b_a for its Gram
+    coordinates r = ((b, alpha))_b over the basis, with G the Gram matrix.
+    It is injective in r, so it vanishes exactly when r does, and two lines
+    have proportional projections exactly when their r are proportional.
+    The stratum's line keys are canonical integral rows of the r, so
+    grouping the lines by key gives the groups of the monic projections,
+    in the same order.  Each group is projected once, through the integral
+    matrix of r -> B^T G^-1 r up to a positive scale, and only its monic
+    image is built from field elements.
     """
     rs = stratum.rs
     field = rs.field
     basis = stratum.subspace.basis
     if not basis:
         return Configuration(field, basis, (), (), mults.params)
-    # (nums, den) of each entry of the monic r -> [monic r, summed weight]
-    groups: dict[tuple, list] = {}
-    for i, alpha in enumerate(rs.lines):
-        r = tuple(dot(b, alpha) for b in basis)
-        if vec_is_zero(r):
-            continue
-        rep = _monic(r)
-        key = tuple((x.nums, x.den) for x in rep)
-        c = mults.line_value(i)
-        if key in groups:
-            groups[key][1] = groups[key][1] + c
-        else:
-            groups[key] = [rep, c]
+    groups: dict[tuple, Polynomial] = {}
+    for i, key in enumerate(stratum.line_keys):
+        if key is not None:
+            c = mults.line_value(i)
+            groups[key] = groups[key] + c if key in groups else c
+    # G^-1 is symmetric, so row j of B^T G^-1 is G^-1 times column j of B
     ginv = invert(gram(basis), field)
-    columns = tuple(zip(*basis))
-    vectors = []
-    for rep, _ in groups.values():
-        coeffs = mat_vec(ginv, rep)
-        vectors.append(_monic(tuple(dot(coeffs, col) for col in columns)))
-    weights = [c for _, c in groups.values()]
-    return Configuration(field, basis, vectors, weights, mults.params)
+    projection = int_rows([mat_vec(ginv, col) for col in zip(*basis)])
+    vectors = [monic_row(field, [field.int_dot(row, key) for row in projection]) for key in groups]
+    return Configuration(field, basis, vectors, groups.values(), mults.params)
 
 
-def conservation_defect(stratum: Stratum, mults: Multiplicities) -> Polynomial:
-    """Total projected multiplicity minus the sum over non-vanishing lines."""
+def conservation_defect(stratum: Stratum, mults: Multiplicities, config: Configuration) -> Polynomial:
+    """Total projected multiplicity of config, the stratum's restricted
+    configuration at mults, minus the sum over non-vanishing lines."""
     rs = stratum.rs
-    config = restricted_configuration(stratum, mults)
     total = Polynomial.zero(rs.field, len(mults.params))
     for m in config.mults:
         total = total + m
@@ -194,7 +180,7 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
     A sum of a_k/l_k over pairwise non-proportional linear forms is a
     polynomial only if each l_k divides a_k (multiply by the product of the
     forms and restrict to l_1 = 0).  Here the a_k are constants, so the rows
-    are grouped by their monic form and each group's sum of coeff/lead must
+    are grouped by their line key and each group's sum of coeff/lead must
     vanish.
     """
     if not mults.is_numeric:
@@ -210,7 +196,7 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
         sbasis = sl.basis
         if not sbasis:
             continue
-        # (nums, den) of each entry of the monic row -> summed coeff/lead
+        # line key of the row -> summed coeff/lead
         residues: dict[tuple, FieldElement] = {}
         for j, w in enumerate(config.vectors):
             if j == i:
@@ -219,11 +205,10 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
             if coeff.is_zero():
                 continue
             row = tuple(dot(w, b) for b in sbasis)
-            if vec_is_zero(row):
+            key = line_key(field, int_rows([row])[0])
+            if key is None:
                 # w projects to the u-line itself; excluded from the sum
                 continue
-            rep = _monic(row)
-            key = tuple((x.nums, x.den) for x in rep)
             residue = coeff / next(x for x in row if not x.is_zero())
             residues[key] = residues.get(key, field.zero()) + residue
         if any(not c.is_zero() for c in residues.values()):

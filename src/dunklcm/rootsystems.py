@@ -38,6 +38,8 @@ from .linalg import (
     Matrix,
     Vector,
     dot,
+    int_rows,
+    line_key,
     nullspace,
     rank,
     reflect,
@@ -74,9 +76,16 @@ def _vec_key(v: Vector) -> tuple:
 
 
 def _line_rep(v: Vector) -> Vector:
-    """Canonical representative of {v, -v}."""
-    neg = tuple(-x for x in v)
-    return v if _vec_key(v) >= _vec_key(neg) else neg
+    """Canonical representative of {v, -v}: the one with the larger _vec_key.
+
+    The keys first differ at the first nonzero coefficient of v, and the
+    positive one is the larger there.
+    """
+    for x in v:
+        for a in x.nums:
+            if a:
+                return v if a > 0 else tuple(-y for y in v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +206,23 @@ class RootSystem:
         """Each simple reflection as the permutation of line indices it induces."""
         return tuple(tuple(self.line_index(reflect(l, s)) for l in self.lines) for s in self.simple)
 
-    def bond(self, i: int, j: int) -> int:
-        """Coxeter bond order between simple roots i and j."""
-        a, b = self.simple[i], self.simple[j]
-        c2 = (dot(a, b) ** 2) / (dot(a, a) * dot(b, b))
-        return _bond_from_cos2(self.field, c2)
+    @cached_property
+    def int_lines(self) -> list[list[tuple[int, ...]]]:
+        """The root lines as integral rows over one common denominator."""
+        return int_rows(self.lines)
+
+    @cached_property
+    def bonds(self) -> tuple[tuple[int, ...], ...]:
+        """The Coxeter matrix: the bond order of each pair of simple roots, 1 on the diagonal."""
+        orders = _bond_orders(self.field)
+        norms = [dot(s, s) for s in self.simple]
+        out = [[1] * self.rank for _ in range(self.rank)]
+        for i, j in combinations(range(self.rank), 2):
+            c2 = dot(self.simple[i], self.simple[j]) ** 2 / (norms[i] * norms[j])
+            if c2 not in orders:
+                raise ValueError(f"unsupported bond angle with cos^2 = {c2}")
+            out[i][j] = out[j][i] = orders[c2]
+        return tuple(map(tuple, out))
 
     def __repr__(self):
         return f"RootSystem({self.family}, {len(self.lines)} root lines)"
@@ -221,25 +242,18 @@ class RootSystem:
         }
 
 
-def _bond_from_cos2(field: Field, c2: FieldElement) -> int:
-    table = {
-        field.element(0): 2,
-        field.element(Fraction(1, 4)): 3,
-        field.element(Fraction(1, 2)): 4,
-        field.element(Fraction(3, 4)): 6,
-    }
-    for val, m in table.items():
-        if c2 == val:
-            return m
+def _bond_orders(field: Field) -> dict[FieldElement, int]:
+    """Bond order m by cos^2(pi/m), for the angles of the supported families in field."""
+    orders = {field.element(Fraction(k, 4)): m for k, m in ((0, 2), (1, 3), (2, 4), (3, 6))}
     if field.kind == "quadratic":
         g = field.generator()
-        if field.param == 5 and c2 == (3 + g) / 8:
-            return 5
-        if field.param == 2 and c2 == (2 + g) / 4:
-            return 8
-        if field.param == 3 and c2 == (2 + g) / 4:
-            return 12
-    raise ValueError(f"unsupported bond angle with cos^2 = {c2}")
+        if field.param == 5:
+            orders[(3 + g) / 8] = 5
+        elif field.param == 2:
+            orders[(2 + g) / 4] = 8
+        elif field.param == 3:
+            orders[(2 + g) / 4] = 12
+    return orders
 
 
 def _simple_A(field: Field, n_coords: int) -> tuple[Vector, ...]:
@@ -398,7 +412,7 @@ def classify_indices(rs: RootSystem, indices: tuple[int, ...]) -> list[tuple[str
     bonds: dict[tuple[int, int], int] = {}
     adj: dict[int, list[int]] = {i: [] for i in indices}
     for a, b in combinations(indices, 2):
-        mm = rs.bond(a, b)
+        mm = rs.bonds[a][b]
         if mm > 2:
             bonds[(a, b)] = bonds[(b, a)] = mm
             adj[a].append(b)
@@ -599,14 +613,24 @@ class Multiplicities:
 
 
 class Stratum:
-    """A reflection-group orbit of a flat, known by the sorted indices of its root lines."""
+    """A reflection-group orbit of a flat, known by the sorted indices of its root lines.
+
+    line_keys holds, for each root line alpha, the line key of its integral
+    Gram row ((b, alpha))_b over the basis, whose vectors share one
+    denominator so that proportional Gram rows stay proportional.  The key
+    is None exactly for the lines orthogonal to the subspace, the stratum's
+    lines.
+    """
 
     def __init__(self, rs: RootSystem, subspace: Subspace, gamma0: tuple[int, ...] | None = None, label: str = ""):
         self.rs = rs
         self.subspace = subspace
         self.gamma0 = gamma0
         self.label = label
-        self.lines = tuple(i for i, l in enumerate(rs.lines) if all(dot(l, b).is_zero() for b in subspace.basis))
+        field = rs.field
+        basis = int_rows(subspace.basis)
+        self.line_keys = tuple(line_key(field, [field.int_dot(b, l) for b in basis]) for l in rs.int_lines)
+        self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
         self._orbit: dict[tuple, tuple] | None = None
 
     def orbit(self, cap: int | None = None) -> dict[tuple, tuple]:

@@ -3,8 +3,10 @@
 Projects every root line onto the stratum on its own (solve the Gram system
 for the coordinates, then sum the basis vectors entry by entry) and groups
 the lines by their monic projection, in first-seen order.  This is the
-per-line path that grouping by Gram coordinates replaced; it shares only
-the exact inner product and the Gram inverse with the code under test.
+per-line path that grouping by integral Gram rows replaced; it shares only
+the exact inner product and the Gram inverse with the code under test.  The
+stratum's own lines are the ones orthogonal to its basis, tested by the
+inner product.
 
 It also holds the gauge and restriction identities as they were checked
 before the residue argument replaced them: each rational identity is
@@ -41,6 +43,12 @@ def monic(v):
             inv = x.inverse()
             return tuple(inv * y for y in v)
     return v
+
+
+def reference_lines(stratum) -> tuple[int, ...]:
+    """Indices of the root lines orthogonal to every basis vector of the stratum."""
+    basis = stratum.subspace.basis
+    return tuple(i for i, alpha in enumerate(stratum.rs.lines) if all(dot(alpha, b).is_zero() for b in basis))
 
 
 def reference_configuration(stratum, mults) -> tuple[list, list]:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -278,3 +279,20 @@ def test_inner_products_match_fraction_reference(case):
 def test_kernel_rejects_mixed_fields():
     with pytest.raises(ValueError):
         F5.dot((F5.one(),), (F2.one(),))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Q, F2, Field.quadratic(3), F5, Field.cyclotomic(3), Field.cyclotomic(5), Field.cyclotomic(8), C12],
+    ids=repr,
+)
+def test_norm_cofactor_makes_the_norm(field):
+    rng = random.Random(repr(field))
+    for _ in range(50):
+        nums = tuple(rng.randint(-9, 9) for _ in range(field.degree))
+        if not any(nums):
+            continue
+        rest, norm = field.norm_cofactor(nums)
+        assert all(type(c) is int for c in rest)
+        assert norm != 0
+        assert field._mul_nums(nums, rest) == (norm,) + (0,) * (field.degree - 1)

@@ -27,6 +27,7 @@ from dunklcm.rootsystems import (
 )
 from restriction_reference import (
     reference_configuration,
+    reference_lines,
     reference_gauge_defects,
     reference_restriction_defects,
 )
@@ -57,7 +58,8 @@ def test_conservation_is_weight_free():
         rs = root_system(fam, rank_)
         sym = Multiplicities.symbolic(rs)
         for st in enumerate_parabolic_strata(rs):
-            assert conservation_defect(st, sym).is_zero(), (fam, st.label)
+            config = restricted_configuration(st, sym)
+            assert conservation_defect(st, sym, config).is_zero(), (fam, st.label)
 
 
 def test_fingerprint_identifies_conjugate_strata():
@@ -165,6 +167,7 @@ def orbit_weights(rs):
 
 
 def assert_matches_reference(st):
+    assert st.lines == reference_lines(st), st.label
     for mults in (orbit_weights(st.rs), Multiplicities.symbolic(st.rs)):
         cfg = restricted_configuration(st, mults)
         vectors, weights = reference_configuration(st, mults)
@@ -179,9 +182,10 @@ def test_grouped_projection_matches_reference_on_catalog():
         assert_matches_reference(catalog_stratum(row))
 
 
-@pytest.mark.parametrize("family", ["F4", "H3", "H4"])
+@pytest.mark.parametrize("family", ["F4", "H3", "H4", "B4", "I2(5)", "I2(8)", "I2(12)"])
 def test_grouped_projection_matches_reference_on_parabolic_strata(family):
-    strata = enumerate_parabolic_strata(root_system(family))
+    rs = root_system("B", 4) if family == "B4" else root_system(family)
+    strata = enumerate_parabolic_strata(rs)
     assert strata
     for st in strata:
         assert_matches_reference(st)

@@ -257,6 +257,27 @@ def test_classify_subgraphs(fam, indices, expected):
     assert subgraph_type_name(classify_indices(rs, indices)) == expected
 
 
+@pytest.mark.parametrize(
+    "fam, rank_, edges",
+    [
+        ("H3", None, {(0, 1): 5, (1, 2): 3}),
+        ("H4", None, {(0, 1): 5, (1, 2): 3, (2, 3): 3}),
+        ("F4", None, {(0, 1): 3, (1, 2): 4, (2, 3): 3}),
+        ("B", 3, {(0, 1): 3, (1, 2): 4}),
+        ("D", 4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}),
+        ("E6", None, {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}),
+        ("G2", None, {(0, 1): 6}),
+        *[(f"I2({m})", None, {(0, 1): m}) for m in (3, 4, 5, 6, 8, 12)],
+    ],
+)
+def test_bond_matrix_is_the_coxeter_diagram(fam, rank_, edges):
+    rs = root_system(fam, rank_)
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            want = 1 if i == j else edges.get((min(i, j), max(i, j)), 2)
+            assert rs.bonds[i][j] == want, (i, j)
+
+
 def test_type_coxeter_numbers():
     assert type_coxeter_number(("A", 3)) == 4
     assert type_coxeter_number(("B", 2)) == 4

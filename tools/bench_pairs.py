@@ -14,7 +14,9 @@ pairs the change won, and whether the gain is clear: won in at least nine
 of ten pairs, with the median better by more than the parent's interquartile
 range.  A row per workload goes into ``--out``, replacing an earlier row of
 the same workload; the file also names the seeds, both revisions and the
-machine.  Run from the root of the repository; standard library only.
+machine.  If one run exits nonzero, the side, the seed and the end of that
+run's stderr are printed and the script exits 1 without writing a row.  Run
+from the root of the repository; standard library only.
 """
 
 from __future__ import annotations
@@ -34,13 +36,27 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
+STDERR_TAIL_LINES = 20
+
+
+class RunFailed(Exception):
+    """One perfbench run exited nonzero."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(f"exited {returncode}")
+        self.returncode = returncode
+        self.stderr_tail = "\n".join(stderr.splitlines()[-STDERR_TAIL_LINES:])
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """(record, result) of one perfbench run in checkout."""
+    """(record, result) of one perfbench run in checkout; RunFailed if it exits nonzero."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if done.returncode:
+        raise RunFailed(done.returncode, done.stderr)
     record_line, result_line = done.stdout.strip().splitlines()[-2:]
     return json.loads(record_line)["record"], json.loads(result_line)
 
@@ -97,7 +113,12 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 checkout = parent_dir if side == "parent" else ROOT
-                runs[side].append(run_bench(checkout, args.workload, seed, seconds))
+                try:
+                    runs[side].append(run_bench(checkout, args.workload, seed, seconds))
+                except RunFailed as exc:
+                    print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: perfbench/run.py {exc}; "
+                          f"no row written. Its stderr ends:\n{exc.stderr_tail}", file=sys.stderr)
+                    return 1
                 result = runs[side][-1][1]
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"wall_s {result['metrics']['wall_s']['value']:.4f}, failed {result['failed']}",
