@@ -6,8 +6,8 @@ strata as weighted line configurations, and verifies the operator
 identities behind those derivations, all in exact arithmetic.
 """
 
-from .fields import Field, FieldElement, cyclotomic_polynomial, parse_scalar, render_scalar
-from .polynomials import Polynomial, divided_difference, divide_by_linear, monomials, parse_polynomial, render_polynomial
+from .fields import Field, FieldElement, cyclotomic_polynomial, render_scalar
+from .polynomials import Polynomial, divided_difference, divide_by_linear, monomials, render_polynomial
 from .rootsystems import (
     Multiplicities,
     OrbitCapExceeded,
@@ -53,13 +53,11 @@ __all__ = [
     "Field",
     "FieldElement",
     "cyclotomic_polynomial",
-    "parse_scalar",
     "render_scalar",
     "Polynomial",
     "divided_difference",
     "divide_by_linear",
     "monomials",
-    "parse_polynomial",
     "render_polynomial",
     "Multiplicities",
     "OrbitCapExceeded",

@@ -19,6 +19,7 @@ codes: 0 success or invariant, 1 definitive negative, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -28,7 +29,7 @@ import traceback
 from fractions import Fraction
 
 from .fields import Field, render_scalar
-from .polynomials import parse_polynomial, render_polynomial
+from .polynomials import render_polynomial
 from .rootsystems import (
     ORBIT_CAP_ENV,
     Multiplicities,
@@ -49,6 +50,8 @@ from .invariance import (
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
+    invariance_conditions,
+    solve_affine,
     solve_conditions,
     solve_multiplicities,
 )
@@ -256,20 +259,21 @@ def _stratum(rs, args) -> Stratum:
     return _from_user(resolve_subgraph, rs, args.subgraph, args.orbit_cap)
 
 
-def _instantiate_solution(st, solved, offset: int = 0) -> Multiplicities:
-    """A numeric point on the solved invariance locus (free params sampled)."""
+def _instantiate_solution(st, offset: int = 0) -> Multiplicities:
+    """A numeric point on the stratum's invariance locus, which must not be empty.
+
+    The free weights are sampled, the solved ones evaluated exactly there.
+    """
     rs = st.rs
     field = rs.field
     names = rs.orbit_names
-    sample = {
+    _, values, free = solve_affine(field, names, invariance_conditions(st))
+    vals = {
         name: field.element(Fraction(2 * (i + offset) + 1, 2 * (i + offset) + 5))
-        for i, name in enumerate(solved.get("free", []))
+        for i, name in enumerate(free)
     }
-    vals: dict = dict(sample)
-    point = tuple(sample.get(n, field.zero()) for n in names)
-    for name, text in solved.get("values", {}).items():
-        poly = parse_polynomial(field, len(names), text, names=names)
-        vals[name] = poly.evaluate(point)
+    point = tuple(vals.get(n, field.zero()) for n in names)
+    vals.update((name, h.evaluate(point)) for name, h in values.items())
     return Multiplicities.numeric(rs, vals)
 
 
@@ -504,11 +508,8 @@ def cmd_restrict(args) -> int:
         payload["status"] = solved["status"]
         payload["equations"] = solved["equations"]
         if solved["status"] == "unique":
-            point = {
-                name: Fraction(text) for name, text in solved["values"].items()
-            }
-            mults = Multiplicities.numeric(rs, point)
-            payload["multiplicities"] = {k: str(v) for k, v in sorted(point.items())}
+            mults = _instantiate_solution(st)
+            payload["multiplicities"] = {name: str(mults.scalar(name)) for name in rs.orbit_names}
         elif solved["status"] == "inconsistent" and not args.force:
             payload["error"] = "no multiplicities make this ideal invariant; use --force for symbolic data"
             _emit(args, payload)
@@ -618,9 +619,7 @@ def _verify_options(args) -> None:
             reads -= {"family", "rank"}
         if any(getattr(args, name) is not None for name in _WEIGHT_FLAGS):
             reads.discard("samples")
-    common = argparse.ArgumentParser()
-    _add_common(common)
-    reads |= {"command", "suite", "func", *vars(common.parse_args([]))}
+    reads |= {"command", "suite", "func", *_common_options()}
     # an option not given is None, or "" for --subgraph
     ignored = [
         f"--{name.replace('_', '-')}"
@@ -682,7 +681,7 @@ def _verify_gauge(args) -> tuple[dict, int]:
         if solved["status"] == "inconsistent":
             row["skipped"] = "no invariant multiplicities"
         else:
-            mults = _instantiate_solution(st, solved, offset)
+            mults = _instantiate_solution(st, offset)
             if not criterion_invariant(st, mults):
                 raise RuntimeError(f"sampled point is off the invariance locus for {st.label}")
             bad = gauge_defects(st, mults)
@@ -713,7 +712,7 @@ def _verify_restriction(args) -> tuple[dict, int]:
         if solved["status"] == "inconsistent":
             report = {"suite": "restriction", "error": "no invariant multiplicities"}
             return report, 3
-        mults = _instantiate_solution(st, solved)
+        mults = _instantiate_solution(st)
     degrees = tuple(range(2, args.degree + 1, 2))
     bad = restriction_defects(st, mults, degrees=degrees)
     report = {
@@ -729,6 +728,8 @@ def _verify_restriction(args) -> tuple[dict, int]:
 
 def _verify_deformed(args) -> tuple[dict, int]:
     _require_at_least(args, "degree", 0)
+    _require_at_least(args, "k", 1)
+    _require_at_least(args, "l", 1)
     rs = _root_system(args)
     rng = random.Random(args.seed)
     vals = _collect_mult_values(args) or _random_sample(rng, rs.orbit_names)
@@ -821,6 +822,14 @@ def _add_common(sub):
     sub.add_argument("--orbit-cap", type=int, default=None, help=f"orbit size cap (else ${ORBIT_CAP_ENV} or 10^6)")
 
 
+@functools.cache
+def _common_options() -> frozenset[str]:
+    """The attribute names of the options _add_common adds."""
+    common = argparse.ArgumentParser()
+    _add_common(common)
+    return frozenset(vars(common.parse_args([])))
+
+
 def _add_family(sub):
     sub.add_argument("--family", help="A, B, D, E, F4, G2, H3, H4 or I2(m)")
     sub.add_argument("--rank", type=int, default=None)
@@ -843,7 +852,9 @@ def _add_group(sub):
     sub.add_argument("--c0-odd", dest="c0_odd", help="odd-twist reflection weight (N=2, even p)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; each parse_args call returns fresh arguments."""
     parser = argparse.ArgumentParser(
         prog="dunklcm",
         description="Exact invariance and restriction of Dunkl operators on reflection arrangements.",

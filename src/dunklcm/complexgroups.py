@@ -34,6 +34,7 @@ module, the ones real groups use for their weighted Coxeter numbers.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -275,14 +276,11 @@ def ideal_conditions_hold(group: ComplexReflectionGroup, values: dict, q: int = 
     return all(h.evaluate(x) == field.one() for h in condition_forms(group, q, r, l, eps))
 
 
-_GROUP_RE = None
+_GROUP_RE = re.compile(r"^\s*(?:G\s*\(\s*)?(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)?\s*$")
+
 
 def parse_group_name(text: str) -> ComplexReflectionGroup:
     """Accepts forms like "G(4,2,3)" or "4,2,3"."""
-    global _GROUP_RE
-    if _GROUP_RE is None:
-        import re
-        _GROUP_RE = re.compile(r"^\s*(?:G\s*\(\s*)?(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)?\s*$")
     match = _GROUP_RE.match(text)
     if not match:
         raise ValueError(f"cannot parse group {text!r}; expected G(m,p,N)")

@@ -477,181 +477,3 @@ def render_scalar(x: FieldElement) -> str:
         else:
             parts.append(text)
     return "".join(parts) if parts else "0"
-
-
-# -- parsing --------------------------------------------------------------------
-
-_TOKEN_CHARS = set("+-*/^()")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _TOKEN_CHARS:
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ValueError(f"unexpected character {ch!r} in {text!r}")
-    return tokens
-
-
-class _Parser:
-    """Recursive descent for +,-,*,/,^ over an atom algebra.
-
-    The algebra supplies from_int(n), symbol(name) and sqrt(d); values must
-    support +,-,*,/ and ** with int exponents.
-    """
-
-    def __init__(self, tokens: list[str], algebra):
-        self.tokens = tokens
-        self.pos = 0
-        self.algebra = algebra
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing tokens near {self.peek()!r}")
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.factor()
-        while True:
-            tok = self.peek()
-            if tok in ("*", "/"):
-                op = self.take()
-                rhs = self.factor()
-                value = value * rhs if op == "*" else self.algebra.divide(value, rhs)
-            elif tok is not None and tok not in ("+", "-", ")", "^"):
-                # juxtaposition, e.g. '2 sqrt(5)' coming from the radical glyph
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self):
-        tok = self.peek()
-        if tok == "-":
-            self.take()
-            return self.algebra.negate(self.factor())
-        if tok == "+":
-            self.take()
-            return self.factor()
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            exp_tok = self.take()
-            if not exp_tok.isdigit():
-                raise ValueError(f"exponent must be an integer, got {exp_tok!r}")
-            return self.algebra.power(base, sign * int(exp_tok))
-        return base
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ValueError("missing closing parenthesis")
-            return value
-        if tok.isdigit():
-            return self.algebra.from_int(int(tok))
-        if tok == "sqrt":
-            if self.take() != "(":
-                raise ValueError("sqrt requires parentheses")
-            sign = 1
-            if self.peek() == "-":
-                self.take()
-                sign = -1
-            arg = self.take()
-            if not arg.isdigit():
-                raise ValueError("sqrt argument must be an integer")
-            if self.take() != ")":
-                raise ValueError("missing closing parenthesis after sqrt")
-            return self.algebra.sqrt(sign * int(arg))
-        return self.algebra.symbol(tok)
-
-
-class _ScalarAlgebra:
-    def __init__(self, field: Field):
-        self.field = field
-
-    def from_int(self, n: int) -> FieldElement:
-        return self.field.element(n)
-
-    def negate(self, x):
-        return -x
-
-    def divide(self, a, b):
-        return a / b
-
-    def power(self, x, n: int):
-        return x ** n
-
-    def sqrt(self, d: int) -> FieldElement:
-        if self.field.kind == QUADRATIC and self.field.param == d:
-            return self.field.generator()
-        if d == 1:
-            return self.field.one()
-        raise ValueError(f"sqrt({d}) does not live in {self.field!r}")
-
-    def symbol(self, name: str) -> FieldElement:
-        if name == "z" and self.field.kind == CYCLOTOMIC:
-            return self.field.generator()
-        raise ValueError(f"unknown symbol {name!r} in scalar expression")
-
-
-def parse_scalar(field: Field, text: str) -> FieldElement:
-    """Parse the textual scalar grammar back into a field element.
-
-    Accepts the unicode radical as a synonym for sqrt: '1+2√5'.
-    """
-    text = text.replace("√", " sqrt ")
-    tokens = _tokenize(text)
-    # rewrite "sqrt N" (from the unicode form, no parentheses) to sqrt ( N )
-    fixed: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "sqrt" and i + 1 < len(tokens) and tokens[i + 1].isdigit():
-            fixed.extend(["sqrt", "(", tokens[i + 1], ")"])
-            i += 2
-        else:
-            fixed.append(tokens[i])
-            i += 1
-    return _Parser(fixed, _ScalarAlgebra(field)).parse()

@@ -1,20 +1,24 @@
 """Invariance of stratum ideals under Dunkl operators.
 
-Two independent routes are provided.  The linear criterion computes, for
+Two independent routes are provided.  The linear criterion takes, for
 every irreducible component of the root lines vanishing on the stratum, the
-weighted Coxeter number and demands it equal one.  The direct route tests
-the definition and makes no use of the criterion: it takes a random element
-f of the vanishing ideal of the whole orbit, a product of one random linear
-form per member, and evaluates every T_v f exactly at one seeded integer
-point of each member, without expanding f.  Its cost is about |orbit|^2
-times dim plus the mirrors through a member's point, in field operations,
-beside the orbit walk; DIRECT_ORBIT_LIMIT bounds both.
+weighted Coxeter number, an affine form in the orbit weights that the
+stratum computes once and caches, and demands it equal one at the given
+weights.  The direct route tests the definition and makes no use of the
+criterion: it takes a random element f of the vanishing ideal of the whole
+orbit, a product of one random linear form per member, and evaluates every
+T_v f exactly at one seeded integer point of each member, without
+expanding f.  Its cost is about |orbit|^2 times dim plus the mirrors
+through a member's point, in field operations, beside the orbit walk;
+DIRECT_ORBIT_LIMIT bounds both.
 The values are exact, so the error is one-sided: a reported violation is
 certain, and a nonzero image, of degree |orbit| - 1, vanishes at the point
 with probability at most (|orbit| - 1) / (2^21 + 1) < 3.1e-5 within the
 limit (Schwartz, J. ACM 27, 1980).  The affine solver and the equation
 renderer take any list of forms h with "h = 1", and the witness routine any
-operator context, so both serve the complex groups G(m,p,N) as well.
+operator context, so both serve the complex groups G(m,p,N) as well.  The
+solver returns exact affine forms for the pivot weights; text is made only
+for output.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .rootsystems import (
     RootSystem,
     Stratum,
     Subspace,
-    generalized_coxeter_number,
 )
 from .dunkl import DunklContext
 
@@ -44,19 +47,13 @@ DIRECT_ORBIT_LIMIT = 64
 POINT_RANGE = 2 ** 20
 
 
-def invariance_conditions(stratum: Stratum) -> tuple[Multiplicities, list[tuple[tuple[int, ...], Polynomial]]]:
-    """Per-component weighted Coxeter numbers, symbolically in the orbits."""
-    mults = Multiplicities.symbolic(stratum.rs)
-    out = []
-    for comp in stratum.components():
-        h = generalized_coxeter_number(stratum.rs, mults, comp)
-        out.append((comp, h))
-    return mults, out
+def invariance_conditions(stratum: Stratum) -> tuple[Polynomial, ...]:
+    """The affine forms h over rs.orbit_names, one per component, with the conditions h = 1."""
+    return stratum.conditions
 
 
 def condition_equations(stratum: Stratum) -> list[str]:
-    mults, conds = invariance_conditions(stratum)
-    return _render_equations(mults.params, [h for _, h in conds])
+    return _render_equations(stratum.rs.orbit_names, invariance_conditions(stratum))
 
 
 def _render_equations(names: tuple[str, ...], hs) -> list[str]:
@@ -68,27 +65,24 @@ def criterion_invariant(stratum: Stratum, mults: Multiplicities) -> bool:
     """Each component's weighted Coxeter number must equal one."""
     if not mults.is_numeric:
         raise ValueError("criterion evaluation needs numeric multiplicities")
-    one = stratum.rs.field.one()
-    for comp in stratum.components():
-        h = generalized_coxeter_number(stratum.rs, mults, comp)
-        if h.constant_term() != one:
-            return False
-    return True
+    rs = stratum.rs
+    point = tuple(mults.scalar(name) for name in rs.orbit_names)
+    one = rs.field.one()
+    return all(h.evaluate(point) == one for h in invariance_conditions(stratum))
 
 
-def solve_conditions(field: Field, names: tuple[str, ...], hs) -> dict:
+def solve_affine(field: Field, names: tuple[str, ...], hs) -> tuple[str, dict[str, Polynomial], list[str]]:
     """Solve the affine conditions h = 1 for the weights named by names.
 
     Each h is a polynomial of degree at most one in len(names) variables.
-    Returns the deduplicated equations plus either the unique solution, a
-    parametrized family (earlier weights pivot on later free ones), or a
-    report that the system is inconsistent or empty.
+    Returns (status, values, free): status is "unique", "family",
+    "unconstrained" or "inconsistent"; values maps each pivot weight to an
+    affine polynomial over names in the free weights alone, earlier weights
+    pivoting on later ones; free lists the free weights.
     """
     nparams = len(names)
-    result: dict = {"equations": _render_equations(names, hs)}
     if not hs:
-        result.update(status="unconstrained", values={}, free=list(names))
-        return result
+        return "unconstrained", {}, list(names)
     rows = []
     for h in hs:
         row = []
@@ -100,28 +94,32 @@ def solve_conditions(field: Field, names: tuple[str, ...], hs) -> dict:
         rows.append(tuple(row))
     reduced, pivots = rref(tuple(rows))
     if nparams in pivots:
-        result.update(status="inconsistent", values={}, free=[])
-        return result
+        return "inconsistent", {}, []
     free = [j for j in range(nparams) if j not in pivots]
     values = {}
     for r, row in enumerate(reduced):
-        j = pivots[r]
         expr = Polynomial.constant(field, nparams, row[-1])
         for k in free:
             if not row[k].is_zero():
                 expr = expr - Polynomial.variable(field, nparams, k) * row[k]
-        values[names[j]] = render_polynomial(expr, names=names)
-    if free:
-        result.update(status="family", values=values, free=[names[k] for k in free])
-    else:
-        result.update(status="unique", values=values, free=[])
-    return result
+        values[names[pivots[r]]] = expr
+    return ("family" if free else "unique"), values, [names[k] for k in free]
+
+
+def solve_conditions(field: Field, names: tuple[str, ...], hs) -> dict:
+    """solve_affine's answer as JSON text, beside the deduplicated equations."""
+    status, values, free = solve_affine(field, names, hs)
+    return {
+        "equations": _render_equations(names, hs),
+        "status": status,
+        "values": {name: render_polynomial(h, names=names) for name, h in values.items()},
+        "free": free,
+    }
 
 
 def solve_multiplicities(stratum: Stratum) -> dict:
     """Solve the linear invariance conditions for the orbit multiplicities."""
-    mults, conds = invariance_conditions(stratum)
-    return solve_conditions(stratum.rs.field, mults.params, [h for _, h in conds])
+    return solve_conditions(stratum.rs.field, stratum.rs.orbit_names, invariance_conditions(stratum))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .fields import Field, FieldElement, _Parser, _tokenize, render_scalar
+from .fields import Field, FieldElement, render_scalar
 from .linalg import Matrix, Vector
 
 
@@ -386,52 +386,3 @@ def render_polynomial(f: Polynomial, names: Sequence[str] | None = None) -> str:
         else:
             parts.append(text)
     return "".join(parts)
-
-
-class _PolyAlgebra:
-    def __init__(self, field: Field, nvars: int, names: Sequence[str]):
-        self.field = field
-        self.nvars = nvars
-        self.index = {name: i for i, name in enumerate(names)}
-
-    def from_int(self, n: int) -> Polynomial:
-        return Polynomial.constant(self.field, self.nvars, n)
-
-    def negate(self, x: Polynomial) -> Polynomial:
-        return -x
-
-    def divide(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        if b.degree() > 0:
-            raise ValueError("division by a non-constant polynomial")
-        return a * b.constant_term().inverse()
-
-    def power(self, x: Polynomial, n: int) -> Polynomial:
-        if n < 0:
-            if x.degree() > 0:
-                raise ValueError("negative power of a non-constant polynomial")
-            return Polynomial.constant(self.field, self.nvars, x.constant_term().inverse() ** (-n))
-        return x ** n
-
-    def sqrt(self, d: int) -> Polynomial:
-        from .fields import QUADRATIC
-
-        if self.field.kind == QUADRATIC and self.field.param == d:
-            return Polynomial.constant(self.field, self.nvars, self.field.generator())
-        if d == 1:
-            return self.from_int(1)
-        raise ValueError(f"sqrt({d}) does not live in {self.field!r}")
-
-    def symbol(self, name: str) -> Polynomial:
-        i = self.index.get(name)
-        if i is not None:
-            return Polynomial.variable(self.field, self.nvars, i)
-        from .fields import CYCLOTOMIC
-
-        if name == "z" and self.field.kind == CYCLOTOMIC:
-            return Polynomial.constant(self.field, self.nvars, self.field.generator())
-        raise ValueError(f"unknown symbol {name!r}")
-
-
-def parse_polynomial(field: Field, nvars: int, text: str, names: Sequence[str] | None = None) -> Polynomial:
-    names = list(names) if names is not None else _default_names(nvars)
-    return _Parser(_tokenize(text), _PolyAlgebra(field, nvars, names)).parse()

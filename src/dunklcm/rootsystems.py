@@ -681,6 +681,15 @@ class Stratum:
         out.sort()
         return out
 
+    @cached_property
+    def conditions(self) -> tuple[Polynomial, ...]:
+        """The weighted Coxeter number of each component, an affine form over rs.orbit_names.
+
+        The stratum's ideal is invariant exactly where every form equals 1.
+        """
+        mults = Multiplicities.symbolic(self.rs)
+        return tuple(generalized_coxeter_number(self.rs, mults, comp) for comp in self.components())
+
     def ideal_contains(self, f: Polynomial, cap: int | None = None) -> bool:
         """Membership of f in the vanishing ideal of the whole orbit."""
         return all(f.restrict_to(s.basis).is_zero() for s in self.members(cap).values())

@@ -104,7 +104,7 @@ def test_criterion_03_direct_test_matches_criterion():
             solved = solve_multiplicities(st)
             if solved["status"] == "inconsistent":
                 continue
-            good = _instantiate_solution(st, solved)
+            good = _instantiate_solution(st)
             # shifting every weight up by one leaves no equation satisfied
             bad = Multiplicities.numeric(
                 rs, {name: good.scalar(name) + rs.field.one() for name in rs.orbit_names}
@@ -228,7 +228,7 @@ def test_criterion_07_gauge_identity():
             solved = solve_multiplicities(st)
             if solved["status"] == "inconsistent":
                 continue
-            mults = _instantiate_solution(st, solved)
+            mults = _instantiate_solution(st)
             assert gauge_defects(st, mults) == [], (fam, st.label)
             ran += 1
 
@@ -237,7 +237,7 @@ def test_criterion_07_gauge_identity():
     st = parabolic_stratum(rs, (1, 4, 6))
     solved = solve_multiplicities(st)
     assert solved["status"] == "unique"
-    mults = _instantiate_solution(st, solved)
+    mults = _instantiate_solution(st)
     assert gauge_defects(st, mults) == []
     ran += 1
 

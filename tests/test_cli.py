@@ -381,6 +381,21 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert "internal" not in out
 
 
+@pytest.mark.parametrize("k,l,flag", [("-1", "2", "--k"), ("0", "0", "--k"), ("1", "0", "--l")])
+def test_deformed_powers_below_one_are_usage_errors(capsys, k, l, flag):
+    code, out = run(capsys, "verify", "deformed", "--family", "B", "--rank", "3", "--k", k, "--l", l)
+    assert code == 2
+    assert f"needs {flag} >= 1" in out["error"]
+
+
+def test_consecutive_calls_share_no_arguments(capsys):
+    argv = ["check", "--family", "A", "--rank", "3", "--subgraph", "A1"]
+    assert run(capsys, *argv, "--mult", "c=1/2")[0] == 0
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert "provide multiplicity values" in out["error"]
+
+
 def test_unreadable_golden_file_is_a_usage_error(capsys, tmp_path):
     code, out = run(capsys, "verify", "catalog", "--golden", str(tmp_path / "missing.json"))
     assert code == 2

@@ -19,9 +19,9 @@ from dunklcm.complexgroups import (
 )
 from dunklcm.dunkl import DunklContext
 from dunklcm.fields import Field
-from dunklcm.invariance import condition_equations, solve_conditions
+from dunklcm.invariance import condition_equations, solve_affine
 from dunklcm.linalg import vec
-from dunklcm.polynomials import Polynomial, divide_by_linear, monomials, parse_polynomial
+from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
 from dunklcm.rootsystems import Multiplicities, block_stratum, root_system
 
 
@@ -308,18 +308,17 @@ def test_solved_weights_pass_the_direct_test(m, p, N):
     solved_strata = 0
     for q, r, l in collision_shapes(N):
         for eps in (0, 1) if q else (0,):
-            solved = solve_conditions(field, names, condition_forms(g, q, r, l, eps))
-            if solved["status"] == "inconsistent":
+            status, values, free = solve_affine(field, names, condition_forms(g, q, r, l, eps))
+            if status == "inconsistent":
                 continue
-            point = {name: Fraction(2 * i + 1, 2 * i + 5) for i, name in enumerate(solved["free"])}
+            point = {name: Fraction(2 * i + 1, 2 * i + 5) for i, name in enumerate(free)}
             x = tuple(field.element(point.get(name, 0)) for name in names)
-            for name, text in solved["values"].items():
-                value = parse_polynomial(field, len(names), text, names=names).evaluate(x)
-                point[name] = value.coeffs[0]
+            for name, h in values.items():
+                point[name] = h.evaluate(x).as_fraction()
             sub = collision_subspace(g, q, r, l=l, eps=eps)
             assert ideal_conditions_hold(g, point, q, r, l, eps)
             assert not direct_ideal_violations(ComplexDunklContext.at_weights(g, point), sub), (q, r, l, eps)
-            pivot = next(iter(solved["values"]))
+            pivot = next(iter(values))
             off = dict(point, **{pivot: point[pivot] + Fraction(1, 7)})
             assert not ideal_conditions_hold(g, off, q, r, l, eps)
             assert direct_ideal_violations(ComplexDunklContext.at_weights(g, off), sub), (q, r, l, eps)

@@ -1,19 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from dunklcm import cli, rootsystems
 from dunklcm.invariance import (
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
+    invariance_conditions,
     is_invariant_direct,
     order_vanishing_violations,
+    solve_affine,
     solve_multiplicities,
 )
 from dunklcm.rootsystems import (
     Multiplicities,
     OrbitCapExceeded,
     block_stratum,
+    enumerate_parabolic_strata,
+    generalized_coxeter_number,
     parabolic_stratum,
     root_system,
 )
@@ -64,6 +70,67 @@ def test_direct_route_respects_orbit_limit():
     mults = Multiplicities.numeric(rs, {"c1": Fraction(1, 2), "c2": Fraction(1, 2)})
     with pytest.raises(OrbitCapExceeded):
         direct_invariance_violations(st, mults, orbit_limit=2)
+
+
+def _criterion_strata():
+    for fam, rank_, m in (("H3", None, None), ("F4", None, None), ("B", 4, None), ("I2", None, 5)):
+        yield from enumerate_parabolic_strata(root_system(fam, rank_, m=m))
+    yield block_stratum(root_system("B", 4), m=1, k=2, l=2)
+    yield block_stratum(root_system("D", 5), m=1, k=2, l=2)
+
+
+def _numeric_criterion(st, mults) -> bool:
+    """The criterion as it read before the affine forms: each component's number at numeric weights."""
+    one = st.rs.field.one()
+    return all(generalized_coxeter_number(st.rs, mults, comp).constant_term() == one for comp in st.components())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_criterion_matches_numeric_coxeter_numbers(seed):
+    rng = random.Random(seed)
+
+    def weight():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    on_locus = 0
+    for st in _criterion_strata():
+        rs = st.rs
+        names = rs.orbit_names
+        points = [{name: weight() for name in names}]
+        status, values, free = solve_affine(rs.field, names, invariance_conditions(st))
+        if status != "inconsistent":
+            sample = {name: rs.field.element(weight()) for name in free}
+            x = tuple(sample.get(name, rs.field.zero()) for name in names)
+            on = dict(sample, **{name: h.evaluate(x) for name, h in values.items()})
+            points.append(on)
+            if values:
+                pivot = next(iter(values))
+                points.append(dict(on, **{pivot: on[pivot] + Fraction(1, 7)}))
+        for point in points:
+            mults = Multiplicities.numeric(rs, point)
+            assert criterion_invariant(st, mults) is _numeric_criterion(st, mults), (rs.name, st.label, point)
+        if status != "inconsistent":
+            assert criterion_invariant(st, Multiplicities.numeric(rs, points[1])), (rs.name, st.label)
+            on_locus += 1
+    assert on_locus >= 20
+
+
+def test_conditions_computed_once_per_stratum(monkeypatch):
+    calls = []
+
+    def counted(rs, mults, line_indices):
+        calls.append(tuple(line_indices))
+        return generalized_coxeter_number(rs, mults, line_indices)
+
+    monkeypatch.setattr(rootsystems, "generalized_coxeter_number", counted)
+    rs = root_system("F4")
+    st = parabolic_stratum(rs, (0, 3))  # two components
+    condition_equations(st)
+    solved = solve_multiplicities(st)
+    mults = cli._instantiate_solution(st)
+    assert criterion_invariant(st, mults)
+    assert solved["status"] == "unique"
+    assert calls == st.components() and len(calls) == 2
 
 
 def test_solve_unique():
