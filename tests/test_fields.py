@@ -137,6 +137,36 @@ def test_sort_key_total_order(a, b):
         assert a.sort_key() != b.sort_key()
 
 
+# sympy is the reader: text -> value -> render_scalar -> the same value
+@pytest.mark.parametrize(
+    "field,text",
+    [
+        (Q, "3/2"),
+        (Q, "-7"),
+        (F5, "1+2*sqrt(5)"),
+        (F5, "1/2-1/2*sqrt(5)"),
+        (F2, "sqrt(2)"),
+        (C12, "z^2-1/3*z"),
+        (C12, "1"),
+    ],
+)
+def test_parse_render_round_trip(field, text):
+    pytest.importorskip("sympy")
+    from sympy_reference import read, scalar_coeffs
+
+    x = field.from_coeffs(scalar_coeffs(field, read(text)))
+    assert scalar_coeffs(field, read(render_scalar(x))) == x.coeffs
+
+
+@given(field_elements(C12))
+@settings(max_examples=50, deadline=None)
+def test_render_round_trip_cyclotomic(a):
+    pytest.importorskip("sympy")
+    from sympy_reference import read, scalar_coeffs
+
+    assert scalar_coeffs(C12, read(render_scalar(a))) == a.coeffs
+
+
 RENDER_FIELDS = {"Q": Q, "Q(sqrt2)": F2, "Q(sqrt5)": F5, "Q(zeta12)": C12}
 # the renderer special-cases the coefficients 0 and +-1
 render_coeffs = st.one_of(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)]), rationals)

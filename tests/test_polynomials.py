@@ -138,6 +138,32 @@ def test_monomials_count():
     assert all(sum(e) <= 2 for e in ms)
 
 
+@given(polys(field=F5, nvars=2))
+@settings(max_examples=40, deadline=None)
+def test_render_parse_round_trip(f):
+    pytest.importorskip("sympy")
+    from sympy_reference import polynomial_coeffs
+
+    text = render_polynomial(f)
+    assert polynomial_coeffs(F5, text, ("x1", "x2")) == {e: c.coeffs for e, c in f.terms.items()}
+
+
+def test_parse_named_variables():
+    pytest.importorskip("sympy")
+    from sympy_reference import polynomial_coeffs
+
+    u = Polynomial.variable(Q, 2, 0)
+    v = Polynomial.variable(Q, 2, 1)
+    f = Polynomial(
+        Q, 2, {e: Q.from_coeffs(c) for e, c in polynomial_coeffs(Q, "u^2-2*u*v", ("u", "v")).items()}
+    )
+    assert f == u * u - 2 * u * v
+    assert polynomial_coeffs(Q, render_polynomial(f, names=("u", "v")), ("u", "v")) == {
+        (2, 0): (Fraction(1),),
+        (1, 1): (Fraction(-2),),
+    }
+
+
 # coefficients a + b sqrt(5), often with a or b in {0, 1, -1}
 f5_coeffs = st.tuples(*[st.one_of(st.sampled_from([-1, 0, 1]).map(Fraction), coeffs)] * 2).map(F5.from_coeffs)
 f5_polys = st.dictionaries(
