@@ -29,7 +29,7 @@ import traceback
 from fractions import Fraction
 
 from .fields import Field, render_scalar
-from .polynomials import render_polynomial
+from .polynomials import render_polynomial, solve_affine
 from .rootsystems import (
     ORBIT_CAP_ENV,
     Multiplicities,
@@ -50,8 +50,6 @@ from .invariance import (
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
-    invariance_conditions,
-    solve_affine,
     solve_conditions,
     solve_multiplicities,
 )
@@ -267,7 +265,7 @@ def _instantiate_solution(st, offset: int = 0) -> Multiplicities:
     rs = st.rs
     field = rs.field
     names = rs.orbit_names
-    _, values, free = solve_affine(field, names, invariance_conditions(st))
+    _, values, free = st.solution
     vals = {
         name: field.element(Fraction(2 * (i + offset) + 1, 2 * (i + offset) + 5))
         for i, name in enumerate(free)
@@ -306,6 +304,19 @@ def _orbit_cap(flag: int | None) -> int:
     if flag < 1:
         raise UsageError(f"--orbit-cap must be a positive integer, got {flag}")
     return flag
+
+
+def _reject_ignored(args, reads, what: str) -> None:
+    """A usage error naming every option given that is neither in reads nor common to all commands."""
+    reads = {*reads, "command", "suite", "func", *_common_options()}
+    # an option not given is None, "" for --subgraph, or False for a switch
+    ignored = [
+        f"--{name.replace('_', '-')}"
+        for name, value in vars(args).items()
+        if name not in reads and value not in (None, "") and value is not False
+    ]
+    if ignored:
+        raise UsageError(f"{what} does not use {', '.join(ignored)}")
 
 
 # the keys of a catalog row that catalog and verify catalog read
@@ -392,10 +403,9 @@ def cmd_check(args) -> int:
         ]
         if ignored:
             raise UsageError(f"--symbolic takes no weights and no --direct; got {', '.join(ignored)}")
+    _stratum_options(args, (*_WEIGHT_FLAGS, "symbolic", "direct"))
     if args.group:
         return _check_complex(args)
-    if not args.family:
-        raise UsageError("check needs --family or --group")
     rs = _root_system(args)
     st = _stratum(rs, args)
     payload = {"command": "check", "stratum": _stratum_summary(st)}
@@ -427,6 +437,14 @@ def cmd_check(args) -> int:
     return 0 if invariant else 1
 
 
+def _stratum_options(args, reads) -> None:
+    """check and solve name a stratum by --family or by --group; the other kind's options are usage errors."""
+    if not (args.family or args.group):
+        raise UsageError(f"{args.command} needs --family or --group")
+    kind, own = ("group", ("blocks", "zeros", "eps")) if args.group else ("family", ("rank", "subgraph"))
+    _reject_ignored(args, (kind, *own, *reads), f"{args.command} --{kind}")
+
+
 def _parse_blocks(text: str | None) -> tuple[int, int]:
     if not text:
         return 0, 1
@@ -448,7 +466,8 @@ def _complex_stratum(args):
 
 
 def _solve_complex(group, shape) -> dict:
-    return solve_conditions(Field.rational(), group.param_names(), condition_forms(group, *shape))
+    names, hs = group.param_names(), condition_forms(group, *shape)
+    return solve_conditions(names, hs, solve_affine(Field.rational(), names, hs))
 
 
 def _check_complex(args) -> int:
@@ -551,13 +570,12 @@ def _pretty_solve(payload: dict) -> list[str]:
 
 
 def cmd_solve(args) -> int:
+    _stratum_options(args, ())
     if args.group:
         group, shape, _ = _complex_stratum(args)
         solved = _solve_complex(group, shape)
         payload = {"command": "solve", "group": repr(group)}
     else:
-        if not args.family:
-            raise UsageError("solve needs --family or --group")
         rs = _root_system(args)
         st = _stratum(rs, args)
         solved = solve_multiplicities(st)
@@ -619,15 +637,7 @@ def _verify_options(args) -> None:
             reads -= {"family", "rank"}
         if any(getattr(args, name) is not None for name in _WEIGHT_FLAGS):
             reads.discard("samples")
-    reads |= {"command", "suite", "func", *_common_options()}
-    # an option not given is None, or "" for --subgraph
-    ignored = [
-        f"--{name.replace('_', '-')}"
-        for name, value in vars(args).items()
-        if name not in reads and value not in (None, "")
-    ]
-    if ignored:
-        raise UsageError(f"verify {args.suite} does not use {', '.join(ignored)}")
+    _reject_ignored(args, reads, f"verify {args.suite}")
     for name, value in _VERIFY_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -707,11 +717,9 @@ def _verify_restriction(args) -> tuple[dict, int]:
     vals = _collect_mult_values(args)
     if vals:
         mults = _numeric_mults(rs, vals)
+    elif solve_multiplicities(st)["status"] == "inconsistent":
+        return {"suite": "restriction", "error": "no invariant multiplicities"}, 3
     else:
-        solved = solve_multiplicities(st)
-        if solved["status"] == "inconsistent":
-            report = {"suite": "restriction", "error": "no invariant multiplicities"}
-            return report, 3
         mults = _instantiate_solution(st)
     degrees = tuple(range(2, args.degree + 1, 2))
     bad = restriction_defects(st, mults, degrees=degrees)

@@ -15,8 +15,12 @@ where c(k) is a single weight c0, except for N = 2 with p even, where the
 parity of k is a conjugation invariant and odd k may carry a second weight.
 The pair reflections are handed to the shared operator core of the dunkl
 module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j, and
-the direct ideal test and the orbit walk are the ones real groups use; only
-the diagonal term is computed here, by lowering exponents: no division.
+the direct ideal test is the one real groups use; only the diagonal term is
+computed here, by lowering exponents: no division.
+
+A collision subspace is a flat of the G(m,1,N) arrangement x_i = xi^k x_j,
+x_i = 0 (Orlik and Terao, Arrangements of Hyperplanes, 1992), which
+G(m,p,N) permutes, so its orbit is walked on line tuples as a real one is.
 
 The ideal of q blocks of r equal coordinates (the last block twisted by
 xi^eps) and l zero coordinates is invariant exactly where each of its
@@ -36,15 +40,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import factorial
 
 from .dunkl import DunklContext
 from .fields import Field
 from .invariance import DIRECT_ORBIT_LIMIT, _render_equations, witness_violations
-from .linalg import identity
+from .linalg import Vector, dot, identity, int_rows, line_key, mat_vec
 from .polynomials import Polynomial
-from .rootsystems import Subspace, orbit_walk
+from .rootsystems import Subspace, flat_members, orbit_of_subspace
 
 
 class ComplexReflectionGroup:
@@ -58,7 +62,6 @@ class ComplexReflectionGroup:
         self.xi = self.field.element(-1) if m == 2 else self.field.generator()
         self.diag_order = m // p
         self.eta = self.xi ** p
-        self.order = m ** N * factorial(N) // p
 
     def __repr__(self):
         return f"G({self.m},{self.p},{self.N})"
@@ -84,17 +87,25 @@ class ComplexReflectionGroup:
         rows[i][i] = self.eta ** s
         return tuple(tuple(r) for r in rows)
 
-    def generator_inverses(self):
-        """Inverses of a reflection generating set, for orbit walks."""
-        out = []
-        for i in range(self.N):
-            for j in range(i + 1, self.N):
-                for k in range(self.m):
-                    out.append(self.pair_matrix(i, j, k))
+    @cached_property
+    def lines(self) -> tuple[Vector, ...]:
+        """The hyperplanes of G(m,1,N) as forms: the mirrors x_i - xi^k x_j, i < j, then x_1, ..., x_N."""
+        e = identity(self.field, self.N)
+        pairs = (tuple(a - self.xi ** k * b for a, b in zip(e[i], e[j]))
+                 for i, j in combinations(range(self.N), 2) for k in range(self.m))
+        return tuple(pairs) + e
+
+    @cached_property
+    def line_perms(self) -> tuple[tuple[int, ...], ...]:
+        """Generators M as permutations l -> l M of the line indices, Broue, Malle and Rouquier's
+        (J. reine angew. Math. 500, 1998): the neighbour transpositions, the reflection in x_1 = xi x_2
+        and, for p < m, x_1 -> xi^p x_1."""
+        gens = [self.pair_matrix(i, i + 1, 0) for i in range(self.N - 1)] + [self.pair_matrix(0, 1, 1)]
         if self.diag_order > 1:
-            for i in range(self.N):
-                out.append(self.diag_matrix(i, -1))
-        return out
+            gens.append(self.diag_matrix(0))
+        index = {line_key(self.field, row): i for i, row in enumerate(int_rows(self.lines))}
+        images = ([mat_vec(tuple(zip(*g)), l) for l in self.lines] for g in gens)
+        return tuple(tuple(index[line_key(self.field, row)] for row in int_rows(forms)) for forms in images)
 
     def param_names(self) -> tuple[str, ...]:
         names = ["c0"]
@@ -108,8 +119,8 @@ class ComplexDunklContext(DunklContext):
     """Operator application for G(m,p,N) at numeric weights: the core's
     pair-reflection operators, minus the diagonal term.
 
-    Reflection (i, j, k) with i < j, listed in that order, has the mirror
-    x_i = xi^k x_j; its index is k + m * (its pair's index among i < j).
+    Reflection r has the mirror group.lines[r], so the mirror x_i = xi^k x_j,
+    i < j, has the index k + m * (its pair's index among i < j).
     """
 
     def __init__(self, group: ComplexReflectionGroup, c0, c0_odd=None, cdiag=()):
@@ -128,16 +139,11 @@ class ComplexDunklContext(DunklContext):
             )
         self.group = group
         self.cdiag = cdiag
-        zero, one = field.zero(), field.one()
-        reflections = []
-        for i, j in combinations(range(group.N), 2):
-            for k in range(group.m):
-                alpha = [zero] * group.N
-                coroot = [zero] * group.N
-                alpha[i] = coroot[i] = one
-                alpha[j] = -(group.xi ** k)
-                coroot[j] = -(group.xi ** (-k))
-                reflections.append((alpha, coroot, c_odd if k % 2 else c_even))
+        # the coroot of a pair mirror is its complex conjugate, e_i - xi^(-k) e_j
+        reflections = [
+            (alpha, tuple(x.conjugate() for x in alpha), c_odd if r % group.m % 2 else c_even)
+            for r, alpha in enumerate(group.lines[:-group.N])
+        ]
         self._set_reflections(field, group.N, 0, reflections)
 
     def apply(self, direction, f: Polynomial) -> Polynomial:
@@ -192,28 +198,22 @@ def collision_subspace(group: ComplexReflectionGroup, q: int, r: int, l: int = 0
         raise ValueError("blocks and zeros do not fit")
     if eps % group.m and q == 0:
         raise ValueError("a twist needs at least one block")
-    field = group.field
-    rows = []
-    for a in range(q):
-        base = a * r
-        for s in range(r - 1):
-            row = [field.zero()] * group.N
-            row[base + s] = field.one()
-            twist = field.one()
-            if a == q - 1 and s == r - 2:
-                twist = group.xi ** eps
-            row[base + s + 1] = -twist
-            rows.append(tuple(row))
-    for s in range(l):
-        row = [field.zero()] * group.N
-        row[q * r + s] = field.one()
-        rows.append(tuple(row))
-    return Subspace(field, group.N, rows)
+    if eps % group.m and r == 1:
+        raise ValueError("a twist needs blocks of at least two coordinates")
+    # x_i - x_{i+1} within each block, x_i - xi^eps x_{i+1} for the last pair, then x_i
+    e = identity(group.field, group.N)
+    rows = [tuple(a - group.xi ** (eps if i == q * r - 2 else 0) * b for a, b in zip(e[i], e[i + 1]))
+            for block in range(q) for i in range(block * r, block * r + r - 1)]
+    return Subspace(group.field, group.N, rows + list(e[q * r:q * r + l]))
 
 
 def subspace_orbit(group: ComplexReflectionGroup, sub: Subspace, cap: int = 4096) -> dict:
-    moves = [lambda s, m=ginv: s.transform_rows(m) for ginv in group.generator_inverses()]
-    return orbit_walk(sub, moves, cap)
+    """The orbit of sub as {Subspace.key: Subspace}, walked on the tuple of group.lines that vanish on it."""
+    start = tuple(i for i, l in enumerate(group.lines) if all(dot(l, b).is_zero() for b in sub.basis))
+    orbit = flat_members(group.field, group.N, group.lines, orbit_of_subspace(group.line_perms, start, cap))
+    if sub.key not in orbit:
+        raise ValueError(f"{sub!r} is not an intersection of hyperplanes of G({group.m},1,{group.N})")
+    return orbit
 
 
 def direct_ideal_violations(

@@ -273,9 +273,6 @@ class Field:
             return f"Q(sqrt({self.param}))"
         return f"Q(zeta_{self.param})"
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "param": self.param, "degree": self.degree}
-
 
 def _reduced(field: Field, nums: tuple[int, ...], den: int) -> "FieldElement":
     """The element nums/den in normal form: den > 0 and gcd(den, *nums) == 1."""

@@ -14,19 +14,18 @@ DIRECT_ORBIT_LIMIT bounds both.
 The values are exact, so the error is one-sided: a reported violation is
 certain, and a nonzero image, of degree |orbit| - 1, vanishes at the point
 with probability at most (|orbit| - 1) / (2^21 + 1) < 3.1e-5 within the
-limit (Schwartz, J. ACM 27, 1980).  The affine solver and the equation
-renderer take any list of forms h with "h = 1", and the witness routine any
-operator context, so both serve the complex groups G(m,p,N) as well.  The
-solver returns exact affine forms for the pivot weights; text is made only
-for output.
+limit (Schwartz, J. ACM 27, 1980).  The affine solver (solve_affine, in
+the polynomials module) and the equation renderer take any list of forms h
+with "h = 1", and the witness routine any operator context, so both serve
+the complex groups G(m,p,N) as well.  The solver returns exact affine forms
+for the pivot weights, which a stratum keeps; text is made only for output.
 """
 
 from __future__ import annotations
 
 import random
 
-from .fields import Field
-from .linalg import rref, vec_is_zero
+from .linalg import vec_is_zero
 from .polynomials import (
     Polynomial,
     is_divisible_by_linear,
@@ -71,44 +70,9 @@ def criterion_invariant(stratum: Stratum, mults: Multiplicities) -> bool:
     return all(h.evaluate(point) == one for h in invariance_conditions(stratum))
 
 
-def solve_affine(field: Field, names: tuple[str, ...], hs) -> tuple[str, dict[str, Polynomial], list[str]]:
-    """Solve the affine conditions h = 1 for the weights named by names.
-
-    Each h is a polynomial of degree at most one in len(names) variables.
-    Returns (status, values, free): status is "unique", "family",
-    "unconstrained" or "inconsistent"; values maps each pivot weight to an
-    affine polynomial over names in the free weights alone, earlier weights
-    pivoting on later ones; free lists the free weights.
-    """
-    nparams = len(names)
-    if not hs:
-        return "unconstrained", {}, list(names)
-    rows = []
-    for h in hs:
-        row = []
-        for j in range(nparams):
-            exps = tuple(1 if t == j else 0 for t in range(nparams))
-            row.append(h.terms.get(exps, field.zero()))
-        # affine part moves to the right hand side
-        row.append(field.one() - h.constant_term())
-        rows.append(tuple(row))
-    reduced, pivots = rref(tuple(rows))
-    if nparams in pivots:
-        return "inconsistent", {}, []
-    free = [j for j in range(nparams) if j not in pivots]
-    values = {}
-    for r, row in enumerate(reduced):
-        expr = Polynomial.constant(field, nparams, row[-1])
-        for k in free:
-            if not row[k].is_zero():
-                expr = expr - Polynomial.variable(field, nparams, k) * row[k]
-        values[names[pivots[r]]] = expr
-    return ("family" if free else "unique"), values, [names[k] for k in free]
-
-
-def solve_conditions(field: Field, names: tuple[str, ...], hs) -> dict:
-    """solve_affine's answer as JSON text, beside the deduplicated equations."""
-    status, values, free = solve_affine(field, names, hs)
+def solve_conditions(names: tuple[str, ...], hs, solution) -> dict:
+    """solve_affine's solution of the conditions hs as JSON text, beside the deduplicated equations."""
+    status, values, free = solution
     return {
         "equations": _render_equations(names, hs),
         "status": status,
@@ -118,8 +82,8 @@ def solve_conditions(field: Field, names: tuple[str, ...], hs) -> dict:
 
 
 def solve_multiplicities(stratum: Stratum) -> dict:
-    """Solve the linear invariance conditions for the orbit multiplicities."""
-    return solve_conditions(stratum.rs.field, stratum.rs.orbit_names, invariance_conditions(stratum))
+    """The stratum's invariance conditions and their solution, which the stratum computes once, as text."""
+    return solve_conditions(stratum.rs.orbit_names, invariance_conditions(stratum), stratum.solution)
 
 
 # ---------------------------------------------------------------------------

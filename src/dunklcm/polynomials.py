@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from typing import Sequence
 
 from .fields import Field, FieldElement, render_scalar
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, rref
 
 
 class Polynomial:
@@ -343,6 +343,41 @@ def monomials(nvars: int, max_degree: int) -> list[tuple[int, ...]]:
                 e[i] += 1
             out.append(tuple(e))
     return out
+
+
+def solve_affine(field: Field, names: tuple[str, ...], hs) -> tuple[str, dict[str, Polynomial], list[str]]:
+    """Solve the affine conditions h = 1 for the weights named by names.
+
+    Each h is a polynomial of degree at most one in len(names) variables.
+    Returns (status, values, free): status is "unique", "family",
+    "unconstrained" or "inconsistent"; values maps each pivot weight to an
+    affine polynomial over names in the free weights alone, earlier weights
+    pivoting on later ones; free lists the free weights.
+    """
+    nparams = len(names)
+    if not hs:
+        return "unconstrained", {}, list(names)
+    rows = []
+    for h in hs:
+        row = []
+        for j in range(nparams):
+            exps = tuple(1 if t == j else 0 for t in range(nparams))
+            row.append(h.terms.get(exps, field.zero()))
+        # affine part moves to the right hand side
+        row.append(field.one() - h.constant_term())
+        rows.append(tuple(row))
+    reduced, pivots = rref(tuple(rows))
+    if nparams in pivots:
+        return "inconsistent", {}, []
+    free = [j for j in range(nparams) if j not in pivots]
+    values = {}
+    for r, row in enumerate(reduced):
+        expr = Polynomial.constant(field, nparams, row[-1])
+        for k in free:
+            if not row[k].is_zero():
+                expr = expr - Polynomial.variable(field, nparams, k) * row[k]
+        values[names[pivots[r]]] = expr
+    return ("family" if free else "unique"), values, [names[k] for k in free]
 
 
 # -- text form -----------------------------------------------------------------

@@ -16,7 +16,6 @@ line, by summed residues or by exact division.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
@@ -31,7 +30,6 @@ from .rootsystems import (
     root_system,
 )
 from .dunkl import DeformedContext, DunklContext
-from .invariance import solve_multiplicities
 
 
 class Configuration:
@@ -360,20 +358,20 @@ def catalog_stratum(row: dict) -> Stratum:
     return st
 
 
-def catalog_weight(st: Stratum, row: dict) -> str:
-    """The one weight c that the invariance conditions of a row's stratum pin."""
-    solved = solve_multiplicities(st)
-    if solved["status"] != "unique" or list(solved["values"]) != ["c"]:
+def catalog_weight(st: Stratum, row: dict) -> FieldElement:
+    """The one weight c that the invariance conditions of a row's stratum pin, exactly."""
+    status, values, _ = st.solution
+    if status != "unique" or list(values) != ["c"]:
         raise ValueError(f"catalog stratum {row['type']} in {row['family']} does not pin the multiplicity")
-    return solved["values"]["c"]
+    return values["c"].constant_term()
 
 
 def catalog_row_result(row: dict) -> dict:
     """Recomputes one catalog entry at its solved multiplicity."""
     st = catalog_stratum(row)
     rs = st.rs
-    c_text = catalog_weight(st, row)
-    mults = Multiplicities.numeric(rs, {"c": Fraction(c_text)})
+    c = catalog_weight(st, row)
+    mults = Multiplicities.numeric(rs, {"c": c})
     config = restricted_configuration(st, mults)
     # dimension inside the reflection representation, not the coordinate space
     dim = st.subspace.dim - (rs.dim - rs.rank)
@@ -381,7 +379,7 @@ def catalog_row_result(row: dict) -> dict:
         "family": row["family"],
         "type": row["type"],
         "gamma0": row["gamma0"],
-        "c": c_text,
+        "c": render_scalar(c),
         "dim": dim,
         "size": config.size,
         "mults": config.mult_multiset(),

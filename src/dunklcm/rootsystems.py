@@ -8,15 +8,17 @@ root line; every operation downstream is invariant under negating a root,
 so a geometric choice of positive system is never needed.
 
 Subspaces are kept in canonical form (reduced echelon annihilator), but a
-stratum's flat is keyed by the sorted indices of its root lines, which the
-simple reflections permute; only G(m,p,N) orbits keep Subspace keys.
+flat is keyed by the sorted indices of the hyperplanes that contain it,
+which the group permutes: a stratum's root lines, or for G(m,p,N) the
+hyperplanes of G(m,1,N).  flat_members builds the Subspace of each tuple.
 
 Every group orbit is built by one breadth-first walk, orbit_walk: the root
 lines are the orbits of the simple-root lines, whose order of appearance
-also labels the weight orbits, and strata are orbits of line tuples (the
-complex groups walk subspaces with it too).  Parabolic classes are found by
-one search, parabolic_classes, which both the stratum enumeration and the
-command line's --subgraph type lookup consume.
+also labels the weight orbits, and flats are orbits of line tuples under
+a list of line permutations (orbit_of_subspace), real and complex groups
+alike.  Parabolic classes are found by one search, parabolic_classes, which
+both the stratum enumeration and the command line's --subgraph type lookup
+consume.
 
 The weighted Coxeter number of an irreducible set of root lines is computed
 in closed form, (2 / rank) * the sum of the line weights; the tests keep the
@@ -31,11 +33,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
 
 from .fields import Field, FieldElement, render_scalar
 from .linalg import (
-    Matrix,
     Vector,
     dot,
     int_rows,
@@ -47,7 +47,7 @@ from .linalg import (
     vec,
     vec_is_zero,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, solve_affine
 
 ORBIT_CAP_ENV = "DUNKLCM_ORBIT_CAP"
 DEFAULT_ORBIT_CAP = 10 ** 6
@@ -112,12 +112,6 @@ class Subspace:
 
     def reflect(self, alpha: Vector, alpha_norm: FieldElement | None = None) -> "Subspace":
         return Subspace(self.field, self.ambient, [reflect(r, alpha, alpha_norm) for r in self.annihilator])
-
-    def transform_rows(self, matrix_inverse: Matrix) -> "Subspace":
-        """Image under the map whose inverse is given (rows act as covectors)."""
-        cols = tuple(zip(*matrix_inverse))
-        new_rows = [tuple(dot(r, col) for col in cols) for r in self.annihilator]
-        return Subspace(self.field, self.ambient, new_rows)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.key == other.key and self.ambient == other.ambient
@@ -226,20 +220,6 @@ class RootSystem:
 
     def __repr__(self):
         return f"RootSystem({self.family}, {len(self.lines)} root lines)"
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "ambient_dim": self.dim,
-            "field": self.field.descriptor(),
-            "coxeter_number": self.coxeter_number,
-            "positive_roots": len(self.lines),
-            "simple": [[render_scalar(x) for x in s] for s in self.simple],
-            "lines": [[render_scalar(x) for x in l] for l in self.lines],
-            "orbit_names": list(self.orbit_names),
-            "orbit_labels": list(self.orbit_labels),
-        }
 
 
 def _bond_orders(field: Field) -> dict[FieldElement, int]:
@@ -583,9 +563,6 @@ class Multiplicities:
     def is_numeric(self) -> bool:
         return not self.params
 
-    def value(self, orbit_name: str) -> Polynomial:
-        return self.values[orbit_name]
-
     def line_value(self, line_idx: int) -> Polynomial:
         return self.values[self.rs.orbit_names[self.rs.orbit_labels[line_idx]]]
 
@@ -598,14 +575,6 @@ class Multiplicities:
         if not self.is_numeric:
             raise ValueError("numeric multiplicities required")
         return self.values[orbit_name].constant_term()
-
-    def to_json(self) -> dict:
-        from .polynomials import render_polynomial
-
-        return {
-            name: render_polynomial(p, names=self.params or None)
-            for name, p in self.values.items()
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +610,7 @@ class Stratum:
             if self._orbit is None:
                 if rank(self.rs.lines[i] for i in self.lines) != len(self.subspace.annihilator):
                     raise ValueError(f"{self.rs.name} stratum {self.label!r} is not an intersection of mirrors")
-                self._orbit = orbit_of_subspace(self.rs, self.lines, cap)
+                self._orbit = orbit_of_subspace(self.rs.simple_perms, self.lines, cap)
             elif len(self._orbit) > cap:
                 raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
         except OrbitCapExceeded as exc:
@@ -653,8 +622,7 @@ class Stratum:
 
     def members(self, cap: int | None = None) -> dict[tuple, Subspace]:
         """The subspace of each orbit member, annihilated by its lines, keyed by Subspace.key."""
-        subs = (Subspace(self.rs.field, self.rs.dim, [self.rs.lines[i] for i in t]) for t in self.orbit(cap))
-        return {sub.key: sub for sub in subs}
+        return flat_members(self.rs.field, self.rs.dim, self.rs.lines, self.orbit(cap))
 
     def components(self) -> list[tuple[int, ...]]:
         """Vanishing root lines grouped by orthogonality connectivity.
@@ -690,6 +658,11 @@ class Stratum:
         mults = Multiplicities.symbolic(self.rs)
         return tuple(generalized_coxeter_number(self.rs, mults, comp) for comp in self.components())
 
+    @cached_property
+    def solution(self) -> tuple[str, dict[str, Polynomial], list[str]]:
+        """solve_affine's exact (status, pivot weights, free weights) for the conditions, solved once."""
+        return solve_affine(self.rs.field, self.rs.orbit_names, self.conditions)
+
     def ideal_contains(self, f: Polynomial, cap: int | None = None) -> bool:
         """Membership of f in the vanishing ideal of the whole orbit."""
         return all(f.restrict_to(s.basis).is_zero() for s in self.members(cap).values())
@@ -719,7 +692,7 @@ def parabolic_stratum(rs: RootSystem, indices) -> Stratum:
     return Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=label)
 
 
-def orbit_walk(start, moves, cap, key=attrgetter("key")) -> dict:
+def orbit_walk(start, moves, cap, key) -> dict:
     """Breadth-first orbit of start under moves, as a dict key(member) -> member.
 
     The moves must generate the group.  Raises OrbitCapExceeded when the
@@ -742,10 +715,16 @@ def orbit_walk(start, moves, cap, key=attrgetter("key")) -> dict:
     return seen
 
 
-def orbit_of_subspace(rs: RootSystem, lines: tuple[int, ...], cap: int) -> dict[tuple, tuple]:
-    """The orbit of the flat of lines: a step maps them by a simple reflection and sorts them."""
-    moves = [lambda t, p=p: tuple(sorted(p[i] for i in t)) for p in rs.simple_perms]
+def orbit_of_subspace(perms, lines: tuple[int, ...], cap: int) -> dict[tuple, tuple]:
+    """The orbit of the flat of lines under perms, which generate the group: a step maps them by one and sorts them."""
+    moves = [lambda t, p=p: tuple(sorted(p[i] for i in t)) for p in perms]
     return orbit_walk(lines, moves, cap, key=tuple)
+
+
+def flat_members(field: Field, ambient: int, lines, tuples) -> dict[tuple, Subspace]:
+    """The subspace annihilated by the lines of each index tuple, keyed by Subspace.key."""
+    subs = (Subspace(field, ambient, [lines[i] for i in t]) for t in tuples)
+    return {sub.key: sub for sub in subs}
 
 
 def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> Stratum:

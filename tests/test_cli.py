@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from dunklcm import cli, invariance
+from dunklcm import cli, invariance, rootsystems
 from dunklcm.cli import main
+from dunklcm.polynomials import solve_affine
 from dunklcm.restriction import _load_catalog_rows
 from dunklcm.rootsystems import enumerate_parabolic_strata, root_system
 
@@ -68,17 +69,18 @@ def test_orbit_cap_exit(capsys, monkeypatch):
     assert out["capped"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
-    ["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2"],
+@pytest.mark.parametrize("argv,error", [
+    (["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
+     "A3 stratum A1: subspace orbit exceeded cap 2"),
+    (["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2"], "subspace orbit exceeded cap 2"),
 ], ids=["real", "complex"])
-def test_orbit_cap_bounds_the_direct_route(capsys, argv):
+def test_orbit_cap_bounds_the_direct_route(capsys, argv, error):
     # the orbits have 6 and 9 members, inside the direct route's own limits
     code, out = run(capsys, *argv, "--direct")
     assert code == 0
     code, out = run(capsys, *argv, "--direct", "--orbit-cap", "2")
     assert code == 3
-    assert out["capped"] is True
+    assert out == {"capped": True, "error": error}
 
 
 def test_orbit_cap_error_names_the_stratum(capsys):
@@ -539,6 +541,41 @@ def test_verify_rejects_options_its_suite_ignores(capsys, argv, flags):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out["error"] == f"verify {argv[1]} does not use {flags}"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2", "--family", "A", "--rank", "3",
+      "--subgraph", "A1"], "check --group does not use --family, --rank, --subgraph"),
+    (["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2", "--blocks", "1,2", "--zeros", "1"],
+     "check --family does not use --blocks, --zeros"),
+    (["solve", "--family", "A", "--rank", "3", "--subgraph", "A1", "--eps", "1"], "solve --family does not use --eps"),
+    (["solve", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2"], "solve --group does not use --c0"),
+    (["check", "--group", "G(3,3,3)", "--blocks", "1,1", "--eps", "1", "--c0", "1/2"],
+     "a twist needs blocks of at least two coordinates"),
+], ids=["check-group-beside-family", "check-family-beside-shape", "solve-family-beside-twist", "solve-weight",
+        "twist-of-one-coordinate"])
+def test_check_and_solve_reject_options_they_ignore(capsys, argv, error):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out["error"] == error
+
+
+@pytest.mark.parametrize("argv,strata", [
+    (["verify", "gauge", "--family", "F4"], 11),
+    (["restrict", "--family", "H3", "--subgraph", "A1"], 1),
+], ids=["gauge", "restrict"])
+def test_each_stratum_is_solved_once(capsys, monkeypatch, argv, strata):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_affine(*args)
+
+    monkeypatch.setattr(rootsystems, "solve_affine", counted)
+    code = main(argv)
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == strata
 
 
 def test_verify_defaults_are_unchanged(capsys):

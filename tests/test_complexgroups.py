@@ -19,15 +19,16 @@ from dunklcm.complexgroups import (
 )
 from dunklcm.dunkl import DunklContext
 from dunklcm.fields import Field
-from dunklcm.invariance import condition_equations, solve_affine
+from dunklcm.invariance import condition_equations
 from dunklcm.linalg import vec
-from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
-from dunklcm.rootsystems import Multiplicities, block_stratum, root_system
+from dunklcm.polynomials import Polynomial, divide_by_linear, monomials, solve_affine
+from dunklcm.rootsystems import Multiplicities, Subspace, block_stratum, root_system
+from complex_reference import reference_subspace_orbit
+from test_acceptance import COMPLEX_CASES
 
 
 def test_group_basics():
     g = ComplexReflectionGroup(4, 2, 3)
-    assert g.order == 4**3 * 6 // 2
     assert g.diag_order == 2
     assert not g.has_parity_split
     assert g.param_names() == ("c0", "c1")
@@ -48,7 +49,8 @@ def test_group_validation():
 def test_parse_group_name():
     g = parse_group_name("G(6,3,2)")
     assert (g.m, g.p, g.N) == (6, 3, 2)
-    assert parse_group_name(" 3, 3, 3 ").order == 27 * 6 // 3
+    g = parse_group_name(" 3, 3, 3 ")
+    assert (g.m, g.p, g.N) == (3, 3, 3)
     with pytest.raises(ValueError):
         parse_group_name("G(6,4,2)")
 
@@ -215,6 +217,43 @@ def test_orbit_sizes():
     assert len(subspace_orbit(g, collision_subspace(g, 1, 2))) == 9
     assert len(subspace_orbit(g, collision_subspace(g, 1, 3, eps=1))) == 3
     assert len(subspace_orbit(g, collision_subspace(g, 0, 1, l=2))) == 3
+
+
+# every shape of acceptance 9, the p = m shapes with one zero among them (G(3,3,2) and
+# G(4,4,2) with l = 1, G(3,3,3) with q, r, l = 1, 2, 1), which are no intersection of the
+# group's own mirrors; and two shapes of G(4,2,4)
+ORBIT_SHAPES = sorted({(mpn, shape) for mpn, shape, _, _ in COMPLEX_CASES}) + [
+    ((4, 2, 4), (1, 2, 2, 0)),
+    ((4, 2, 4), (2, 2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("mpn,shape", ORBIT_SHAPES,
+                         ids=[f"G{mpn}-qrle{shape}".replace(" ", "") for mpn, shape in ORBIT_SHAPES])
+def test_subspace_orbit_matches_reference(mpn, shape):
+    group = ComplexReflectionGroup(*mpn)
+    sub = collision_subspace(group, *shape)
+    got = subspace_orbit(group, sub)
+    ref = reference_subspace_orbit(group, sub)
+    assert got.keys() == ref.keys()
+    for key, member in got.items():
+        assert (member.annihilator, member.basis) == (ref[key].annihilator, ref[key].basis)
+
+
+def test_group_builds_its_lines_and_permutations_lazily():
+    g = ComplexReflectionGroup(4, 2, 4)
+    assert "lines" not in vars(g) and "line_perms" not in vars(g)
+    subspace_orbit(g, collision_subspace(g, 1, 2))
+    assert len(g.lines) == 4 * 6 + 4
+    assert len(g.line_perms) == 3 + 1 + 1
+    assert all(sorted(perm) == list(range(len(g.lines))) for perm in g.line_perms)
+
+
+def test_subspace_orbit_refuses_a_subspace_off_the_arrangement():
+    g = ComplexReflectionGroup(3, 3, 2)
+    one, two = g.field.one(), g.field.element(2)
+    with pytest.raises(ValueError, match="not an intersection"):
+        subspace_orbit(g, Subspace(g.field, 2, [(one, two)]))
 
 
 def test_condition_texts():

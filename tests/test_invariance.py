@@ -11,9 +11,9 @@ from dunklcm.invariance import (
     invariance_conditions,
     is_invariant_direct,
     order_vanishing_violations,
-    solve_affine,
     solve_multiplicities,
 )
+from dunklcm.polynomials import solve_affine
 from dunklcm.rootsystems import (
     Multiplicities,
     OrbitCapExceeded,

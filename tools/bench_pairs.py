@@ -12,11 +12,15 @@ one seed per pair, the same on both sides.  For every end-to-end metric of
 ``BENCHMARK.json`` it records both sides' values, medians and quartiles, the
 pairs the change won, and whether the gain is clear: won in at least nine
 of ten pairs, with the median better by more than the parent's interquartile
-range.  A row per workload goes into ``--out``, replacing an earlier row of
-the same workload; the file also names the seeds, both revisions and the
-machine.  If one run exits nonzero, the side, the seed and the end of that
-run's stderr are printed and the script exits 1 without writing a row.  Run
-from the root of the repository; standard library only.
+range.  It also records whether the change is within the metric's ``bound``,
+taken as relative (its median no worse than the parent's by more than that
+share), and whether the metric is unresolved: the parent's interquartile
+range, relative to its median, wider than the bound.  A row per workload
+goes into ``--out``, replacing an earlier row of the same workload; the file
+also names the seeds, both revisions and the machine.  If one run exits
+nonzero, the side, the seed and the end of that run's stderr are printed and
+the script exits 1 without writing a row.  Run from the root of the
+repository; standard library only.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ def compare(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict
         wins = sum((a < b) if lower else (a > b) for a, b in zip(after, before))
         p, c = summary(before), summary(after)
         gain = (p["median"] - c["median"]) if lower else (c["median"] - p["median"])
+        bound = metric["bound"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -83,6 +88,8 @@ def compare(metrics: list[dict], parent_runs: list[dict], change_runs: list[dict
             "relative_change": c["median"] / p["median"] - 1,
             "change_wins": wins,
             "clear_gain": wins >= 0.9 * len(before) and gain > p["q3"] - p["q1"],
+            "within_bound": gain >= -bound * p["median"],
+            "unresolved": p["q3"] - p["q1"] > bound * p["median"],
         }
     return out
 
@@ -149,7 +156,7 @@ def main(argv=None) -> int:
     for name, m in row["metrics"].items():
         print(f"{args.workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g} "
               f"({m['relative_change']:+.1%}), change better {m['change_wins']}/{args.pairs}, "
-              f"clear gain {m['clear_gain']}")
+              f"clear gain {m['clear_gain']}, within bound {m['within_bound']}, unresolved {m['unresolved']}")
     return 0
 
 
