@@ -46,7 +46,6 @@ from .rootsystems import (
 )
 from .dunkl import DeformedContext, DunklContext
 from .invariance import (
-    DIRECT_ORBIT_LIMIT,
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
@@ -56,8 +55,6 @@ from .invariance import (
 from .restriction import (
     catalog_compare,
     catalog_row_result,
-    catalog_stratum,
-    catalog_weight,
     conservation_defect,
     deformed_restriction_constant,
     gauge_defects,
@@ -324,20 +321,22 @@ _CATALOG_KEYS = ("index", "family", "type", "gamma0")
 _VERIFY_CATALOG_KEYS = _CATALOG_KEYS + ("dim", "size", "mults")
 
 
-def _golden_rows(path: str | None, keys: tuple[str, ...]) -> list[dict]:
-    """The catalog rows of --golden, else the shipped ones.
+def _golden_results(path: str | None, keys: tuple[str, ...], result) -> list:
+    """result(row) for each catalog row of --golden, else of the shipped ones.
 
     Each row of --golden must hold keys and name a stratum that pins the
-    weight c; a row that does not is a usage error naming the row.
+    weight c; a row that does not, or whose result raises ValueError, is a
+    usage error naming the row.
     """
     if path is None:
-        return _load_catalog_rows()
+        return [result(row) for row in _load_catalog_rows()]
     try:
         rows = _load_catalog_rows(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read catalog rows from {path!r}: {exc}") from None
     if not isinstance(rows, list):
         raise UsageError(f"catalog rows in {path!r} must be a list")
+    out = []
     for pos, row in enumerate(rows, 1):
         if not isinstance(row, dict):
             raise UsageError(f"catalog row #{pos} in {path!r} is not an object")
@@ -351,10 +350,10 @@ def _golden_rows(path: str | None, keys: tuple[str, ...]) -> list[dict]:
         ):
             raise UsageError(f"{where}: family must be a name and gamma0 a list of vertex numbers")
         try:
-            catalog_weight(catalog_stratum(row), row)
+            out.append(result(row))
         except ValueError as exc:
             raise UsageError(f"{where}: {exc}") from None
-    return rows
+    return out
 
 
 def _emit(args, payload: dict, pretty_lines=None) -> None:
@@ -403,7 +402,7 @@ def cmd_check(args) -> int:
         ]
         if ignored:
             raise UsageError(f"--symbolic takes no weights and no --direct; got {', '.join(ignored)}")
-    _stratum_options(args, (*_WEIGHT_FLAGS, "symbolic", "direct"))
+    _stratum_options(args, (*_WEIGHT_FLAGS, "symbolic", "direct", "seed"))
     if args.group:
         return _check_complex(args)
     rs = _root_system(args)
@@ -423,11 +422,9 @@ def cmd_check(args) -> int:
     payload["multiplicities"] = {k: str(v) for k, v in sorted(vals.items())}
     payload["invariant"] = invariant
     if args.direct:
-        limit = min(args.orbit_cap, DIRECT_ORBIT_LIMIT)
-        viol = direct_invariance_violations(st, mults, seed=args.seed, orbit_limit=limit)
+        viol = direct_invariance_violations(st, mults)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
-        payload["seed"] = args.seed
     lines = [
         f"{st.rs.name} [{st.label or 'whole space'}]",
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
@@ -494,11 +491,9 @@ def _check_complex(args) -> int:
     payload["invariant"] = invariant
     if args.direct:
         ctx = ComplexDunklContext.at_weights(group, point)
-        limit = min(args.orbit_cap, DIRECT_ORBIT_LIMIT)
-        viol = direct_ideal_violations(ctx, sub, seed=args.seed, orbit_limit=limit)
+        viol = direct_ideal_violations(ctx, sub)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
-        payload["seed"] = args.seed
     lines = [
         f"{group!r} blocks q={q} r={r} eps={eps} zeros={l}",
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
@@ -585,20 +580,15 @@ def cmd_solve(args) -> int:
     return 0 if solved["status"] != "inconsistent" else 1
 
 
+def _catalog_entry(row: dict) -> dict:
+    """The row's index beside its recomputed catalog fields."""
+    got = catalog_row_result(row)
+    fields = ("family", "type", "gamma0", "dim", "size", "c", "mults")
+    return {"index": row["index"], **{key: got[key] for key in fields}}
+
+
 def cmd_catalog(args) -> int:
-    results = []
-    for row in _golden_rows(args.golden, _CATALOG_KEYS):
-        got = catalog_row_result(row)
-        results.append({
-            "index": row["index"],
-            "family": got["family"],
-            "type": got["type"],
-            "gamma0": got["gamma0"],
-            "dim": got["dim"],
-            "size": got["size"],
-            "c": got["c"],
-            "mults": got["mults"],
-        })
+    results = _golden_results(args.golden, _CATALOG_KEYS, _catalog_entry)
     payload = {"command": "catalog", "rows": results}
     lines = [
         f"{'idx':>3} {'family':6} {'type':14} {'dim':>3} {'lines':>5} {'c':>6}  multiplicities"
@@ -619,24 +609,24 @@ def cmd_catalog(args) -> int:
 
 # the options of the verify parser each suite reads, beside those every command takes
 _VERIFY_READS = {
-    "commutativity": ("family", "rank", "group", *_WEIGHT_FLAGS, "degree", "samples"),
+    "commutativity": ("family", "rank", "group", *_WEIGHT_FLAGS, "degree", "samples", "seed"),
     "gauge": ("family", "rank", "subgraph"),
     "restriction": ("family", "rank", "subgraph", *_WEIGHT_FLAGS, "degree"),
-    "deformed": ("family", "rank", "subgraph", *_WEIGHT_FLAGS, "degree", "k", "l"),
+    "deformed": ("family", "rank", "subgraph", *_WEIGHT_FLAGS, "degree", "seed", "k", "l"),
     "catalog": ("golden",),
 }
-_VERIFY_DEFAULTS = {"degree": 4, "samples": 3, "k": 1, "l": 2}
+_VERIFY_DEFAULTS = {"degree": 4, "samples": 3, "seed": 0, "k": 1, "l": 2}
 
 
 def _verify_options(args) -> None:
     """Rejects options the suite would not read, then fills in its defaults."""
     reads = set(_VERIFY_READS[args.suite])
-    if args.suite == "commutativity":
-        # a group replaces the family; given weights replace the random samples
-        if args.group:
-            reads -= {"family", "rank"}
-        if any(getattr(args, name) is not None for name in _WEIGHT_FLAGS):
-            reads.discard("samples")
+    if args.suite == "commutativity" and args.group:
+        # a group replaces the family
+        reads -= {"family", "rank"}
+    if any(getattr(args, name) is not None for name in _WEIGHT_FLAGS):
+        # given weights replace the random samples
+        reads -= {"samples", "seed"}
     _reject_ignored(args, reads, f"verify {args.suite}")
     for name, value in _VERIFY_DEFAULTS.items():
         if getattr(args, name) is None:
@@ -769,7 +759,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
 
 
 def _verify_catalog(args) -> tuple[dict, int]:
-    results = catalog_compare(_golden_rows(args.golden, _VERIFY_CATALOG_KEYS))
+    results = _golden_results(args.golden, _VERIFY_CATALOG_KEYS, lambda row: catalog_compare([row])[0])
     matched = sum(1 for r in results if r["dim_match"] and r["mults_match"])
     size_diffs = [
         {
@@ -826,7 +816,6 @@ def _add_common(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--pretty", action="store_true", help="human readable output")
     sub.add_argument("--float", action="store_true", help="add approximate decimals, clearly marked")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized witnesses/samples")
     sub.add_argument("--orbit-cap", type=int, default=None, help=f"orbit size cap (else ${ORBIT_CAP_ENV} or 10^6)")
 
 
@@ -875,6 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mults(p)
     p.add_argument("--symbolic", action="store_true", help="print the invariance conditions instead")
     p.add_argument("--direct", action="store_true", help="cross-check with the direct ideal test")
+    p.add_argument("--seed", type=int, default=None, help="accepted and ignored: the direct test draws nothing")
     _add_common(p)
     p.set_defaults(func=cmd_check)
 
@@ -895,6 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None,
                    help=f"max monomial degree for operator identities ({defaults['degree']})")
     p.add_argument("--samples", type=int, default=None, help=f"random multiplicity samples ({defaults['samples']})")
+    p.add_argument("--seed", type=int, default=None, help=f"seed of the random multiplicity samples ({defaults['seed']})")
     p.add_argument("--k", type=int, default=None, help=f"first conserved-power exponent ({defaults['k']})")
     p.add_argument("--l", type=int, default=None, help=f"second conserved-power exponent ({defaults['l']})")
     p.add_argument("--golden", default=None, help="alternate golden catalog JSON")

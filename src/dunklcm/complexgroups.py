@@ -14,9 +14,11 @@ The operator in coordinate i is
 where c(k) is a single weight c0, except for N = 2 with p even, where the
 parity of k is a conjugation invariant and odd k may carry a second weight.
 The pair reflections are handed to the shared operator core of the dunkl
-module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j, and
-the direct ideal test is the one real groups use; only the diagonal term is
-computed here, by lowering exponents: no division.
+module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j; only
+the diagonal term is computed here, by lowering exponents: no division.
+The direct ideal test is the conormal identity real groups use, whose right
+side gains c_1 (m/p) lambda[v] for each coordinate x_v that vanishes on the
+subspace.
 
 A collision subspace is a flat of the G(m,1,N) arrangement x_i = xi^k x_j,
 x_i = 0 (Orlik and Terao, Arrangements of Hyperplanes, 1992), which
@@ -45,7 +47,7 @@ from itertools import combinations
 
 from .dunkl import DunklContext
 from .fields import Field
-from .invariance import DIRECT_ORBIT_LIMIT, _render_equations, witness_violations
+from .invariance import _render_equations, conormal_violations
 from .linalg import Vector, dot, identity, int_rows, line_key, mat_vec
 from .polynomials import Polynomial
 from .rootsystems import Subspace, flat_members, orbit_of_subspace
@@ -162,20 +164,23 @@ class ComplexDunklContext(DunklContext):
                 lowered[key] = coeff * self.cdiag[t - 1] * scale
         return out - Polynomial(self.field, self.nvars, lowered)
 
-    def _point_images(self, p, grad, mirrors) -> list:
-        """The pair-reflection images at p, minus the diagonal term.
+    def conormal_images(self, form, lines) -> list:
+        """The pair-reflection images, minus the diagonal term on each coordinate
+        x_v whose line, one of the last N of group.lines, is in lines.
 
         With d = m/p the term is sum_t c_t d f_t(p) / p_v, where d f_t(p)
         sums eta^(-st) f(p with p_v -> eta^s p_v) over s.  Those maps are in
         the group, so every such value is zero where p_v != 0.  Where p_v = 0
         only the x_v-linear part of f survives the division: f_t / x_v is
-        d_v f(p) for t = 1 and 0 beyond.
+        form[v] = d_v f(p) for t = 1 and 0 beyond.
         """
-        images = super()._point_images(p, grad, mirrors)
+        images = super().conormal_images(form, lines)
         if not self.cdiag or self.cdiag[0].is_zero():
             return images
         weight = self.cdiag[0] * self.field.element(self.group.diag_order)
-        return [x - weight * g if pv.is_zero() else x for x, g, pv in zip(images, grad, p)]
+        first = len(self.group.lines) - self.nx
+        zeros = {r - first for r in lines if r >= first}
+        return [x - weight * form[v] if v in zeros else x for v, x in enumerate(images)]
 
     @classmethod
     def at_weights(cls, group: ComplexReflectionGroup, values: dict) -> "ComplexDunklContext":
@@ -207,27 +212,23 @@ def collision_subspace(group: ComplexReflectionGroup, q: int, r: int, l: int = 0
     return Subspace(group.field, group.N, rows + list(e[q * r:q * r + l]))
 
 
+def _lines_through(group: ComplexReflectionGroup, sub: Subspace) -> tuple[int, ...]:
+    """The indices of the group.lines that vanish on sub: pair mirrors, then the zero coordinates."""
+    return tuple(i for i, l in enumerate(group.lines) if all(dot(l, b).is_zero() for b in sub.basis))
+
+
 def subspace_orbit(group: ComplexReflectionGroup, sub: Subspace, cap: int = 4096) -> dict:
     """The orbit of sub as {Subspace.key: Subspace}, walked on the tuple of group.lines that vanish on it."""
-    start = tuple(i for i, l in enumerate(group.lines) if all(dot(l, b).is_zero() for b in sub.basis))
+    start = _lines_through(group, sub)
     orbit = flat_members(group.field, group.N, group.lines, orbit_of_subspace(group.line_perms, start, cap))
     if sub.key not in orbit:
         raise ValueError(f"{sub!r} is not an intersection of hyperplanes of G({group.m},1,{group.N})")
     return orbit
 
 
-def direct_ideal_violations(
-    ctx: ComplexDunklContext,
-    sub: Subspace,
-    seed: int = 0,
-    orbit_limit: int = DIRECT_ORBIT_LIMIT,
-) -> list:
-    """Same pointwise witness test as in the real case.
-
-    Raises OrbitCapExceeded when the orbit is larger than orbit_limit.
-    """
-    orbit = subspace_orbit(ctx.group, sub, cap=orbit_limit)
-    return witness_violations(ctx, orbit, sub, seed)
+def direct_ideal_violations(ctx: ComplexDunklContext, sub: Subspace) -> list:
+    """The conormal test of the real groups on sub's annihilator, with the hyperplanes of group.lines through sub."""
+    return conormal_violations(ctx, sub.annihilator, _lines_through(ctx.group, sub))
 
 
 # ---------------------------------------------------------------------------

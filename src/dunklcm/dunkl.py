@@ -34,17 +34,13 @@ checks over a monomial basis (commutativity, equivariance, confined
 integrability) run on extend.  Cached images are shared objects that
 callers must not change.
 
-witness_images evaluates T_v f exactly at points of an orbit's members for
-the witness of the direct ideal test, a product f of linear forms that
-vanishes on the whole orbit, without expanding f.  At such a point p,
-f(p) = 0 and f(s_r p) = 0, since s_r p lies on a member too, so D_r f(p)
-vanishes unless alpha_r(p) = 0, where s_r fixes p and D_r f(p) is
-d_{alpha_r^v} f(p):
+conormal_images serves the direct ideal test.  Let X be a member of an
+orbit, p a generic point of X and f in the ideal of the orbit.  Then f(p)
+and f(s_r p) vanish, since s_r p lies on a member too, so D_r f(p) vanishes
+unless X lies in the mirror of r, where s_r fixes p and D_r f(p) is
+d_{alpha_r^v} f(p).  With lambda = df(p), a form that annihilates X,
 
-    T_v f(p) = d_v f(p) - sum_{r: alpha_r(p) = 0} c_r alpha_r(e_v) d_{alpha_r^v} f(p),
-
-every derivative a sum over the forms l_k of l_k(direction) times the
-product of the other l_j(p).
+    T_v f(p) = lambda[v] - sum_{r: X in mirror r} c_r alpha_r[v] lambda(alpha_r^v).
 
 Multiplicities must be numeric here; symbolic parameters only enter the
 linear invariance conditions, never an operator application.
@@ -57,20 +53,6 @@ from itertools import combinations
 from .linalg import reflect, vec
 from .polynomials import Polynomial, add_scaled, monomials
 from .rootsystems import Multiplicities, RootSystem
-
-
-def cofactors(values, one) -> list:
-    """[prod_{j != k} values[j] for each k], from prefix and suffix products."""
-    out = []
-    prefix = one
-    for x in values:
-        out.append(prefix)
-        prefix = prefix * x
-    suffix = one
-    for k in range(len(values) - 1, -1, -1):
-        out[k] = out[k] * suffix
-        suffix = suffix * values[k]
-    return out
 
 
 class DunklContext:
@@ -199,40 +181,25 @@ class DunklContext:
         one = self.field.one()
         return self._combine((self.apply(v, self.apply(v, f)), one) for v in range(self.nx))
 
-    # -- pointwise images of the direct test's witness -----------------------
+    # -- the direct ideal test ----------------------------------------------
 
-    def witness_images(self, forms, points) -> list[list]:
-        """[T_v f(p) for each direction v] for each point p, f = prod_k l_k.
+    def conormal_images(self, form, lines) -> list:
+        """[form[v] - sum_{r in lines} c_r alpha_r[v] form(alpha_r^v)] over the coordinates v.
 
-        Each point must lie on a member of an orbit on which f vanishes (see
-        the module docstring).  Exact field values; reflections of weight
-        zero are skipped.
+        This is T_v f(p) at a generic point p of a flat X, for f in the ideal
+        of X's orbit with df(p) = form, when lines holds the indices of the
+        mirrors that contain X (module docstring).  Indices past the
+        reflections are ignored.
         """
-        field = self.field
-        dot, one = field.dot, field.one()
-        needed = sorted({r for scales in self._scales for r, _ in scales})
-        # l_k(alpha_r^v) per reflection, shared by every point
-        along = {r: [dot(form, self.reflections[r][1]) for form in forms] for r in needed}
-        columns = [[form[v] for form in forms] for v in range(self.nx)]
-        out = []
-        for p in points:
-            cof = cofactors([dot(form, p) for form in forms], one)
-            grad = [dot(column, cof) for column in columns]
-            mirrors = {r: dot(along[r], cof) for r in needed if dot(self.reflections[r][0], p).is_zero()}
-            out.append(self._point_images(p, grad, mirrors))
-        return out
-
-    def _point_images(self, p, grad, mirrors) -> list:
-        """T_v f(p) per direction from grad[v] = d_v f(p) and, for each
-        reflection r whose mirror holds p, mirrors[r] = d_{alpha_r^v} f(p)."""
         dot = self.field.dot
+        along = {r: dot(form, coroot) for r, (_, coroot, _) in enumerate(self.reflections) if r in lines}
         return [
-            g - dot((s for r, s in scales if r in mirrors), (mirrors[r] for r, _ in scales if r in mirrors))
-            for g, scales in zip(grad, self._scales)
+            form[v] - dot([s for r, s in scales if r in along], [along[r] for r, _ in scales if r in along])
+            for v, scales in enumerate(self._scales)
         ]
 
     def commutativity_violations(self, max_degree: int, pairs=None) -> list:
-        """Monomial witnesses with a nonzero commutator, empty when commuting."""
+        """(monomial, i, j) for each nonzero commutator [T_i, T_j] on a monomial, empty when commuting."""
         if pairs is None:
             pairs = list(combinations(range(self.nx), 2))
         bad = []

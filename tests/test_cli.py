@@ -5,11 +5,11 @@ import sys
 
 import pytest
 
-from dunklcm import cli, invariance, rootsystems
+from dunklcm import cli, invariance, restriction, rootsystems
 from dunklcm.cli import main
 from dunklcm.polynomials import solve_affine
 from dunklcm.restriction import _load_catalog_rows
-from dunklcm.rootsystems import enumerate_parabolic_strata, root_system
+from dunklcm.rootsystems import enumerate_parabolic_strata, parabolic_stratum, root_system
 
 
 def run(capsys, *argv):
@@ -45,7 +45,7 @@ def test_check_direct_routes_agree(capsys):
     code, out = run(capsys, "check", "--family", "B", "--rank", "3", "--subgraph", "A1:2", "--c1", "1/3", "--c2", "1/2", "--direct")
     assert code == 0
     assert out["routes_agree"] is True
-    assert out["seed"] == 0
+    assert "seed" not in out
     assert out["stratum"]["gamma0"] == [3]
 
 
@@ -69,23 +69,19 @@ def test_orbit_cap_exit(capsys, monkeypatch):
     assert out["capped"] is True
 
 
-@pytest.mark.parametrize("argv,error", [
-    (["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
-     "A3 stratum A1: subspace orbit exceeded cap 2"),
-    (["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2"], "subspace orbit exceeded cap 2"),
+@pytest.mark.parametrize("argv", [
+    ["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
+    ["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2"],
 ], ids=["real", "complex"])
-def test_orbit_cap_bounds_the_direct_route(capsys, argv, error):
-    # the orbits have 6 and 9 members, inside the direct route's own limits
-    code, out = run(capsys, *argv, "--direct")
-    assert code == 0
+def test_orbit_cap_does_not_stop_the_direct_route(capsys, argv):
+    # the orbits have 6 and 9 members; the direct test walks none of them
     code, out = run(capsys, *argv, "--direct", "--orbit-cap", "2")
-    assert code == 3
-    assert out == {"capped": True, "error": error}
+    assert code == 0
+    assert out["direct_invariant"] is True and out["routes_agree"] is True
 
 
 def test_orbit_cap_error_names_the_stratum(capsys):
-    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2",
-                    "--direct", "--orbit-cap", "3")
+    code, out = run(capsys, "verify", "gauge", "--family", "A", "--rank", "3", "--orbit-cap", "3")
     assert code == 3
     assert out == {"capped": True, "error": "A3 stratum A1: subspace orbit exceeded cap 3"}
 
@@ -119,13 +115,13 @@ def test_check_complex_group(capsys):
     code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2")
     assert code == 0
     assert out["equations"] == ["2*c0 = 1"]
-    assert "seed" not in out
     code, _ = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/3")
     assert code == 1
+    # --seed is accepted and has no effect
     code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2", "--direct", "--seed", "7")
     assert code == 0
     assert out["routes_agree"] is True
-    assert out["seed"] == 7
+    assert "seed" not in out
 
 
 def test_solve_zeros_in_d(capsys):
@@ -237,6 +233,18 @@ def test_catalog_command(capsys, tmp_path):
     assert len(rows) == 41
     stored = {r["index"]: r for r in _load_catalog_rows()}
     assert all(r["dim"] == stored[r["index"]]["dim"] and r["mults"] == stored[r["index"]]["mults"] for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--seed", "9"],
+    ["solve", "--family", "A", "--rank", "3", "--subgraph", "A1", "--seed", "2"],
+    ["restrict", "--family", "A", "--rank", "3", "--subgraph", "A1", "--seed", "2"],
+], ids=["catalog", "solve", "restrict"])
+def test_commands_without_randomness_reject_seed(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_jobs_flag_is_gone(capsys):
@@ -465,6 +473,24 @@ def test_golden_row_faults_are_usage_errors(capsys, tmp_path, command, fault, me
     assert out["error"].startswith(message.format(path=str(golden)))
 
 
+@pytest.mark.parametrize("command", [["catalog"], ["verify", "catalog"]], ids=["catalog", "verify-catalog"])
+def test_golden_rows_are_built_once(capsys, monkeypatch, tmp_path, command):
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps({"rows": _load_catalog_rows()[:5]}))
+    built = []
+
+    def counted(rs, gamma0):
+        built.append((rs.name, gamma0))
+        return parabolic_stratum(rs, gamma0)
+
+    # catalog_stratum builds each row's stratum through parabolic_stratum
+    monkeypatch.setattr(restriction, "parabolic_stratum", counted)
+    code = main([*command, "--golden", str(golden)])
+    capsys.readouterr()
+    assert code == 0
+    assert len(built) == 5
+
+
 def test_shipped_catalog_fault_stays_internal(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_load_catalog_rows", lambda: [dict(GOLDEN_ROW, family="Q8")])
     code, out = run(capsys, "catalog")
@@ -535,8 +561,15 @@ def test_resolve_subgraph_names_every_enumerated_class(family, rank_):
     (["verify", "restriction", "--family", "A", "--rank", "3", "--subgraph", "A1", "--l", "3"], "--l"),
     (["verify", "deformed", "--family", "A", "--rank", "3", "--zeros", "1", "--eps", "0"], "--zeros, --eps"),
     (["verify", "catalog", "--family", "E6", "--golden", "x.json"], "--family"),
+    (["verify", "gauge", "--family", "A", "--rank", "3", "--seed", "9"], "--seed"),
+    (["verify", "restriction", "--family", "A", "--rank", "3", "--subgraph", "A1", "--seed", "0"], "--seed"),
+    (["verify", "catalog", "--seed", "9"], "--seed"),
+    (["verify", "commutativity", "--family", "A", "--rank", "3", "--c", "1/2", "--seed", "2"], "--seed"),
+    (["verify", "deformed", "--family", "A", "--rank", "3", "--c", "1/2", "--seed", "2"], "--seed"),
 ], ids=["gauge-degree", "gauge-weights", "samples-beside-weights", "family-beside-group",
-        "commutativity-subgraph", "restriction-l", "deformed-group-shape", "catalog-family"])
+        "commutativity-subgraph", "restriction-l", "deformed-group-shape", "catalog-family",
+        "gauge-seed", "restriction-seed", "catalog-seed", "seed-beside-commutativity-weights",
+        "seed-beside-deformed-weights"])
 def test_verify_rejects_options_its_suite_ignores(capsys, argv, flags):
     code, out = run(capsys, *argv)
     assert code == 2
@@ -583,6 +616,10 @@ def test_verify_defaults_are_unchanged(capsys):
     assert code == 0 and len(out["samples"]) == 3
     code, out = run(capsys, "verify", "deformed", "--family", "A", "--rank", "2", "--c", "1/3")
     assert code == 0 and out["degree"] == 4 and out["powers"] == [1, 2]
+    # the sample seed defaults to 0
+    for suite in ("commutativity", "deformed"):
+        argv = ["verify", suite, "--family", "A", "--rank", "2", "--degree", "1"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", "0") != run(capsys, *argv, "--seed", "1")
 
 
 @pytest.mark.parametrize("degree,checked", [("0", [2]), ("1", [2]), ("2", [2]), ("5", [2, 4])])

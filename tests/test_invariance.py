@@ -16,7 +16,6 @@ from dunklcm.invariance import (
 from dunklcm.polynomials import solve_affine
 from dunklcm.rootsystems import (
     Multiplicities,
-    OrbitCapExceeded,
     block_stratum,
     enumerate_parabolic_strata,
     generalized_coxeter_number,
@@ -64,12 +63,15 @@ def test_direct_route_mixed_orbits():
     assert not is_invariant_direct(st, off)
 
 
-def test_direct_route_respects_orbit_limit():
-    rs = root_system("B", 3)
-    st = parabolic_stratum(rs, (0,))
-    mults = Multiplicities.numeric(rs, {"c1": Fraction(1, 2), "c2": Fraction(1, 2)})
-    with pytest.raises(OrbitCapExceeded):
-        direct_invariance_violations(st, mults, orbit_limit=2)
+def test_direct_route_walks_no_orbit(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the direct route walked an orbit")
+
+    monkeypatch.setattr(rootsystems, "orbit_of_subspace", no_walk)
+    rs = root_system("E8")
+    st = parabolic_stratum(rs, (1, 2, 3, 4))  # D4, far past any orbit a test could walk
+    assert direct_invariance_violations(st, Multiplicities.numeric(rs, Fraction(1, 6))) == []
+    assert direct_invariance_violations(st, Multiplicities.numeric(rs, Fraction(1, 5)))
 
 
 def _criterion_strata():
