@@ -12,8 +12,8 @@ solve     solve the invariance conditions for the multiplicities
 
 Everything is exact; JSON output is deterministic (sorted keys).  Exit
 codes: 0 success or invariant, 1 definitive negative, 2 usage error,
-3 infeasible or orbit cap exceeded, 4 internal failure (stderr carries
-{"error": ..., "internal": true}).
+3 infeasible (a stratum with no invariant weights), 4 internal failure
+(stderr carries {"error": ..., "internal": true}).
 """
 
 from __future__ import annotations
@@ -31,13 +31,10 @@ from fractions import Fraction
 from .fields import Field, render_scalar
 from .polynomials import render_polynomial, solve_affine
 from .rootsystems import (
-    ORBIT_CAP_ENV,
     Multiplicities,
-    OrbitCapExceeded,
     Stratum,
     Subspace,
     block_stratum,
-    default_orbit_cap,
     enumerate_parabolic_strata,
     parabolic_classes,
     parabolic_stratum,
@@ -158,7 +155,7 @@ def _parse_opts(text: str) -> dict:
     return opts
 
 
-def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
+def resolve_subgraph(rs, text: str) -> Stratum:
     text = (text or "").strip()
     if not text:
         return Stratum(rs, Subspace(rs.field, rs.dim, []), gamma0=(), label="")
@@ -194,7 +191,7 @@ def resolve_subgraph(rs, text: str, cap: int | None = None) -> Stratum:
         raise UsageError(f"type {canonical} needs {size} vertices; rank is {rs.rank}")
     variant = opts.get("variant", 1)
     found = 0
-    for found, st in enumerate(parabolic_classes(rs, size, label=canonical, cap=cap), 1):
+    for found, st in enumerate(parabolic_classes(rs, size, label=canonical), 1):
         if found == variant:
             if variant > 1:
                 st.label = f"{canonical}:{variant}"
@@ -251,7 +248,7 @@ def _root_system(args):
 
 def _stratum(rs, args) -> Stratum:
     """The stratum named by --subgraph."""
-    return _from_user(resolve_subgraph, rs, args.subgraph, args.orbit_cap)
+    return _from_user(resolve_subgraph, rs, args.subgraph)
 
 
 def _instantiate_solution(st, offset: int = 0) -> Multiplicities:
@@ -292,15 +289,6 @@ def _approx(text: str):
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
         return None
-
-
-def _orbit_cap(flag: int | None) -> int:
-    """The cap every orbit search of one command gets: --orbit-cap, else $DUNKLCM_ORBIT_CAP, else 10^6."""
-    if flag is None:
-        return _from_user(default_orbit_cap)
-    if flag < 1:
-        raise UsageError(f"--orbit-cap must be a positive integer, got {flag}")
-    return flag
 
 
 def _reject_ignored(args, reads, what: str) -> None:
@@ -672,7 +660,7 @@ def _verify_gauge(args) -> tuple[dict, int]:
     if args.subgraph:
         strata = [_stratum(rs, args)]
     else:
-        strata = enumerate_parabolic_strata(rs, cap=args.orbit_cap)
+        strata = enumerate_parabolic_strata(rs)
     rows = []
     failures = 0
     for offset, st in enumerate(strata):
@@ -816,7 +804,6 @@ def _add_common(sub):
     sub.add_argument("--out", help="write output to this file instead of stdout")
     sub.add_argument("--pretty", action="store_true", help="human readable output")
     sub.add_argument("--float", action="store_true", help="add approximate decimals, clearly marked")
-    sub.add_argument("--orbit-cap", type=int, default=None, help=f"orbit size cap (else ${ORBIT_CAP_ENV} or 10^6)")
 
 
 @functools.cache
@@ -910,14 +897,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.orbit_cap = _orbit_cap(args.orbit_cap)
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
-    except OrbitCapExceeded as exc:
-        print(json.dumps({"error": str(exc), "capped": True}, sort_keys=True), file=sys.stderr)
-        return 3
     except Exception as exc:  # a fault of the program, not of its input
         report = {"error": f"{type(exc).__name__}: {exc}", "internal": True,
                   "traceback": traceback.format_exc()}

@@ -12,13 +12,14 @@ flat is keyed by the sorted indices of the hyperplanes that contain it,
 which the group permutes: a stratum's root lines, or for G(m,p,N) the
 hyperplanes of G(m,1,N).  flat_members builds the Subspace of each tuple.
 
-Every group orbit is built by one breadth-first walk, orbit_walk: the root
+Every orbit is built by one breadth-first walk, orbit_walk: the root
 lines are the orbits of the simple-root lines, whose order of appearance
 also labels the weight orbits, and flats are orbits of line tuples under
 a list of line permutations (orbit_of_subspace), real and complex groups
-alike.  Parabolic classes are found by one search, parabolic_classes, which
-both the stratum enumeration and the command line's --subgraph type lookup
-consume.
+alike.  Parabolic classes are decided on the Coxeter diagram alone, by
+Deodhar's moves between subsets of the simple roots (parabolic_classes),
+which both the stratum enumeration and the command line's --subgraph type
+lookup consume; no command walks the orbit of a flat.
 
 The weighted Coxeter number of an irreducible set of root lines is computed
 in closed form, (2 / rank) * the sum of the line weights; the tests keep the
@@ -28,10 +29,9 @@ weighted root form itself as the oracle it is checked against.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 from .fields import Field, FieldElement, render_scalar
@@ -49,26 +49,9 @@ from .linalg import (
 )
 from .polynomials import Polynomial, solve_affine
 
-ORBIT_CAP_ENV = "DUNKLCM_ORBIT_CAP"
-DEFAULT_ORBIT_CAP = 10 ** 6
-
 
 class OrbitCapExceeded(RuntimeError):
     """Raised when a subspace orbit grows past the configured cap."""
-
-
-def default_orbit_cap() -> int:
-    """$DUNKLCM_ORBIT_CAP if set, else 10^6; a malformed or nonpositive value is an error."""
-    raw = os.environ.get(ORBIT_CAP_ENV)
-    if not raw:
-        return DEFAULT_ORBIT_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{ORBIT_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _vec_key(v: Vector) -> tuple:
@@ -122,13 +105,6 @@ class Subspace:
     def __repr__(self):
         rows = "; ".join(",".join(render_scalar(x) for x in r) for r in self.annihilator)
         return f"Subspace(dim={self.dim}, rows=[{rows}])"
-
-    def to_json(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "dim": self.dim,
-            "annihilator": [[render_scalar(x) for x in r] for r in self.annihilator],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +361,17 @@ def classify_indices(rs: RootSystem, indices: tuple[int, ...]) -> list[tuple[str
     Returns (type letter, parameter, vertex tuple) per component, where the
     pair is e.g. ("A", 3), ("B", 2), ("I", 5), ("E", 7).
     """
+    out = [comp[:3] for comp in _diagram_components(rs, indices)]
+    out.sort()
+    return out
+
+
+def _diagram_components(rs: RootSystem, indices) -> list[tuple[str, int, tuple[int, ...], dict[int, int]]]:
+    """(type letter, parameter, vertex tuple, opposition) per component of the induced subgraph.
+
+    The opposition maps each vertex that the component's involution -w_0
+    moves to its image; the vertices it fixes are absent.
+    """
     indices = tuple(sorted(set(indices)))
     for i in indices:
         if not 0 <= i < rs.rank:
@@ -413,14 +400,19 @@ def classify_indices(rs: RootSystem, indices: tuple[int, ...]) -> list[tuple[str
                     comp.append(w)
                     stack.append(w)
         out.append(_classify_component(tuple(sorted(comp)), adj, bonds))
-    out.sort(key=lambda t: (t[0], t[1], t[2]))
     return out
 
 
-def _classify_component(verts: tuple[int, ...], adj, bonds) -> tuple[str, int, tuple[int, ...]]:
+def _classify_component(verts: tuple[int, ...], adj, bonds) -> tuple[str, int, tuple[int, ...], dict[int, int]]:
+    """The type of one connected component, and its opposition involution.
+
+    -w_0 reverses a path of type A and the two nodes of I2(m) for odd m,
+    swaps the fork leaves of D_n for odd n and the two long legs of E6, and
+    fixes every node of the other types.
+    """
     n = len(verts)
     if n == 1:
-        return ("A", 1, verts)
+        return ("A", 1, verts, {})
     degs = {v: len([w for w in adj[v] if w in verts]) for v in verts}
     if any(d > 3 for d in degs.values()):
         raise ValueError("subgraph has a vertex of degree > 3; not a parabolic type in scope")
@@ -434,52 +426,55 @@ def _classify_component(verts: tuple[int, ...], adj, bonds) -> tuple[str, int, t
         while len(order) < n:
             nxt = [w for w in adj[order[-1]] if w in verts and (len(order) < 2 or w != order[-2])]
             order.append(nxt[0])
+        reverse = dict(zip(order, reversed(order)))
         seq = [bonds[(order[i], order[i + 1])] for i in range(n - 1)]
         if all(m == 3 for m in seq):
-            return ("A", n, verts)
+            return ("A", n, verts, reverse)
         if len([m for m in seq if m > 3]) != 1:
             raise ValueError("subgraph has several marked bonds; not a parabolic type in scope")
         pos = next(i for i, m in enumerate(seq) if m > 3)
         mm = seq[pos]
         if n == 2:
             if mm == 4:
-                return ("B", 2, verts)
+                return ("B", 2, verts, {})
             if mm == 6:
-                return ("G", 2, verts)
-            return ("I", mm, verts)
+                return ("G", 2, verts, {})
+            return ("I", mm, verts, reverse if mm % 2 else {})
         if pos in (0, n - 2):
             if mm == 4:
-                return ("B", n, verts)
+                return ("B", n, verts, {})
             if mm == 5 and n in (3, 4):
-                return ("H", n, verts)
+                return ("H", n, verts, {})
             raise ValueError(f"unrecognized marked path of order {mm}")
         if mm == 4 and n == 4:
-            return ("F", 4, verts)
+            return ("F", 4, verts, {})
         raise ValueError("marked bond in the interior of a path; only F4 is in scope")
     if len(branch) == 1 and not high:
         b = branch[0]
-        legs = []
+        legs = []  # the vertices of each leg, outward from the branch node
         for w in adj[b]:
             if w not in verts:
                 continue
-            length = 1
-            prev, cur = b, w
+            leg = [w]
+            prev = b
             while True:
-                nxt = [u for u in adj[cur] if u in verts and u != prev]
+                nxt = [u for u in adj[leg[-1]] if u in verts and u != prev]
                 if not nxt:
                     break
-                prev, cur = cur, nxt[0]
-                length += 1
-            legs.append(length)
-        legs.sort()
-        if legs[:2] == [1, 1]:
-            return ("D", n, verts)
-        if legs == [1, 2, 2]:
-            return ("E", 6, verts)
-        if legs == [1, 2, 3]:
-            return ("E", 7, verts)
-        if legs == [1, 2, 4]:
-            return ("E", 8, verts)
+                prev = leg[-1]
+                leg.append(nxt[0])
+            legs.append(leg)
+        legs.sort(key=len)
+        short, middle, long_ = legs
+        lengths = [len(leg) for leg in legs]
+        if lengths[:2] == [1, 1]:
+            return ("D", n, verts, dict(zip(short + middle, middle + short)) if n % 2 else {})
+        if lengths == [1, 2, 2]:
+            return ("E", 6, verts, dict(zip(middle + long_, long_ + middle)))
+        if lengths == [1, 2, 3]:
+            return ("E", 7, verts, {})
+        if lengths == [1, 2, 4]:
+            return ("E", 8, verts, {})
     raise ValueError("subgraph component is not a parabolic type in scope")
 
 
@@ -600,29 +595,6 @@ class Stratum:
         basis = int_rows(subspace.basis)
         self.line_keys = tuple(line_key(field, [field.int_dot(b, l) for b in basis]) for l in rs.int_lines)
         self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
-        self._orbit: dict[tuple, tuple] | None = None
-
-    def orbit(self, cap: int | None = None) -> dict[tuple, tuple]:
-        """The orbit as {line tuple: line tuple}, computed once; the cap holds for the cached orbit too."""
-        if cap is None:
-            cap = default_orbit_cap()
-        try:
-            if self._orbit is None:
-                if rank(self.rs.lines[i] for i in self.lines) != len(self.subspace.annihilator):
-                    raise ValueError(f"{self.rs.name} stratum {self.label!r} is not an intersection of mirrors")
-                self._orbit = orbit_of_subspace(self.rs.simple_perms, self.lines, cap)
-            elif len(self._orbit) > cap:
-                raise OrbitCapExceeded(f"subspace orbit exceeded cap {cap}")
-        except OrbitCapExceeded as exc:
-            raise OrbitCapExceeded(f"{self.rs.name} stratum {self.label}: {exc}") from None
-        return self._orbit
-
-    def orbit_size(self, cap: int | None = None) -> int:
-        return len(self.orbit(cap))
-
-    def members(self, cap: int | None = None) -> dict[tuple, Subspace]:
-        """The subspace of each orbit member, annihilated by its lines, keyed by Subspace.key."""
-        return flat_members(self.rs.field, self.rs.dim, self.rs.lines, self.orbit(cap))
 
     def components(self) -> list[tuple[int, ...]]:
         """Vanishing root lines grouped by orthogonality connectivity.
@@ -654,30 +626,23 @@ class Stratum:
         """The weighted Coxeter number of each component, an affine form over rs.orbit_names.
 
         The stratum's ideal is invariant exactly where every form equals 1.
+        Raises ValueError when the subspace is not the flat of its lines.
         """
         mults = Multiplicities.symbolic(self.rs)
-        return tuple(generalized_coxeter_number(self.rs, mults, comp) for comp in self.components())
+        comps = self.components()
+        forms = tuple(generalized_coxeter_number(self.rs, mults, comp) for comp in comps)
+        # a form is 2 |lines| / rank at unit weights, which gives back the rank it took; the
+        # components are orthogonal, so on a flat their ranks add up to the codimension
+        unit = (self.rs.field.one(),) * len(mults.params)
+        ranks = sum(2 * len(comp) / h.evaluate(unit).as_fraction() for comp, h in zip(comps, forms))
+        if ranks != len(self.subspace.annihilator):
+            raise ValueError(f"{self.rs.name} stratum {self.label!r} is not an intersection of mirrors")
+        return forms
 
     @cached_property
     def solution(self) -> tuple[str, dict[str, Polynomial], list[str]]:
         """solve_affine's exact (status, pivot weights, free weights) for the conditions, solved once."""
         return solve_affine(self.rs.field, self.rs.orbit_names, self.conditions)
-
-    def ideal_contains(self, f: Polynomial, cap: int | None = None) -> bool:
-        """Membership of f in the vanishing ideal of the whole orbit."""
-        return all(f.restrict_to(s.basis).is_zero() for s in self.members(cap).values())
-
-    def to_json(self) -> dict:
-        data = {
-            "family": self.rs.family,
-            "label": self.label,
-            "subspace": self.subspace.to_json(),
-        }
-        if self.gamma0 is not None:
-            data["gamma0"] = [i + 1 for i in self.gamma0]
-        if self._orbit is not None:
-            data["orbit_size"] = len(self._orbit)
-        return data
 
 
 def parabolic_subspace(rs: RootSystem, indices) -> Subspace:
@@ -778,45 +743,55 @@ def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> S
     return Stratum(rs, Subspace(field, n_coords, rows), gamma0=None, label=label)
 
 
-def parabolic_classes(rs: RootSystem, size: int, label: str | None = None, cap: int | None = None):
+def parabolic_classes(rs: RootSystem, size: int, label: str | None = None):
     """One new Stratum per group-orbit class of the size-subsets of the simple roots.
 
-    Subsets run in lex order, and only those of type label when it is given.
-    A subset starts a new class unless its lines lie in the orbit of an
-    earlier class of its type, so the orbit of a class is built only when a
-    later subset of that type is compared with it.  Each class is labelled
-    with its unsuffixed type.
+    Subsets I and J are conjugate exactly when a chain of Deodhar's moves
+    I -> (I + {s}) - {opp(s)} joins them, for s not in I and opp the
+    opposition involution of the component of I + {s} that holds s
+    (Deodhar, Comm. Algebra 10, 1982; Howlett, J. London Math. Soc. 21,
+    1980).  Subsets run in lex order, and only those of type label when it
+    is given.  A subset starts a new class unless the moves reach it from an
+    earlier one; each move is undone by another, so a class is the closure
+    of its first subset, walked only when a later subset is asked for.
+    Each class is labelled with its unsuffixed type.
     """
-    by_type: dict[str, list[Stratum]] = {}
+    moves = [partial(_deodhar_move, rs, s) for s in range(rs.rank)]
+    seen: set[tuple[int, ...]] = set()
     for indices in combinations(range(rs.rank), size):
+        if indices in seen:
+            continue
         try:
             name = subgraph_type_name(classify_indices(rs, indices))
         except ValueError:
             continue
         if label is not None and name != label:
             continue
-        st = Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=name)
-        bucket = by_type.setdefault(name, [])
-        if any(st.lines in other.orbit(cap) for other in bucket):
-            continue
-        bucket.append(st)
-        yield st
+        yield Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=name)
+        seen.update(orbit_walk(indices, moves, math.inf, key=tuple))
 
 
-def enumerate_parabolic_strata(rs: RootSystem, max_size: int | None = None, cap: int | None = None) -> list[Stratum]:
+def _deodhar_move(rs: RootSystem, s: int, indices: tuple[int, ...]) -> tuple[int, ...]:
+    """(indices + {s}) - {opp(s)}, the subset conjugate to indices by w_0 of the grown set times w_0 of indices."""
+    if s in indices:
+        return indices
+    grown = tuple(sorted((*indices, s)))
+    opposite = next(opp for _, _, verts, opp in _diagram_components(rs, grown) if s in verts)
+    return tuple(i for i in grown if i != opposite.get(s, s))
+
+
+def enumerate_parabolic_strata(rs: RootSystem, max_size: int | None = None) -> list[Stratum]:
     """Distinct strata from nonempty subsets of the simple roots.
 
     The classes of each size come from parabolic_classes, in (size, lex)
-    order of their first subsets, and the orbit of each is computed.  A type
-    with several classes gets the suffixes :1, :2, ... in that order.
+    order of their first subsets.  A type with several classes gets the
+    suffixes :1, :2, ... in that order.
     """
     if max_size is None:
         max_size = rs.rank
     out = []
     for size in range(1, max_size + 1):
-        for st in parabolic_classes(rs, size, cap=cap):
-            st.orbit(cap)
-            out.append(st)
+        out.extend(parabolic_classes(rs, size))
     # mark doubled types with variant suffixes
     counts: dict[str, int] = {}
     for st in out:

@@ -11,6 +11,13 @@ reference_orbit walks the orbit of a subspace the slow way, by reflecting
 its annihilator rows and re-reducing them, where the program walks the
 sorted indices of its root lines.
 
+reference_parabolic_classes decides the orbit classes of subsets of the
+simple roots the old way, by walking the orbit of an earlier class's flat
+(orbit_of_subspace under the simple reflections) and looking the later
+subset's root lines up in it, where the program applies Deodhar's moves on
+the Coxeter diagram.  reference_parabolic_strata labels every class of every
+size with the program's :k suffixes of doubled types.
+
 reference_coxeter_number builds the weighted root form
 sum_alpha c_alpha (alpha,u)(alpha,v)/(alpha,alpha) as a matrix on a basis
 of the span of the lines and checks entry by entry that it is h times the
@@ -19,8 +26,14 @@ scalar product, where the program takes the trace in closed form.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from functools import cache
+from itertools import combinations
+
 from dunklcm.linalg import dot, gram, reflect, rref
 from dunklcm.polynomials import Polynomial
+from dunklcm.rootsystems import classify_indices, orbit_of_subspace, parabolic_stratum, subgraph_type_name
 
 
 def _key(v) -> tuple:
@@ -126,3 +139,42 @@ def reference_orbit(rs, sub) -> dict:
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def reference_parabolic_classes(rs, size: int, label: str | None = None):
+    """(subset, type) per orbit class of the size-subsets of the simple roots.
+
+    Subsets run in lex order, and only those of type label when it is given.
+    A subset starts a new class unless its lines lie in the orbit of an
+    earlier class of its type; that orbit is walked the first time a later
+    subset is compared with it.
+    """
+    orbit = cache(lambda lines: orbit_of_subspace(rs.simple_perms, lines, math.inf))
+    firsts: dict[str, list[tuple[int, ...]]] = {}
+    for indices in combinations(range(rs.rank), size):
+        try:
+            name = subgraph_type_name(classify_indices(rs, indices))
+        except ValueError:
+            continue
+        if label is not None and name != label:
+            continue
+        lines = parabolic_stratum(rs, indices).lines
+        bucket = firsts.setdefault(name, [])
+        if any(lines in orbit(first) for first in bucket):
+            continue
+        bucket.append(lines)
+        yield indices, name
+
+
+def reference_parabolic_strata(rs) -> list[tuple[tuple[int, ...], str]]:
+    """(subset, label) of every class of every size, a doubled type suffixed :1, :2, ... in order."""
+    found = [c for size in range(1, rs.rank + 1) for c in reference_parabolic_classes(rs, size)]
+    counts = Counter(name for _, name in found)
+    seen: Counter = Counter()
+    out = []
+    for indices, name in found:
+        if counts[name] > 1:
+            seen[name] += 1
+            name = f"{name}:{seen[name]}"
+        out.append((indices, name))
+    return out

@@ -32,7 +32,6 @@ from dunklcm.restriction import (
 )
 from dunklcm.rootsystems import (
     Multiplicities,
-    OrbitCapExceeded,
     block_stratum,
     enumerate_parabolic_strata,
     generalized_coxeter_number,
@@ -97,10 +96,6 @@ def test_criterion_03_direct_test_matches_criterion():
     for fam, rank_ in (("A", 3), ("B", 3), ("G2", None)):
         rs = root_system(fam, rank_)
         for st in enumerate_parabolic_strata(rs):
-            try:
-                st.orbit(cap=24)
-            except OrbitCapExceeded:
-                continue
             solved = solve_multiplicities(st)
             if solved["status"] == "inconsistent":
                 continue

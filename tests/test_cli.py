@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from dunklcm import cli, invariance, restriction, rootsystems
+from dunklcm import cli, complexgroups, invariance, restriction, rootsystems
 from dunklcm.cli import main
 from dunklcm.polynomials import solve_affine
 from dunklcm.restriction import _load_catalog_rows
@@ -61,29 +61,51 @@ def test_unknown_subgraph_type(capsys):
     assert "error" in out
 
 
-def test_orbit_cap_exit(capsys, monkeypatch):
-    # the flag wins over a larger cap in the environment
-    monkeypatch.setenv("DUNKLCM_ORBIT_CAP", "1000000")
-    code, out = run(capsys, "check", "--family", "E7", "--subgraph", "A1^3:2", "--c", "1/2", "--orbit-cap", "10")
-    assert code == 3
-    assert out["capped"] is True
+def test_orbit_cap_exit(capsys):
+    # no command walks an orbit, so there is no cap to give: the flag is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--family", "E7", "--subgraph", "A1^3:2", "--c", "1/2", "--orbit-cap", "10"])
+    assert exc.value.code == 2
+    code, out = run(capsys, "check", "--family", "E7", "--subgraph", "A1^3:2", "--c", "1/2")
+    assert code == 0
+    assert out["invariant"] is True
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a command walked an orbit")
+
+
+@pytest.fixture
+def no_orbit_walks(monkeypatch):
+    """Make every orbit walk of a flat, real or complex, fail the test."""
+    monkeypatch.setattr(rootsystems, "orbit_of_subspace", _no_walk)
+    monkeypatch.setattr(complexgroups, "subspace_orbit", _no_walk)
 
 
 @pytest.mark.parametrize("argv", [
     ["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
     ["check", "--group", "G(3,3,3)", "--blocks", "1,2", "--c0", "1/2"],
 ], ids=["real", "complex"])
-def test_orbit_cap_does_not_stop_the_direct_route(capsys, argv):
-    # the orbits have 6 and 9 members; the direct test walks none of them
-    code, out = run(capsys, *argv, "--direct", "--orbit-cap", "2")
+def test_orbit_cap_does_not_stop_the_direct_route(capsys, no_orbit_walks, argv):
+    # the orbits have 6 and 9 members; the direct test walks none of them, so no cap can stop it
+    code, out = run(capsys, *argv, "--direct")
     assert code == 0
     assert out["direct_invariant"] is True and out["routes_agree"] is True
 
 
-def test_orbit_cap_error_names_the_stratum(capsys):
-    code, out = run(capsys, "verify", "gauge", "--family", "A", "--rank", "3", "--orbit-cap", "3")
-    assert code == 3
-    assert out == {"capped": True, "error": "A3 stratum A1: subspace orbit exceeded cap 3"}
+def test_no_command_walks_an_orbit(capsys, no_orbit_walks):
+    code, out = run(capsys, "verify", "gauge", "--family", "E8")
+    assert code == 0
+    assert len(out["strata"]) == 40 and out["violations"] == 0
+    code, out = run(capsys, "check", "--family", "E7", "--subgraph", "A1^3:2", "--c", "1/2")
+    assert code == 0
+    assert out["stratum"]["gamma0"] == [2, 5, 7]
+    code, out = run(capsys, "solve", "--family", "D", "--rank", "6", "--subgraph", "A5:2")
+    assert code == 0
+    assert out["values"] == {"c": "1/6"}
+    code, out = run(capsys, "catalog")
+    assert code == 0
+    assert len(out["rows"]) == len(_load_catalog_rows())
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -318,31 +340,13 @@ def test_pretty_output(capsys):
     assert "invariant" in text and "{" not in text.splitlines()[0]
 
 
-def test_orbit_cap_flag_does_not_leak(capsys, monkeypatch):
-    monkeypatch.delenv("DUNKLCM_ORBIT_CAP", raising=False)
-    code, out = run(capsys, "verify", "gauge", "--family", "H3", "--orbit-cap", "2")
-    assert code == 3
-    assert out["capped"] is True
-    assert "DUNKLCM_ORBIT_CAP" not in os.environ
-    code, out = run(capsys, "verify", "gauge", "--family", "H3")
-    assert code == 0
-    assert out["violations"] == 0
-
-
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_orbit_cap_flag_must_be_positive(capsys, cap):
-    code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2",
-                    f"--orbit-cap={cap}")
-    assert code == 2
-    assert cap in out["error"]
-
-
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
 def test_malformed_orbit_cap_env(capsys, monkeypatch, raw):
+    # nothing reads the variable any more, so no value of it fails a command
     monkeypatch.setenv("DUNKLCM_ORBIT_CAP", raw)
     code, out = run(capsys, "check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2")
-    assert code == 2
-    assert repr(raw) in out["error"]
+    assert code == 0
+    assert out["invariant"] is True
 
 
 def test_unknown_weight_name(capsys):

@@ -14,6 +14,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import dunklcm.cli  # noqa: E402,F401  (imports every module the tracer patches)
+from dunklcm import rootsystems  # noqa: E402
 from dunklcm.rootsystems import parabolic_stratum, root_system  # noqa: E402
 from tracing import COUNTED, ENTRY_POINTS, Tracer  # noqa: E402
 
@@ -30,10 +31,13 @@ def test_traced_target_resolves(name):
 
 
 def test_stratum_orbit_goes_through_the_traced_function():
+    rs = root_system("A", 3)
+    lines = parabolic_stratum(rs, (0,)).lines
     tracer = Tracer()
     tracer.install()
     try:
-        parabolic_stratum(root_system("A", 3), (0,)).orbit()
+        # the tracer replaces the module attribute, so the walk is looked up through it
+        rootsystems.orbit_of_subspace(rs.simple_perms, lines, 10 ** 6)
     finally:
         tracer.uninstall()
     assert tracer.stats["rootsystems.orbit_of_subspace"][0] == 1
