@@ -7,7 +7,7 @@ identities behind those derivations, all in exact arithmetic.
 """
 
 from .fields import Field, FieldElement, cyclotomic_polynomial, render_scalar
-from .polynomials import Polynomial, divided_difference, divide_by_linear, monomials, render_polynomial
+from .polynomials import Polynomial, divide_by_linear, monomials, render_polynomial
 from .rootsystems import (
     Multiplicities,
     OrbitCapExceeded,
@@ -55,7 +55,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "render_scalar",
     "Polynomial",
-    "divided_difference",
     "divide_by_linear",
     "monomials",
     "render_polynomial",

@@ -44,6 +44,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .dunkl import DunklContext
 from .fields import Field
@@ -141,6 +142,12 @@ class ComplexDunklContext(DunklContext):
             )
         self.group = group
         self.cdiag = cdiag
+        # d * c_t over one common denominator, None for a zero weight
+        den = lcm(*(c.den for c in cdiag))
+        scale = group.diag_order
+        self._diag_nums = tuple(
+            None if c.is_zero() else tuple([a * (den // c.den) * scale for a in c.nums]) for c in cdiag
+        ), den
         # the coroot of a pair mirror is its complex conjugate, e_i - xi^(-k) e_j
         reflections = [
             (alpha, tuple(x.conjugate() for x in alpha), c_odd if r % group.m % 2 else c_even)
@@ -155,14 +162,15 @@ class ComplexDunklContext(DunklContext):
         if not isinstance(direction, int) or d == 1 or all(c.is_zero() for c in self.cdiag):
             return out
         # exps -> exps - e_direction is one to one, so no two terms collide
-        scale = self.field.element(d)
+        mul = self.field._mul_nums
+        weights, den = self._diag_nums
         lowered = {}
-        for exps, coeff in f.terms.items():
+        for exps, nums in f.nums.items():
             t = exps[direction] % d
-            if t and not self.cdiag[t - 1].is_zero():
+            if t and weights[t - 1] is not None:
                 key = exps[:direction] + (exps[direction] - 1,) + exps[direction + 1:]
-                lowered[key] = coeff * self.cdiag[t - 1] * scale
-        return out - Polynomial(self.field, self.nvars, lowered)
+                lowered[key] = mul(nums, weights[t - 1])
+        return out - Polynomial._normal(self.field, self.nvars, lowered, f.den * den)
 
     def conormal_images(self, form, lines) -> list:
         """The pair-reflection images, minus the diagonal term on each coordinate

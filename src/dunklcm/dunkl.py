@@ -22,12 +22,19 @@ Leibniz rule
 gives each monomial quotient from a smaller one by one product with a
 linear form; a monomial free of coordinates (a constant, or a power of the
 inert variable) has quotient 0.  apply(v, f) sums d_v f and the terms
--f_a c_r alpha_r(e_v) D_r x^a in one dict, and reflect_poly(r, f) is
-f - alpha_r D_r f from the same quotients.  A context keeps three memos,
-each its own and never shared with another context (another weight sample
-gives other images): x_v o s_r per reflection and coordinate; D_r x^a per
+-f_a c_r alpha_r(e_v) D_r x^a, and reflect_poly(r, f) is f - alpha_r D_r f
+from the same quotients.  A context keeps three memos of polynomials, each
+its own and never shared with another context (another weight sample gives
+other images): x_v o s_r per reflection and coordinate; D_r x^a per
 reflection and exponent tuple; T_v x^a per coordinate direction and
-exponent tuple, filled through apply, from which extend(v, g) sums g_a T_v x^a.
+exponent tuple, filled through apply, from which extend(v, g) sums
+g_a T_v x^a.  Every such sum runs in one accumulator (_combine, through
+polynomials.add_scaled) on the integer numerators: the scale f_a c_r
+alpha_r(e_v) or g_a is a numerator tuple over a denominator, the memoized
+polynomials' numerators are multiplied by it, and the total stays over one
+running common denominator and is reduced once.  A quotient's product and
+its monomial term share one accumulator too (polynomials.add_product), so
+no term builds a FieldElement.
 
 A vector direction is the sum of the coordinate operators it combines.  The
 checks over a monomial basis (commutativity, equivariance, confined
@@ -51,7 +58,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .linalg import reflect, vec
-from .polynomials import Polynomial, add_scaled, monomials
+from .polynomials import Polynomial, add_product, add_scaled, linear_combination, monomials
 from .rootsystems import Multiplicities, RootSystem
 
 
@@ -117,8 +124,11 @@ class DunklContext:
                 q = Polynomial.zero(self.field, self.nvars)
             else:
                 lower = exps[:v] + (exps[v] - 1,) + exps[v + 1:]
-                q = self._var_image(r, v) * self._quotient(r, lower)
-                q = q + Polynomial.monomial(self.field, lower, self.reflections[r][1][v])
+                # coroot_v m + (x_v o s_r) D_r m for m = x^lower, in one accumulator
+                c = self.reflections[r][1][v]
+                acc = {lower: c.nums}
+                den = add_product(acc, c.den, self._var_image(r, v), self._quotient(r, lower))
+                q = Polynomial._normal(self.field, self.nvars, acc, den)
             self._quotients[r, exps] = q
         return q
 
@@ -134,7 +144,7 @@ class DunklContext:
 
     def reflect_poly(self, r: int, f: Polynomial) -> Polynomial:
         """f composed with reflection r, as f - alpha_r D_r f."""
-        quotient = self._combine((self._quotient(r, exps), coeff) for exps, coeff in f.terms.items())
+        quotient = self._combine((self._quotient(r, exps), t, f.den) for exps, t in f.nums.items())
         return f - Polynomial.linear_form(self.field, self.reflections[r][0]) * quotient
 
     # -- the operator ---------------------------------------------------------
@@ -143,14 +153,17 @@ class DunklContext:
         """Dunkl operator along a coordinate index or an explicit vector."""
         if not isinstance(direction, int):
             return self._combine(
-                (self.apply(v, f), weight) for v, weight in enumerate(direction) if not weight.is_zero()
+                (self.apply(v, f), w.nums, w.den) for v, w in enumerate(direction) if not w.is_zero()
             )
-        out = dict(f.partial(direction).terms)
+        part = f.partial(direction)
+        acc, den = dict(part.nums), part.den
+        mul = self.field._mul_nums
         scales = self._scales[direction]
-        for exps, coeff in f.terms.items():
+        for exps, t in f.nums.items():
+            neg = tuple([-a for a in t])
             for r, scale in scales:
-                add_scaled(out, self._quotient(r, exps), -(scale * coeff))
-        return Polynomial(self.field, self.nvars, out)
+                den = add_scaled(acc, den, self._quotient(r, exps), mul(neg, scale.nums), f.den * scale.den)
+        return Polynomial._normal(self.field, self.nvars, acc, den)
 
     def _image(self, v: int, exps: tuple[int, ...]) -> Polynomial:
         """T_v x^exps, memoized; a miss on a coordinate monomial goes through apply."""
@@ -168,18 +181,15 @@ class DunklContext:
 
     def extend(self, v: int, g: Polynomial) -> Polynomial:
         """T_v g = sum_a g_a T_v x^a, from the memoized monomial images."""
-        return self._combine((self._image(v, exps), coeff) for exps, coeff in g.terms.items())
+        return self._combine((self._image(v, exps), t, g.den) for exps, t in g.nums.items())
 
     def _combine(self, pieces) -> Polynomial:
-        """sum of scale * p over (p, scale) pairs, accumulated in one dict."""
-        out: dict = {}
-        for p, scale in pieces:
-            add_scaled(out, p, scale)
-        return Polynomial(self.field, self.nvars, out)
+        """sum of (nums / d) * p over (p, nums, d) triples, on one running denominator."""
+        return linear_combination(self.field, self.nvars, pieces)
 
     def laplacian(self, f: Polynomial) -> Polynomial:
-        one = self.field.one()
-        return self._combine((self.apply(v, self.apply(v, f)), one) for v in range(self.nx))
+        one = self.field.one().nums
+        return self._combine((self.apply(v, self.apply(v, f)), one, 1) for v in range(self.nx))
 
     # -- the direct ideal test ----------------------------------------------
 
@@ -227,7 +237,8 @@ class DunklContext:
                     f = self.monomial(exps)
                     lhs = self.reflect_poly(w, self.extend(v, self.reflect_poly(w, f)))
                     rhs = self._combine(
-                        (self.extend(u, f), weight) for u, weight in enumerate(img) if not weight.is_zero()
+                        (self.extend(u, f), weight.nums, weight.den)
+                        for u, weight in enumerate(img) if not weight.is_zero()
                     )
                     if lhs != rhs:
                         bad.append((w, v, exps))
@@ -245,17 +256,22 @@ class DeformedContext(DunklContext):
     def __init__(self, rs: RootSystem, mults: Multiplicities):
         super().__init__(rs, mults, extra_vars=1)
         self.omega_index = self.nx
-        self.omega = Polynomial.variable(self.field, self.nvars, self.omega_index)
         # exponents of omega * x_v per coordinate v
         self._omega_x = tuple(
             tuple(int(u in (v, self.omega_index)) for u in range(self.nvars)) for v in range(self.nx)
         )
 
     def raising(self, v: int, f: Polynomial) -> Polynomial:
-        return self.extend(v, f) + f.shift(self._omega_x[v])
+        return self._shifted_extend(v, f, 1)
 
     def lowering(self, v: int, f: Polynomial) -> Polynomial:
-        return self.extend(v, f) - f.shift(self._omega_x[v])
+        return self._shifted_extend(v, f, -1)
+
+    def _shifted_extend(self, v: int, f: Polynomial, sign: int) -> Polynomial:
+        """T_v f + sign * omega x_v f, in one accumulator."""
+        pieces = [(self._image(v, exps), t, f.den) for exps, t in f.nums.items()]
+        pieces.append((f.shift(self._omega_x[v]), (sign,) + self.field._zeros, 1))
+        return self._combine(pieces)
 
     def oscillator(self, v: int, f: Polynomial) -> Polynomial:
         """The factored one-coordinate Hamiltonian piece."""
@@ -268,10 +284,8 @@ class DeformedContext(DunklContext):
 
     def total_power(self, k: int, f: Polynomial) -> Polynomial:
         """sum_v (oscillator_v)^k applied to f."""
-        out = Polynomial.zero(self.field, self.nvars)
-        for v in range(self.nx):
-            out = out + self.oscillator_power(v, k, f)
-        return out
+        one = self.field.one().nums
+        return self._combine((self.oscillator_power(v, k, f), one, 1) for v in range(self.nx))
 
     def total_commutator(self, k: int, l: int, f: Polynomial) -> Polynomial:
         a = self.total_power(l, f)
@@ -293,29 +307,27 @@ class DeformedContext(DunklContext):
     def pair_commutator_defect(self, i: int, j: int, f: Polynomial) -> Polynomial:
         """[(h_i, h_j)] minus its closed form, for the classical families.
 
-        Families A and D use the transposition part only; family B adds the
-        sign-flipped pair reflection with the same long-root coefficient.
+        Family A uses the transposition part only; families B and D add the
+        sign-flipped pair reflection with the same coefficient.
         """
         fam = self.rs.family
         if fam not in ("A", "B", "D"):
             raise ValueError("closed-form pair commutators cover families A, B, D")
-        lhs = self.oscillator(i, self.oscillator(j, f)) - self.oscillator(j, self.oscillator(i, f))
         field = self.field
-        minus = [0] * self.nx
-        minus[i], minus[j] = 1, -1
-        swap_line = self.rs.line_index(vec(field, minus))
-        c_swap = self.reflections[swap_line][2]
-        terms = []
-        g = self.reflect_poly(swap_line, f)
-        terms.append(self.oscillator(i, g) - self.oscillator(j, g))
+        swap = [int(u == i) - int(u == j) for u in range(self.nx)]
+        pair_lines = [self.rs.line_index(vec(field, swap))]
         if fam in ("B", "D"):
-            plus = [0] * self.nx
-            plus[i], plus[j] = 1, 1
-            flip_line = self.rs.line_index(vec(field, plus))
-            g2 = self.reflect_poly(flip_line, f)
-            terms.append(self.oscillator(i, g2) - self.oscillator(j, g2))
-        rhs = Polynomial.zero(field, self.nvars)
-        for t in terms:
-            rhs = rhs + t
-        rhs = rhs * (self.omega * 2 * c_swap)
-        return lhs - rhs
+            pair_lines.append(self.rs.line_index(vec(field, [abs(a) for a in swap])))
+        # lhs - rhs in one sum, with rhs = 2 c_swap omega (h_i g - h_j g) over the images g of f
+        w = self.reflections[pair_lines[0]][2] * 2
+        omega = tuple(int(u == self.omega_index) for u in range(self.nvars))
+        one = field.one()
+        pieces = [
+            (self.oscillator(i, self.oscillator(j, f)), one.nums, 1),
+            (self.oscillator(j, self.oscillator(i, f)), (-one).nums, 1),
+        ]
+        for line in pair_lines:
+            g = self.reflect_poly(line, f)
+            pieces.append((self.oscillator(i, g).shift(omega), (-w).nums, w.den))
+            pieces.append((self.oscillator(j, g).shift(omega), w.nums, w.den))
+        return self._combine(pieces)

@@ -1,6 +1,12 @@
 """Sparse multivariate polynomials over an exact field.
 
-A polynomial is a map from exponent tuples to nonzero field elements.
+A polynomial is a map from exponent tuples to integer numerator tuples
+over one positive denominator, the layout of a FieldElement: coefficient e
+is nums[e] / den.  Its normal form has den > 0, the gcd of den and every
+numerator entry 1 and no all-zero tuple, so equal polynomials have equal
+(nums, den).  Products go through Field._mul_nums and sums stay on one
+running common denominator, reduced once per result, so no term builds a
+FieldElement; `terms` is a read-only FieldElement map for cold callers.
 The module supplies the pieces the operator calculus needs: directional
 derivatives, substitution of linear (or arbitrary) images for the
 variables, and exact division by a linear form with a zero-remainder
@@ -9,8 +15,12 @@ guarantee, which is what makes reflection difference quotients exact.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
+from operator import add, sub
+from types import MappingProxyType
 from typing import Sequence
 
 from .fields import Field, FieldElement, render_scalar
@@ -18,21 +28,52 @@ from .linalg import Matrix, Vector, rref
 
 
 class Polynomial:
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "nums", "den", "_terms")
 
     def __init__(self, field: Field, nvars: int, terms: dict[tuple[int, ...], FieldElement]):
+        for e, c in terms.items():
+            if not isinstance(c, FieldElement) or c.field is not field:
+                raise ValueError(f"coefficient {c!r} is not an element of {field}")
+            if len(e) != nvars:
+                raise ValueError(f"exponent {e} does not have {nvars} entries")
+        # the lcm of the reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.den for c in terms.values()))
         self.field = field
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.nums = {
+            e: c.nums if c.den == den else tuple([a * (den // c.den) for a in c.nums])
+            for e, c in terms.items() if any(c.nums)
+        }
+        self.den = den
+        self._terms = None
 
     @classmethod
-    def _nonzero(cls, field: Field, nvars: int, terms: dict[tuple[int, ...], FieldElement]) -> "Polynomial":
-        """Wraps terms that hold no zero coefficient, skipping the filter."""
+    def _normal(cls, field: Field, nvars: int, nums: dict, den: int) -> "Polynomial":
+        """nums / den for a positive den, brought to normal form; the result may keep nums itself."""
+        if not all(map(any, nums.values())):
+            nums = {e: t for e, t in nums.items() if any(t)}
+        g = den
+        for t in nums.values():
+            if g == 1:
+                break
+            g = gcd(g, *t)
+        if g != 1:
+            nums = {e: tuple([a // g for a in t]) for e, t in nums.items()}
+            den //= g
         out = cls.__new__(cls)
         out.field = field
         out.nvars = nvars
-        out.terms = terms
+        out.nums = nums
+        out.den = den
+        out._terms = None
         return out
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], FieldElement]:
+        """The coefficients as field elements: a read-only map for display and cold callers, built once."""
+        if self._terms is None:
+            self._terms = MappingProxyType({e: self.field.quotient(t, self.den) for e, t in self.nums.items()})
+        return self._terms
 
     # -- constructors -------------------------------------------------------
 
@@ -42,95 +83,77 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field: Field, nvars: int, value) -> "Polynomial":
-        return cls(field, nvars, {(0,) * nvars: field.element(value)})
+        return cls.monomial(field, (0,) * nvars, value)
 
     @classmethod
     def variable(cls, field: Field, nvars: int, i: int) -> "Polynomial":
-        e = [0] * nvars
-        e[i] = 1
-        return cls(field, nvars, {tuple(e): field.one()})
+        return cls.monomial(field, _unit_exponent(nvars, i))
 
     @classmethod
     def linear_form(cls, field: Field, coeffs: Vector) -> "Polynomial":
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if not c.is_zero():
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls(field, n, terms)
+        return cls(field, n, {_unit_exponent(n, i): c for i, c in enumerate(coeffs) if any(c.nums)})
 
     @classmethod
     def monomial(cls, field: Field, exponents: tuple[int, ...], coeff=1) -> "Polynomial":
-        return cls(field, len(exponents), {tuple(exponents): field.element(coeff)})
+        c = field.element(coeff)
+        return cls._normal(field, len(exponents), {tuple(exponents): c.nums}, c.den)
 
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     def constant_term(self) -> FieldElement:
         return self.terms.get((0,) * self.nvars, self.field.zero())
 
     # -- ring operations ------------------------------------------------------
 
-    def _check(self, other: "Polynomial"):
+    def _operand(self, other) -> "Polynomial | None":
+        if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction, FieldElement)):
+                return Polynomial.constant(self.field, self.nvars, other)
+            return None
         if self.field is not other.field or self.nvars != other.nvars:
             raise ValueError("polynomials live in different rings")
+        return other
+
+    def _plus(self, other, sign: int) -> "Polynomial":
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        acc = dict(self.nums)
+        den = add_scaled(acc, self.den, o, (sign,) + self.field._zeros, 1)
+        return Polynomial._normal(self.field, self.nvars, acc, den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = Polynomial.constant(self.field, self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            out[e] = c if acc is None else acc + c
-        return Polynomial(self.field, self.nvars, out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._nonzero(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
+        nums = {e: tuple([-a for a in t]) for e, t in self.nums.items()}
+        return Polynomial._normal(self.field, self.nvars, nums, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = Polynomial.constant(self.field, self.nvars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            out[e] = -c if acc is None else acc - c
-        return Polynomial(self.field, self.nvars, out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
-            c = self.field.element(other)
-            if c.is_zero():
-                return Polynomial.zero(self.field, self.nvars)
-            return Polynomial._nonzero(self.field, self.nvars, {e: c * v for e, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
+            c, mul = self.field.element(other), self.field._mul_nums
+            return Polynomial._normal(self.field, self.nvars, {e: mul(t, c.nums) for e, t in self.nums.items()},
+                                      self.den * c.den)
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
-        out: dict[tuple[int, ...], FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = out.get(e)
-                out[e] = prod if acc is None else acc + prod
-        return Polynomial(self.field, self.nvars, out)
+        acc: dict[tuple[int, ...], tuple[int, ...]] = {}
+        return Polynomial._normal(self.field, self.nvars, acc, add_product(acc, 1, self, o))
 
     __rmul__ = __mul__
 
@@ -151,27 +174,24 @@ class Polynomial:
             other = Polynomial.constant(self.field, self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field is other.field and self.nvars == other.nvars and self.terms == other.terms
+        return (self.field is other.field and self.nvars == other.nvars
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def shift(self, e: tuple[int, ...]) -> "Polynomial":
         """x^e times self."""
-        return Polynomial._nonzero(self.field, self.nvars, {
-            tuple(a + b for a, b in zip(k, e)): c for k, c in self.terms.items()
-        })
+        nums = {tuple(map(add, k, e)): t for k, t in self.nums.items()}
+        return Polynomial._normal(self.field, self.nvars, nums, self.den)
 
     # -- calculus ---------------------------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":
         # e -> e - e_i is one to one, so no two terms collide
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return Polynomial._nonzero(self.field, self.nvars, out)
+        return Polynomial._normal(self.field, self.nvars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: tuple([a * e[i] for a in t]) for e, t in self.nums.items() if e[i]
+        }, self.den)
 
     # -- substitution ---------------------------------------------------------
 
@@ -179,54 +199,38 @@ class Polynomial:
         """Replace variable i by images[i]; images share a common target ring."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        if not self.terms:
-            tgt = images[0] if images else None
-            return Polynomial.zero(self.field, tgt.nvars if tgt else self.nvars)
         tgt_nvars = images[0].nvars if images else self.nvars
         # variables mapped to themselves can stay in the exponent tuple
-        id_var = [False] * self.nvars
-        if tgt_nvars == self.nvars:
-            for i, img in enumerate(images):
-                if len(img.terms) == 1:
-                    (e, c), = img.terms.items()
-                    if c == self.field.one() and sum(e) == 1 and e[i] == 1:
-                        id_var[i] = True
-        pows: list[dict[int, Polynomial]] = [dict() for _ in range(self.nvars)]
+        unit = self.field.one().nums
+        id_var = [
+            tgt_nvars == self.nvars and img.den == 1 and img.nums == {_unit_exponent(tgt_nvars, i): unit}
+            for i, img in enumerate(images)
+        ]
+        one = Polynomial.constant(self.field, tgt_nvars, 1)
+        pows: list[dict[int, Polynomial]] = [{0: one, 1: img} for img in images]
 
         def power(i: int, k: int) -> Polynomial:
             cache = pows[i]
             got = cache.get(k)
             if got is None:
-                if k == 0:
-                    got = Polynomial.constant(self.field, tgt_nvars, 1)
-                elif k == 1:
-                    got = images[i]
-                else:
-                    half = power(i, k // 2)
-                    got = half * half
-                    if k % 2:
-                        got = got * images[i]
-                cache[k] = got
+                half = power(i, k // 2)
+                got = cache[k] = half * half * images[i] if k % 2 else half * half
             return got
 
-        out: dict[tuple[int, ...], FieldElement] = {}
-        for e, c in self.terms.items():
-            base_exp = [0] * tgt_nvars
-            piece = None
+        acc: dict[tuple[int, ...], tuple[int, ...]] = {}
+        den = 1
+        for e, t in self.nums.items():
+            base = [0] * tgt_nvars
+            piece = one
             for i, k in enumerate(e):
                 if not k:
                     continue
                 if id_var[i]:
-                    base_exp[i] += k
+                    base[i] += k
                 else:
-                    p = power(i, k)
-                    piece = p if piece is None else piece * p
-            if piece is None:
-                _add_term(out, tuple(base_exp), c)
-                continue
-            for e2, c2 in piece.terms.items():
-                _add_term(out, tuple(a + b for a, b in zip(base_exp, e2)), c * c2)
-        return Polynomial(self.field, tgt_nvars, out)
+                    piece = piece * power(i, k) if piece is not one else power(i, k)
+            den = add_scaled(acc, den, piece.shift(tuple(base)) if any(base) else piece, t, self.den)
+        return Polynomial._normal(self.field, tgt_nvars, acc, den)
 
     def compose_linear(self, m: Matrix) -> "Polynomial":
         """f(M x): substitute row i of M, as a linear form, for variable i."""
@@ -235,14 +239,11 @@ class Polynomial:
 
     def restrict_to(self, basis: tuple[Vector, ...]) -> "Polynomial":
         """Pull back along the parametrization x = sum_j t_j basis[j]."""
-        k = len(basis)
-        images = []
-        for i in range(self.nvars):
-            row = tuple(b[i] for b in basis)
-            images.append(Polynomial.linear_form(self.field, row))
-        if k == 0:
-            images = [Polynomial.zero(self.field, 1) for _ in range(self.nvars)]
-        return self.substitute(images)
+        if not basis:
+            return self.substitute([Polynomial.zero(self.field, 1) for _ in range(self.nvars)])
+        return self.substitute([
+            Polynomial.linear_form(self.field, tuple(b[i] for b in basis)) for i in range(self.nvars)
+        ])
 
     def evaluate(self, point: Vector) -> FieldElement:
         total = self.field.zero()
@@ -258,69 +259,114 @@ class Polynomial:
         return f"Poly({render_polynomial(self)})"
 
 
-def _add_term(acc: dict, e: tuple[int, ...], c: FieldElement) -> None:
-    prev = acc.get(e)
-    acc[e] = c if prev is None else prev + c
+def _unit_exponent(n: int, i: int) -> tuple[int, ...]:
+    """The exponent tuple of x_i among n variables."""
+    return (0,) * i + (1,) + (0,) * (n - 1 - i)
 
 
-def add_scaled(acc: dict, f: Polynomial, scale: FieldElement) -> None:
-    """acc += scale * f on a term dict, in place; sums may leave zeros."""
+def add_scaled(acc: dict, den: int, f: Polynomial, nums: tuple[int, ...], d: int) -> int:
+    """acc / den += (nums / d) * f on a numerator dict, in place, for positive den and d.
+
+    Returns the new common denominator, the lcm of den and d * f.den, so a
+    sum of many pieces runs on one running denominator as in Field.dot.
+    The sum may leave zero tuples and a common factor: Polynomial._normal
+    takes them out once per result.
+    """
+    d *= f.den
+    if d != den:
+        den = _lcm_den(acc, den, d)
+        nums = tuple([a * (den // d) for a in nums])
+    # a rational scale c multiplies every entry by one integer
+    c = None if any(nums[1:]) else nums[0]
+    mul = f.field._mul_nums
     get = acc.get
-    for e, c in f.terms.items():
-        t = c * scale
+    for e, t in f.nums.items():
+        p = mul(t, nums) if c is None else t if c == 1 else tuple([a * c for a in t])
         prev = get(e)
-        acc[e] = t if prev is None else prev + t
+        acc[e] = p if prev is None else tuple(map(add, prev, p))
+    return den
+
+
+def add_product(acc: dict, den: int, f: Polynomial, g: Polynomial) -> int:
+    """acc / den += f * g on a numerator dict, in place; returns the new denominator, as add_scaled."""
+    d, k = f.den * g.den, 1
+    if d != den:
+        den = _lcm_den(acc, den, d)
+        k = den // d
+    mul = f.field._mul_nums
+    get = acc.get
+    for e1, a in f.nums.items():
+        if k != 1:
+            a = tuple([x * k for x in a])
+        for e2, b in g.nums.items():
+            e = tuple(map(add, e1, e2))
+            p = mul(a, b)
+            prev = get(e)
+            acc[e] = p if prev is None else tuple(map(add, prev, p))
+    return den
+
+
+def _lcm_den(acc: dict, den: int, d: int) -> int:
+    """lcm(den, d), with the numerators in acc, over den, moved to it in place."""
+    k = d // gcd(den, d)
+    if k != 1:
+        for e, t in acc.items():
+            acc[e] = tuple([a * k for a in t])
+    return den * k
+
+
+def linear_combination(field: Field, nvars: int, pieces) -> Polynomial:
+    """sum of (nums / d) * p over (p, nums, d) triples, on one running denominator, reduced once."""
+    acc: dict[tuple[int, ...], tuple[int, ...]] = {}
+    den = 1
+    for p, nums, d in pieces:
+        den = add_scaled(acc, den, p, nums, d)
+    return Polynomial._normal(field, nvars, acc, den)
 
 
 def divide_by_linear(f: Polynomial, form: Vector) -> Polynomial:
     """Exact quotient f / (form . x); raises ArithmeticError on a remainder.
 
     Single sweep down the grades of the pivot variable, so it runs in time
-    linear in the number of terms.
+    linear in the number of terms.  With the ratios form[j] / form[pivot]
+    over one common denominator D, sweeping grade d moves numerators over
+    f.den * D^(top - d) to grade d - 1 over one more factor D, so each
+    grade is brought to its denominator once, before it takes them.
     """
     field = f.field
     pivot = next((i for i, c in enumerate(form) if not c.is_zero()), None)
     if pivot is None:
         raise ZeroDivisionError("division by the zero linear form")
-    others = [(j, c) for j, c in enumerate(form) if j != pivot and not c.is_zero()]
-    ai_inv = form[pivot].inverse()
-    grades: dict[int, dict[tuple[int, ...], FieldElement]] = {}
-    for e, c in f.terms.items():
-        grades.setdefault(e[pivot], {})[e] = c
-    quotient: dict[tuple[int, ...], FieldElement] = {}
+    inv = form[pivot].inverse()
+    ratios = [(j, c * inv) for j, c in enumerate(form) if j != pivot and not c.is_zero()]
+    D = lcm(*(r.den for _, r in ratios))
+    others = [(j, tuple([a * (D // r.den) for a in r.nums])) for j, r in ratios]
+    mul = field._mul_nums
+    grades: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    for e, t in f.nums.items():
+        grades.setdefault(e[pivot], {})[e] = t
     top = max(grades, default=0)
+    quotient: dict[tuple[int, ...], tuple[int, ...]] = {}
     for d in range(top, 0, -1):
-        bucket = grades.get(d)
-        if not bucket:
-            continue
         lower = grades.setdefault(d - 1, {})
-        for e, c in bucket.items():
-            if c.is_zero():
-                continue
-            qc = c * ai_inv
-            qe = list(e)
-            qe[pivot] = d - 1
-            qe_t = tuple(qe)
-            quotient[qe_t] = qc
-            for j, fc in others:
-                e2 = list(qe_t)
-                e2[j] += 1
-                e2_t = tuple(e2)
-                acc = lower.get(e2_t)
-                sub = qc * fc
-                lower[e2_t] = -sub if acc is None else acc - sub
-    remainder = grades.get(0, {})
-    if any(not c.is_zero() for c in remainder.values()):
+        if D != 1:
+            s = D ** (top - d + 1)
+            for e, t in lower.items():
+                lower[e] = tuple([a * s for a in t])
+        # grade d is over f.den * D^(top - d); the quotient is kept over f.den * D^(top - 1)
+        up = D ** (d - 1)
+        for e, t in grades.get(d, {}).items():
+            qe = e[:pivot] + (d - 1,) + e[pivot + 1:]
+            quotient[qe] = t if up == 1 else tuple([a * up for a in t])
+            for j, r in others:
+                e2 = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
+                p = mul(t, r)
+                prev = lower.get(e2)
+                lower[e2] = tuple([-a for a in p]) if prev is None else tuple(map(sub, prev, p))
+    if any(any(t) for t in grades.get(0, {}).values()):
         raise ArithmeticError("polynomial is not divisible by the linear form")
-    return Polynomial._nonzero(field, f.nvars, quotient)
-
-
-def divided_difference(f: Polynomial, alpha: Vector) -> Polynomial:
-    """(f - f o s_alpha) / (alpha, x) for the reflection s_alpha; always exact."""
-    from .linalg import reflection_matrix
-
-    s = reflection_matrix(f.field, alpha)
-    return divide_by_linear(f - f.compose_linear(s), alpha)
+    quotient = {e: mul(t, inv.nums) for e, t in quotient.items()}
+    return Polynomial._normal(field, f.nvars, quotient, f.den * D ** max(top - 1, 0) * inv.den)
 
 
 def is_divisible_by_linear(f: Polynomial, form: Vector, power: int = 1) -> bool:
@@ -391,10 +437,11 @@ def render_polynomial(f: Polynomial, names: Sequence[str] | None = None) -> str:
     if f.is_zero():
         return "0"
     names = list(names) if names is not None else _default_names(f.nvars)
-    keys = sorted(f.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+    terms = f.terms
+    keys = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
     parts: list[str] = []
     for e in keys:
-        c = f.terms[e]
+        c = terms[e]
         factors = []
         for i, k in enumerate(e):
             if k == 1:

@@ -20,7 +20,7 @@ from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
 from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, rank
-from .polynomials import Polynomial, divide_by_linear, render_polynomial
+from .polynomials import Polynomial, divide_by_linear, linear_combination, render_polynomial
 from .rootsystems import (
     Multiplicities,
     RootSystem,
@@ -137,31 +137,25 @@ def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configu
     basis = stratum.subspace.basis
     if not basis:
         return Configuration(field, basis, (), (), mults.params)
-    groups: dict[tuple, Polynomial] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(stratum.line_keys):
         if key is not None:
-            c = mults.line_value(i)
-            groups[key] = groups[key] + c if key in groups else c
+            groups.setdefault(key, []).append(i)
     # G^-1 is symmetric, so row j of B^T G^-1 is G^-1 times column j of B
     ginv = invert(gram(basis), field)
     projection = int_rows([mat_vec(ginv, col) for col in zip(*basis)])
     vectors = [monic_row(field, [field.int_dot(row, key) for row in projection]) for key in groups]
-    return Configuration(field, basis, vectors, groups.values(), mults.params)
+    return Configuration(field, basis, vectors, [mults.line_sum(lines) for lines in groups.values()], mults.params)
 
 
 def conservation_defect(stratum: Stratum, mults: Multiplicities, config: Configuration) -> Polynomial:
     """Total projected multiplicity of config, the stratum's restricted
     configuration at mults, minus the sum over non-vanishing lines."""
     rs = stratum.rs
-    total = Polynomial.zero(rs.field, len(mults.params))
-    for m in config.mults:
-        total = total + m
-    expected = Polynomial.zero(rs.field, len(mults.params))
+    one = rs.field.one().nums
+    total = linear_combination(rs.field, len(mults.params), ((m, one, 1) for m in config.mults))
     vanishing = set(stratum.lines)
-    for i in range(len(rs.lines)):
-        if i not in vanishing:
-            expected = expected + mults.line_value(i)
-    return total - expected
+    return total - mults.line_sum(i for i in range(len(rs.lines)) if i not in vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +215,11 @@ def invariant_power_sum(rs: RootSystem, k: int, nvars: int | None = None) -> Pol
     field = rs.field
     if nvars is None:
         nvars = rs.dim
-    out = Polynomial.zero(field, nvars)
-    for alpha in rs.lines:
-        coeffs = tuple(alpha) + (field.zero(),) * (nvars - rs.dim)
-        out = out + Polynomial.linear_form(field, coeffs) ** k * 2
-    return out
+    pad = (field.zero(),) * (nvars - rs.dim)
+    two = field.element(2).nums
+    return linear_combination(
+        field, nvars, ((Polynomial.linear_form(field, tuple(alpha) + pad) ** k, two, 1) for alpha in rs.lines)
+    )
 
 
 def _check_invariant(rs: RootSystem, ctx: DunklContext, f: Polynomial) -> None:

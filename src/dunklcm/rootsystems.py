@@ -47,7 +47,7 @@ from .linalg import (
     vec,
     vec_is_zero,
 )
-from .polynomials import Polynomial, solve_affine
+from .polynomials import Polynomial, linear_combination, solve_affine
 
 
 class OrbitCapExceeded(RuntimeError):
@@ -561,6 +561,12 @@ class Multiplicities:
     def line_value(self, line_idx: int) -> Polynomial:
         return self.values[self.rs.orbit_names[self.rs.orbit_labels[line_idx]]]
 
+    def line_sum(self, line_indices) -> Polynomial:
+        """The sum of the values of the given root lines, in one accumulator."""
+        field = self.rs.field
+        one = field.one().nums
+        return linear_combination(field, len(self.params), ((self.line_value(i), one, 1) for i in line_indices))
+
     def line_scalar(self, line_idx: int) -> FieldElement:
         if not self.is_numeric:
             raise ValueError("numeric multiplicities required")
@@ -819,7 +825,4 @@ def generalized_coxeter_number(rs: RootSystem, mults: Multiplicities, line_indic
     h = (2 / rank) * sum of the line weights.
     """
     line_indices = tuple(line_indices)
-    total = Polynomial.zero(rs.field, len(mults.params))
-    for i in line_indices:
-        total = total + mults.line_value(i)
-    return total * rs.field.element(Fraction(2, rank(rs.lines[i] for i in line_indices)))
+    return mults.line_sum(line_indices) * rs.field.element(Fraction(2, rank(rs.lines[i] for i in line_indices)))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,17 @@ from dunklcm.fields import Field
 from dunklcm.linalg import reflect, vec
 from dunklcm.polynomials import (
     Polynomial,
+    add_product,
+    add_scaled,
     divide_by_linear,
-    divided_difference,
     is_divisible_by_linear,
+    linear_combination,
     monomials,
     render_polynomial,
 )
+from polynomial_reference import RefPolynomial, divided_difference
+from polynomial_reference import add_scaled as reference_add_scaled
+from polynomial_reference import divide_by_linear as reference_divide_by_linear
 
 Q = Field.rational()
 F5 = Field.quadratic(5)
@@ -180,3 +186,151 @@ def test_render_polynomial_matches_sympy(f, names):
     text = render_polynomial(f, names=names)
     expected = {e: c.coeffs for e, c in f.terms.items()}
     assert polynomial_coeffs(F5, text, names or ("x1", "x2")) == expected
+
+
+# -- the numerator form against the per-term reference ---------------------------
+
+Z8 = Field.cyclotomic(8)
+FIELDS = {"Q": Q, "Q(sqrt5)": F5, "Q(zeta8)": Z8}
+
+
+def elements(field):
+    """Field elements with small fractional coordinates, often zero or a unit."""
+    coord = st.one_of(st.sampled_from([-1, 0, 0, 1]).map(Fraction), coeffs)
+    return st.lists(coord, min_size=field.degree, max_size=field.degree).map(field.from_coeffs)
+
+
+def field_polys(field, nvars=NVARS, max_degree=3, max_size=5):
+    monos = st.tuples(*[st.integers(0, max_degree)] * nvars)
+    return st.dictionaries(monos, elements(field), max_size=max_size).map(lambda d: Polynomial(field, nvars, d))
+
+
+@st.composite
+def field_and_polys(draw, count=2, **kw):
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    return (field, *(draw(field_polys(field, **kw)) for _ in range(count)))
+
+
+def assert_normal(p):
+    """den > 0, gcd(den, every numerator entry) == 1, no all-zero tuple, matching tuple sizes."""
+    assert p.den > 0
+    entries = [a for t in p.nums.values() for a in t]
+    assert gcd(p.den, *entries) == 1
+    assert all(any(t) and len(t) == p.field.degree for t in p.nums.values())
+    assert all(len(e) == p.nvars for e in p.nums)
+
+
+def same(p, ref):
+    assert_normal(p)
+    assert RefPolynomial.of(p) == ref
+    return True
+
+
+@given(field_and_polys())
+@settings(max_examples=80, deadline=None)
+def test_ring_operations_match_reference(case):
+    field, f, g = case
+    rf, rg = RefPolynomial.of(f), RefPolynomial.of(g)
+    assert same(f, rf) and same(g, rg)
+    assert same(f * g, rf * rg)
+    assert same(f + g, rf + rg)
+    assert same(f - g, rf - rg)
+    assert same(-f, -rf)
+
+
+@given(field_and_polys(count=3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_add_scaled_and_add_product_match_reference(case, data):
+    field, *fs = case
+    scales = [data.draw(elements(field)) for _ in fs]
+    acc, den, ref = {}, 1, {}
+    for f, c in zip(fs, scales):
+        den = add_scaled(acc, den, f, c.nums, c.den)
+        reference_add_scaled(ref, RefPolynomial.of(f), c)
+    expected = RefPolynomial(field, NVARS, ref)
+    assert same(linear_combination(field, NVARS, [(f, c.nums, c.den) for f, c in zip(fs, scales)]), expected)
+    den = add_product(acc, den, fs[0], fs[1])
+    expected = expected + RefPolynomial.of(fs[0]) * RefPolynomial.of(fs[1])
+    assert same(Polynomial._normal(field, NVARS, acc, den), expected)
+
+
+@given(field_and_polys(count=1), st.integers(0, NVARS - 1), st.tuples(*[st.integers(0, 2)] * NVARS))
+@settings(max_examples=60, deadline=None)
+def test_partial_and_shift_match_reference(case, i, e):
+    _, f = case
+    assert same(f.partial(i), RefPolynomial.of(f).partial(i))
+    assert same(f.shift(e), RefPolynomial.of(f).shift(e))
+
+
+@given(field_and_polys(count=2, max_degree=2, max_size=4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_divide_by_linear_matches_reference(case, data):
+    field, f, g = case
+    form = tuple(data.draw(elements(field)) for _ in range(NVARS))
+    if all(c.is_zero() for c in form):
+        with pytest.raises(ZeroDivisionError):
+            divide_by_linear(f, form)
+        return
+    product = f * Polynomial.linear_form(field, form)
+    assert same(divide_by_linear(product, form), RefPolynomial.of(f))
+    # g + product has a remainder exactly when g does
+    try:
+        expected = reference_divide_by_linear(RefPolynomial.of(g + product), form)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            divide_by_linear(g + product, form)
+    else:
+        assert same(divide_by_linear(g + product, form), expected)
+
+
+@given(field_and_polys(count=4, max_degree=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_reference(case):
+    field, f, *images = case
+    x0 = Polynomial.variable(field, NVARS, 0)
+    for imgs in (images, [x0, images[1], images[2]]):
+        assert same(f.substitute(imgs), RefPolynomial.of(f).substitute([RefPolynomial.of(p) for p in imgs]))
+
+
+@given(field_and_polys(count=1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_restrict_to_matches_reference(case, data):
+    field, f = case
+    k = data.draw(st.integers(0, 2))
+    basis = tuple(tuple(data.draw(elements(field)) for _ in range(NVARS)) for _ in range(k))
+    assert same(f.restrict_to(basis), RefPolynomial.of(f).restrict_to(basis))
+
+
+@given(field_and_polys(count=2))
+@settings(max_examples=60, deadline=None)
+def test_equal_polynomials_compare_and_hash_equal(case):
+    field, f, g = case
+    routes = [
+        f,
+        (f + g) - g,
+        Polynomial(field, NVARS, dict(f.terms)),
+        linear_combination(field, NVARS, [(f * 3, (1,) + (0,) * (field.degree - 1), 3)]),
+        f * Polynomial.constant(field, NVARS, 2) * field.element(Fraction(1, 2)),
+    ]
+    for p in routes:
+        assert_normal(p)
+        assert p == f and hash(p) == hash(f)
+
+
+def test_constructor_rejects_foreign_coefficients():
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(1, 0): F5.generator()})
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(1, 0): 1})
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(1, 0): Fraction(1, 2)})
+
+
+def test_constructor_rejects_exponents_of_another_length():
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(1, 0, 0): Q.one()})
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(1,): Q.one()})
+    # the bad example of the old constructor: a Q(sqrt 5) coefficient on a 3-exponent tuple
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(1, 0, 0): F5.generator()})
