@@ -23,16 +23,18 @@ gives each monomial quotient from a smaller one by one product with a
 linear form; a monomial free of coordinates (a constant, or a power of the
 inert variable) has quotient 0.  apply(v, f) sums d_v f and the terms
 -f_a c_r alpha_r(e_v) D_r x^a, and reflect_poly(r, f) is f - alpha_r D_r f
-from the same quotients.  A context keeps three memos of polynomials, each
-its own and never shared with another context (another weight sample gives
-other images): x_v o s_r per reflection and coordinate; D_r x^a per
-reflection and exponent tuple; T_v x^a per coordinate direction and
-exponent tuple, filled through apply, from which extend(v, g) sums
-g_a T_v x^a.  Every such sum runs in one accumulator (_combine, through
-polynomials.add_scaled) on the integer numerators: the scale f_a c_r
-alpha_r(e_v) or g_a is a numerator tuple over a denominator, the memoized
-polynomials' numerators are multiplied by it, and the total stays over one
-running common denominator and is reduced once.  A quotient's product and
+from the same quotients.  The coroots come from the root system, which
+computes them once (RootSystem.coroots).  A context keeps three memos of
+polynomials, each its own and never shared with another context (another
+weight sample gives other images): x_v o s_r per reflection and
+coordinate, summed on the numerators; D_r x^a per reflection and exponent
+tuple; T_v x^a per coordinate direction and exponent tuple, filled through
+apply, from which extend(v, g) sums g_a T_v x^a.  Every such sum runs in
+one accumulator (_combine, through polynomials.add_scaled) on the integer
+numerators: the scale f_a c_r alpha_r(e_v) or g_a is a numerator tuple
+over a denominator, the memoized polynomials' numerators are multiplied
+by it, and the total stays over one running common denominator and is
+reduced once.  A quotient's product and
 its monomial term share one accumulator too (polynomials.add_product), so
 no term builds a FieldElement.
 
@@ -76,11 +78,9 @@ class DunklContext:
             raise ValueError("multiplicities belong to a different root system")
         self.rs = rs
         self.mults = mults
-        reflections = []
-        for line, alpha in enumerate(rs.lines):
-            scale = rs.line_norms[line].inverse() * 2
-            coroot = tuple(a * scale for a in alpha)
-            reflections.append((alpha, coroot, mults.line_scalar(line)))
+        reflections = [
+            (alpha, coroot, mults.line_scalar(line)) for line, (alpha, coroot) in enumerate(zip(rs.lines, rs.coroots))
+        ]
         self._set_reflections(rs.field, rs.dim, extra_vars, reflections)
 
     def _set_reflections(self, field, nx: int, extra_vars: int, reflections) -> None:
@@ -133,13 +133,15 @@ class DunklContext:
         return q
 
     def _var_image(self, r: int, v: int) -> Polynomial:
-        """x_v o s_r = x_v - coroot_v alpha(x), memoized."""
+        """x_v o s_r = x_v - coroot_v alpha(x), memoized, summed on the numerators."""
         line = self._var_images.get((r, v))
         if line is None:
             alpha, coroot, _ = self.reflections[r]
-            row = [-(coroot[v] * a) for a in alpha]
-            row[v] = row[v] + self.field.one()
-            line = self._var_images[r, v] = Polynomial.linear_form(self.field, tuple(row))
+            c = coroot[v]
+            x = Polynomial.variable(self.field, self.nvars, v)
+            acc = dict(x.nums)
+            den = add_scaled(acc, x.den, Polynomial.linear_form(self.field, alpha), tuple([-a for a in c.nums]), c.den)
+            line = self._var_images[r, v] = Polynomial._normal(self.field, self.nvars, acc, den)
         return line
 
     def reflect_poly(self, r: int, f: Polynomial) -> Polynomial:
@@ -186,10 +188,6 @@ class DunklContext:
     def _combine(self, pieces) -> Polynomial:
         """sum of (nums / d) * p over (p, nums, d) triples, on one running denominator."""
         return linear_combination(self.field, self.nvars, pieces)
-
-    def laplacian(self, f: Polynomial) -> Polynomial:
-        one = self.field.one().nums
-        return self._combine((self.apply(v, self.apply(v, f)), one, 1) for v in range(self.nx))
 
     # -- the direct ideal test ----------------------------------------------
 

@@ -11,6 +11,17 @@ verified here are exact, and their denominators are never cleared: a sum
 of a_k/l_k over pairwise non-proportional linear forms l_k is a polynomial
 exactly when each l_k divides a_k, so each identity is decided line by
 line, by summed residues or by exact division.
+
+The operator restricted is the Dunkl Laplacian sum_v T_v^2 on invariant
+polynomials, where it is the Calogero-Moser operator
+
+    L_c f = Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x)
+
+(Heckman, A remark on the Dunkl differential-difference operators,
+Progress in Math. 101, 1991), and its confined form sum_v (T_v + omega
+x_v)(T_v - omega x_v) f = L_c f + omega K f - omega^2 |x|^2 f with K = -n
++ 2 sum_r c_r.  Both are computed in that closed form, one exact division
+per mirror and no Dunkl operator (invariant_laplacian).
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ import json
 from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
-from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, rank
+from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, rank, reflection_matrix
 from .polynomials import Polynomial, divide_by_linear, linear_combination, render_polynomial
 from .rootsystems import (
     Multiplicities,
@@ -29,7 +40,6 @@ from .rootsystems import (
     parabolic_stratum,
     root_system,
 )
-from .dunkl import DeformedContext, DunklContext
 
 
 class Configuration:
@@ -222,11 +232,54 @@ def invariant_power_sum(rs: RootSystem, k: int, nvars: int | None = None) -> Pol
     )
 
 
-def _check_invariant(rs: RootSystem, ctx: DunklContext, f: Polynomial) -> None:
-    for line in range(len(rs.simple)):
-        idx = rs.line_index(rs.simple[line])
-        if ctx.reflect_poly(idx, f) != f:
+def _check_invariant(rs: RootSystem, f: Polynomial) -> None:
+    """Raises ValueError unless f o s = f for every simple reflection s.
+
+    Variables past the coordinates (the confinement variable) are fixed.
+    """
+    pad = (rs.field.zero(),) * (f.nvars - rs.dim)
+    for alpha in rs.simple:
+        if f.compose_linear(reflection_matrix(rs.field, tuple(alpha) + pad)) != f:
             raise ValueError("test polynomial is not invariant under the group")
+
+
+def invariant_laplacian(rs: RootSystem, mults: Multiplicities, f: Polynomial, deformed: bool = False) -> Polynomial:
+    """The Dunkl Laplacian sum_v T_v^2 f of a W-invariant f, in the closed
+    form L_c f of the module docstring, or with deformed its confined form
+    (f then carries omega after the n coordinates).
+
+    Every D_r f vanishes, so T_v f = d_v f, and d_{alpha_r} f is
+    anti-invariant under s_r, so D_r d_{alpha_r} f = 2 d_{alpha_r} f /
+    alpha_r(x), one exact division; lines of weight 0 drop out.  In the
+    confined form sum_v [T_v, x_v] f = (n - 2 sum_r c_r) f gives K.  For f
+    that is not invariant (_check_invariant) the result is not the Dunkl
+    Laplacian, and a division may raise ArithmeticError.
+    """
+    field = rs.field
+    nvars = f.nvars
+    pad = (field.zero(),) * (nvars - rs.dim)
+    grads = [f.partial(v) for v in range(rs.dim)]
+    one = field.one().nums
+    pieces = [(g.partial(v), one, 1) for v, g in enumerate(grads)]
+    for line, alpha in enumerate(rs.lines):
+        c = mults.line_scalar(line)
+        if c.is_zero():
+            continue
+        d_alpha = linear_combination(
+            field, nvars, ((g, a.nums, a.den) for g, a in zip(grads, alpha) if not a.is_zero())
+        )
+        w = c * -2
+        pieces.append((divide_by_linear(d_alpha, tuple(alpha) + pad), w.nums, w.den))
+    if deformed:
+        k = _confinement_constant(rs, mults)
+        omega = (0,) * rs.dim + (1,)
+        pieces.append((f.shift(omega), k.nums, k.den))
+        minus = (-1,) + field._zeros
+        # omega^2 x_v^2 f for every coordinate v
+        pieces.extend(
+            (f.shift(tuple(2 if u in (v, rs.dim) else 0 for u in range(nvars))), minus, 1) for v in range(rs.dim)
+        )
+    return linear_combination(field, nvars, pieces)
 
 
 def restriction_defects(
@@ -237,9 +290,13 @@ def restriction_defects(
 ) -> list[int]:
     """Compares the restricted operator with the projected radial form.
 
-    Both sides act on invariant root power sums g: the restricted operator
-    must equal the radial part minus the sum of 2 m_v d_v g / (v, x) over
-    the configuration.  Its forms are pairwise non-proportional (distinct
+    Both sides act on invariant root power sums f and g = f restricted: the
+    restriction of the Dunkl Laplacian, which on invariant f is the
+    Calogero-Moser operator L_c f = Delta f - sum_r 2 c_r (d_{alpha_r} f) /
+    alpha_r(x) (Heckman, 1991; see invariant_laplacian, which computes it
+    with one exact division per mirror and no Dunkl context), must equal
+    the radial part minus the sum of 2 m_v d_v g / (v, x) over the
+    configuration.  Its forms are pairwise non-proportional (distinct
     monic lines in the span of the basis, and v -> ((v, b))_b is injective),
     so the sum is a polynomial only if each form divides its numerator, as
     in `gauge_defects`.  A degree therefore fails when a division leaves a
@@ -247,8 +304,10 @@ def restriction_defects(
     needs a stratum that is no flat: at a point of a flat X on the mirror of
     alpha, grad f is fixed by s_alpha and by the reflections fixing X, so it
     lies in X and is orthogonal to alpha, hence to v.  For the deformed
-    check the confinement variable rides along and the exact additive
-    constant is part of the identity.  Returns degrees that fail.
+    check the confinement variable rides along and the left-hand side is the
+    confined sum_v (T_v + omega x_v)(T_v - omega x_v) f = L_c f + omega K f
+    - omega^2 |x|^2 f, with the exact additive constant K of
+    deformed_restriction_constant.  Returns degrees that fail.
     """
     if not mults.is_numeric:
         raise ValueError("numeric multiplicities required")
@@ -264,7 +323,6 @@ def restriction_defects(
     ginv = invert(gmat, field)
 
     extra = 1 if deformed else 0
-    ctx = DeformedContext(rs, mults) if deformed else DunklContext(rs, mults, extra_vars=0)
     nt = r + extra
     # parametrization of the stratum, with the confinement variable riding along
     ext_basis = [tuple(b) + (field.zero(),) * extra for b in basis]
@@ -281,13 +339,9 @@ def restriction_defects(
 
     bad = []
     for k in degrees:
-        f = invariant_power_sum(rs, k, nvars=ctx.nvars)
-        _check_invariant(rs, ctx, f)
-        if deformed:
-            lf = ctx.total_power(1, f)
-        else:
-            lf = ctx.laplacian(f)
-        lhs = lf.restrict_to(ext_basis)
+        f = invariant_power_sum(rs, k, nvars=rs.dim + extra)
+        _check_invariant(rs, f)
+        lhs = invariant_laplacian(rs, mults, f, deformed).restrict_to(ext_basis)
         g = f.restrict_to(ext_basis)
         # second derivatives weighted by the inverse metric
         radial = Polynomial.zero(field, nt)
@@ -324,8 +378,16 @@ def restriction_defects(
 
 
 def deformed_restriction_constant(stratum: Stratum, mults: Multiplicities) -> FieldElement:
-    """Coefficient of the confinement parameter in the restricted operator."""
-    rs = stratum.rs
+    """Coefficient of the confinement parameter in the restricted operator.
+
+    It is the constant K of the confined operator on the whole space, so it
+    does not depend on the stratum.
+    """
+    return _confinement_constant(stratum.rs, mults)
+
+
+def _confinement_constant(rs: RootSystem, mults: Multiplicities) -> FieldElement:
+    """K = -n + 2 sum_r c_r over the n coordinates and the root lines."""
     total_c = rs.field.zero()
     for i in range(len(rs.lines)):
         total_c = total_c + mults.line_scalar(i)

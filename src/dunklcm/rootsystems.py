@@ -177,6 +177,15 @@ class RootSystem:
         return tuple(tuple(self.line_index(reflect(l, s)) for l in self.lines) for s in self.simple)
 
     @cached_property
+    def coroots(self) -> tuple[Vector, ...]:
+        """alpha * 2 / (alpha, alpha) per root line, so that s(x) = x - (alpha, x) coroot."""
+        out = []
+        for alpha, norm in zip(self.lines, self.line_norms):
+            scale = norm.inverse() * 2
+            out.append(tuple(a * scale for a in alpha))
+        return tuple(out)
+
+    @cached_property
     def int_lines(self) -> list[list[tuple[int, ...]]]:
         """The root lines as integral rows over one common denominator."""
         return int_rows(self.lines)

@@ -4,7 +4,10 @@ Applies T_xi with no memo of any kind: every reflected polynomial is a
 fresh substitution of the reflected coordinates, every divided difference
 is one division per (direction, reflection), and the cyclic diagonal term
 of G(m,p,N) is written out from its definition.  It reads only the data a
-context holds (reflections, weights), never its caches or methods.
+context holds (reflections, weights), never its caches or methods, with
+one exception: `laplacian` composes the context's own `apply`, so that the
+Dunkl route through the monomial memos is the oracle of the closed form in
+`dunklcm.restriction.invariant_laplacian`.
 """
 
 from __future__ import annotations
@@ -82,3 +85,11 @@ def reference_commutativity_violations(ctx, max_degree: int) -> list:
             if lhs != rhs:
                 bad.append((exps, i, j))
     return bad
+
+
+def laplacian(ctx, f: Polynomial) -> Polynomial:
+    """sum_v T_v T_v f over the coordinate directions, through ctx.apply."""
+    out = Polynomial.zero(ctx.field, ctx.nvars)
+    for v in range(ctx.nx):
+        out = out + ctx.apply(v, ctx.apply(v, f))
+    return out

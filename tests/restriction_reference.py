@@ -11,13 +11,16 @@ inner product.
 It also holds the gauge and restriction identities as they were checked
 before the residue argument replaced them: each rational identity is
 multiplied through by the product of its linear forms and compared as a
-polynomial.  These share the restricted configuration, the Dunkl operators
-and the polynomial arithmetic with the code under test, but not the
-grouping by line or the exact division.
+polynomial.  These share the restricted configuration and the polynomial
+arithmetic with the code under test, but not the grouping by line or the
+exact division, and their left-hand side takes the Dunkl route (the
+operators of `dunklcm.dunkl`), not the closed form of
+`dunklcm.restriction.invariant_laplacian`.
 """
 
 from __future__ import annotations
 
+from dunkl_reference import laplacian
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.linalg import dot, gram, invert, mat_vec, vec_is_zero
 from dunklcm.polynomials import Polynomial
@@ -155,7 +158,7 @@ def reference_restriction_defects(stratum, mults, degrees=(2, 4, 6), deformed=Fa
     bad = []
     for k in degrees:
         f = invariant_power_sum(rs, k, nvars=ctx.nvars)
-        lf = ctx.total_power(1, f) if deformed else ctx.laplacian(f)
+        lf = ctx.total_power(1, f) if deformed else laplacian(ctx, f)
         lhs = lf.restrict_to(ext_basis)
         g = f.restrict_to(ext_basis)
         radial = Polynomial.zero(field, nt)

@@ -301,6 +301,16 @@ def test_verify_restriction(capsys):
     assert code == 0
 
 
+def test_verify_restriction_reaches_e6_a2_at_degree_four(capsys):
+    # the closed-form Laplacian brings this from seconds to a fraction of one
+    code, out = run(capsys, "verify", "restriction", "--family", "E6", "--subgraph", "A2", "--degree", "4")
+    golden = next(row for row in _load_catalog_rows() if (row["family"], row["type"]) == ("E6", "A2"))
+    assert code == 0
+    assert out["failing_degrees"] == []
+    assert out["degrees"] == [2, 4]
+    assert out["multiplicities"] == {"c": golden["c"]} == {"c": "1/3"}
+
+
 def test_verify_deformed(capsys):
     code, out = run(capsys, "verify", "deformed", "--family", "A", "--rank", "2", "--k", "1", "--l", "2", "--degree", "2")
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dunklcm.restriction import (
+    _check_invariant,
     catalog_compare,
     catalog_row_result,
     catalog_stratum,
@@ -11,11 +12,14 @@ from dunklcm.restriction import (
     conservation_defect,
     deformed_restriction_constant,
     gauge_defects,
+    invariant_laplacian,
     invariant_power_sum,
     restricted_configuration,
     restriction_defects,
 )
-from dunklcm.polynomials import divide_by_linear
+from dunkl_reference import laplacian
+from dunklcm.dunkl import DeformedContext, DunklContext
+from dunklcm.polynomials import Polynomial, divide_by_linear
 from dunklcm.rootsystems import (
     Multiplicities,
     Stratum,
@@ -100,6 +104,16 @@ def test_power_sums_are_invariant():
     ctx = DunklContext(rs, Multiplicities.numeric(rs, Fraction(1, 2)))
     for line in range(len(rs.lines)):
         assert (ctx.reflect_poly(line, p4) - p4).is_zero()
+
+
+def test_invariance_guard():
+    rs = root_system("A", 2)
+    x0 = Polynomial.variable(rs.field, rs.dim, 0)
+    with pytest.raises(ValueError, match="not invariant"):
+        _check_invariant(rs, x0 * x0)
+    h3 = root_system("H3")
+    # the confinement variable rides along, fixed by every reflection
+    assert _check_invariant(h3, invariant_power_sum(h3, 4, nvars=h3.dim + 1)) is None
 
 
 def test_restriction_identity_and_its_failure():
@@ -287,8 +301,53 @@ def test_zero_form_is_an_error_not_a_failing_degree(monkeypatch):
     mults = Multiplicities.numeric(rs, {"c1": Fraction(1, 3), "c2": Fraction(1, 5)})
 
     def zero_form(f, form):
-        return divide_by_linear(f, tuple(x - x for x in form))
+        # only the forms on the stratum: the full-space mirror forms of the
+        # closed-form Laplacian have one entry per coordinate
+        return divide_by_linear(f, tuple(x - x for x in form) if len(form) < rs.dim else form)
 
     monkeypatch.setattr(restriction, "divide_by_linear", zero_form)
     with pytest.raises(ZeroDivisionError):
         restriction_defects(st, mults, degrees=(2,))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form Laplacian against the Dunkl route
+
+
+@pytest.mark.parametrize("family, rank_, degrees", [
+    ("A", 3, (2, 4)), ("B", 4, (2, 4, 6)), ("D", 4, (2, 4)), ("G2", None, (2, 4)), ("F4", None, (2, 4)),
+    ("H3", None, (2, 4)), ("H4", None, (2, 4)), ("E6", None, (2,)),
+], ids=["A3", "B4", "D4", "G2", "F4", "H3", "H4", "E6"])
+def test_closed_form_laplacian_matches_dunkl_route(family, rank_, degrees):
+    """Heckman's lemma: on W-invariant f, sum_v T_v^2 f is the Calogero-Moser
+    operator Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x), and the
+    confined sum_v (T_v + omega x_v)(T_v - omega x_v) f adds omega K f -
+    omega^2 |x|^2 f.  `restriction_defects` takes its left-hand side from
+    this closed form, so on the empty subgraph, where the stratum is the
+    whole space, it compares the closed form with itself: this test, which
+    applies the Dunkl operators themselves, is what carries the lemma."""
+    rs = root_system(family, rank_)
+    # on B4 one orbit has weight 0, so its lines drop out of the closed form
+    mults = orbit_weights(rs) if family != "B" else Multiplicities.numeric(rs, {"c1": 0, "c2": Fraction(3, 7)})
+    plain, confined = DunklContext(rs, mults), DeformedContext(rs, mults)
+    for k in degrees:
+        f = invariant_power_sum(rs, k)
+        assert invariant_laplacian(rs, mults, f) == laplacian(plain, f), k
+        f = invariant_power_sum(rs, k, nvars=rs.dim + 1)
+        assert invariant_laplacian(rs, mults, f, deformed=True) == confined.total_power(1, f), k
+
+
+def test_restriction_builds_no_dunkl_context(monkeypatch):
+    rs = root_system("F4")
+    st = parabolic_stratum(rs, (0,))
+    # on the locus c1 = 1/2 and off it
+    cases = [Multiplicities.numeric(rs, {"c1": Fraction(c1), "c2": Fraction(1, 3)}) for c1 in ("1/2", "1/3")]
+    expected = [reference_restriction_defects(st, m, degrees=(2, 4), deformed=d) for m in cases for d in (False, True)]
+    assert expected[:2] == [[], []] and expected[2:] != [[], []]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("restriction_defects built a Dunkl context")
+
+    monkeypatch.setattr(DunklContext, "__init__", refuse)
+    got = [restriction_defects(st, m, degrees=(2, 4), deformed=d) for m in cases for d in (False, True)]
+    assert got == expected
