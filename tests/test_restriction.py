@@ -30,6 +30,7 @@ from dunklcm.rootsystems import (
     root_system,
 )
 from restriction_reference import (
+    pad_variables,
     reference_configuration,
     reference_lines,
     reference_gauge_defects,
@@ -112,8 +113,7 @@ def test_invariance_guard():
     with pytest.raises(ValueError, match="not invariant"):
         _check_invariant(rs, x0 * x0)
     h3 = root_system("H3")
-    # the confinement variable rides along, fixed by every reflection
-    assert _check_invariant(h3, invariant_power_sum(h3, 4, nvars=h3.dim + 1)) is None
+    assert _check_invariant(h3, invariant_power_sum(h3, 4)) is None
 
 
 def test_restriction_identity_and_its_failure():
@@ -129,7 +129,8 @@ def test_deformed_restriction_identity():
     rs = root_system("A", 3)
     st = block_stratum(rs, m=1, k=2)
     mults = Multiplicities.numeric(rs, Fraction(1, 2))
-    assert restriction_defects(st, mults, degrees=(2, 4), deformed=True) == []
+    assert restriction_defects(st, mults, degrees=(2, 4)) == []
+    assert reference_restriction_defects(st, mults, degrees=(2, 4), deformed=True) == []
     # -N + N(N-1)/k at N = 4, k = 2
     assert deformed_restriction_constant(st, mults) == rs.field.element(2)
 
@@ -277,8 +278,34 @@ def test_deformed_restriction_matches_cleared_denominators(family, rank_, weight
     rs = root_system(family, rank_)
     mults = Multiplicities.numeric(rs, weights)
     st = block_stratum(rs, m=1, k=2) if family == "A" else block_stratum(rs, m=1, k=2, l=1)
-    got = restriction_defects(st, mults, degrees=(2, 4), deformed=True)
+    got = restriction_defects(st, mults, degrees=(2, 4))
     assert got == reference_restriction_defects(st, mults, degrees=(2, 4), deformed=True)
+
+
+@pytest.mark.parametrize("family, rank_, weights", [
+    ("A", 3, (Fraction(1, 2), Fraction(1, 3))),
+    ("B", 3, ({"c1": Fraction(1, 2), "c2": Fraction(1, 2)}, {"c1": Fraction(2, 3), "c2": Fraction(1, 5)})),
+    ("F4", None, ({"c1": Fraction(1, 2), "c2": Fraction(1, 3)}, {"c1": Fraction(1, 3), "c2": Fraction(1, 5)})),
+], ids=["A3", "B3", "F4"])
+def test_plain_restriction_decides_the_confined_identity(family, rank_, weights):
+    """The confined operator sum_v (T_v + omega x_v)(T_v - omega x_v) adds
+    omega K g - omega^2 |x|^2 g to the restricted left-hand side, and the
+    confined radial form adds omega K g - omega^2 (t^T G t) g to the right,
+    with t the coordinates over the stratum's basis and G its Gram matrix.
+    Restricted to the stratum |x|^2 is t^T G t, so the added terms are
+    equal and the plain identity holds exactly when the confined one does.
+    The oracle checks the confined identity on the Dunkl route, with omega
+    as a variable; each weight is on the invariance locus of some strata
+    and off that of others."""
+    rs = root_system(family, rank_)
+    outcomes = set()
+    for w in weights:
+        mults = Multiplicities.numeric(rs, w)
+        for st in enumerate_parabolic_strata(rs):
+            got = restriction_defects(st, mults, degrees=(2, 4))
+            assert got == reference_restriction_defects(st, mults, degrees=(2, 4), deformed=True), (st.label, w)
+            outcomes.add(bool(got))
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("family, rank_, row", [("A", 3, (1, 2, 3, 0)), ("B", 3, (1, 2, 0))])
@@ -322,19 +349,25 @@ def test_closed_form_laplacian_matches_dunkl_route(family, rank_, degrees):
     """Heckman's lemma: on W-invariant f, sum_v T_v^2 f is the Calogero-Moser
     operator Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x), and the
     confined sum_v (T_v + omega x_v)(T_v - omega x_v) f adds omega K f -
-    omega^2 |x|^2 f.  `restriction_defects` takes its left-hand side from
-    this closed form, so on the empty subgraph, where the stratum is the
-    whole space, it compares the closed form with itself: this test, which
-    applies the Dunkl operators themselves, is what carries the lemma."""
+    omega^2 |x|^2 f, with omega after the n coordinates.  `restriction_defects`
+    takes its left-hand side from this closed form, so on the empty subgraph,
+    where the stratum is the whole space, it compares the closed form with
+    itself: this test, which applies the Dunkl operators themselves, is what
+    carries the lemma."""
     rs = root_system(family, rank_)
+    field, n = rs.field, rs.dim
     # on B4 one orbit has weight 0, so its lines drop out of the closed form
     mults = orbit_weights(rs) if family != "B" else Multiplicities.numeric(rs, {"c1": 0, "c2": Fraction(3, 7)})
     plain, confined = DunklContext(rs, mults), DeformedContext(rs, mults)
+    const = field.element(-n) + sum((mults.line_scalar(i) for i in range(len(rs.lines))), field.zero()) * 2
+    omega = Polynomial.variable(field, n + 1, n)
+    norm2 = sum((Polynomial.variable(field, n + 1, v) ** 2 for v in range(n)), Polynomial.zero(field, n + 1))
     for k in degrees:
         f = invariant_power_sum(rs, k)
-        assert invariant_laplacian(rs, mults, f) == laplacian(plain, f), k
-        f = invariant_power_sum(rs, k, nvars=rs.dim + 1)
-        assert invariant_laplacian(rs, mults, f, deformed=True) == confined.total_power(1, f), k
+        lf = invariant_laplacian(rs, mults, f)
+        assert lf == laplacian(plain, f), k
+        f, lf = pad_variables(f, n + 1), pad_variables(lf, n + 1)
+        assert lf + omega * f * const - omega * omega * norm2 * f == confined.total_power(1, f), k
 
 
 def test_restriction_builds_no_dunkl_context(monkeypatch):
@@ -349,5 +382,5 @@ def test_restriction_builds_no_dunkl_context(monkeypatch):
         raise AssertionError("restriction_defects built a Dunkl context")
 
     monkeypatch.setattr(DunklContext, "__init__", refuse)
-    got = [restriction_defects(st, m, degrees=(2, 4), deformed=d) for m in cases for d in (False, True)]
-    assert got == expected
+    got = [restriction_defects(st, m, degrees=(2, 4)) for m in cases]
+    assert got == expected[::2] == expected[1::2]
