@@ -216,19 +216,22 @@ _WEIGHT_FLAGS = ("c", "c1", "c2", "c0", "c0_odd", "mult")
 
 
 def _collect_mult_values(args) -> dict[str, Fraction]:
+    """The weights of the weight flags and of every --mult name=value; a weight given twice is an error."""
     vals: dict[str, Fraction] = {}
+
+    def put(name: str, text: str) -> None:
+        if name in vals:
+            raise UsageError(f"weight {name} is given more than once")
+        vals[name] = _weight_literal(name, text)
+
     for name in ("c", "c1", "c2", "c0", "c0_odd"):
-        got = getattr(args, name, None)
-        if got is not None:
-            vals[name] = _weight_literal(name, got)
+        for text in getattr(args, name, None) or []:
+            put(name, text)
     for item in getattr(args, "mult", None) or []:
         name, sep, val = item.partition("=")
         if not sep:
             raise UsageError(f"--mult expects name=value, got {item!r}")
-        name = name.strip()
-        if name in vals:
-            raise UsageError(f"weight {name} is given more than once")
-        vals[name] = _weight_literal(name, val)
+        put(name.strip(), val)
     return vals
 
 
@@ -824,9 +827,10 @@ def _add_family(sub):
 
 
 def _add_mults(sub):
-    sub.add_argument("--c", help="multiplicity for a single orbit")
-    sub.add_argument("--c1", help="first orbit multiplicity")
-    sub.add_argument("--c2", help="second orbit multiplicity")
+    # every weight flag collects its values, so that _collect_mult_values sees a repeat
+    sub.add_argument("--c", action="append", help="multiplicity for a single orbit")
+    sub.add_argument("--c1", action="append", help="first orbit multiplicity")
+    sub.add_argument("--c2", action="append", help="second orbit multiplicity")
     sub.add_argument("--mult", action="append", help="name=value, repeatable")
 
 
@@ -835,8 +839,8 @@ def _add_group(sub):
     sub.add_argument("--blocks", help="collision blocks 'q,r' (or just 'r')")
     sub.add_argument("--zeros", type=int, default=None, help="trailing zero coordinates (0)")
     sub.add_argument("--eps", type=int, default=None, help="root-of-unity twist power on the last block (0)")
-    sub.add_argument("--c0", help="reflection weight")
-    sub.add_argument("--c0-odd", dest="c0_odd", help="odd-twist reflection weight (N=2, even p)")
+    sub.add_argument("--c0", action="append", help="reflection weight")
+    sub.add_argument("--c0-odd", dest="c0_odd", action="append", help="odd-twist reflection weight (N=2, even p)")
 
 
 @functools.cache

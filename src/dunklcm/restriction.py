@@ -2,15 +2,17 @@
 
 Projecting the root lines orthogonally onto the subspace and adding up the
 multiplicities of lines with a common image yields the vector configuration
-of the restricted operator.  The lines are grouped by their Gram
-coordinates over the subspace's basis, which determine the projection:
-each stratum keeps one integral Gram row per root line, keyed up to scale
-(`Stratum.line_keys`), so the grouping compares integer tuples and each
-restricted line is projected once, on integer rows.  The identities
-verified here are exact, and their denominators are never cleared: a sum
-of a_k/l_k over pairwise non-proportional linear forms l_k is a polynomial
-exactly when each l_k divides a_k, so each identity is decided line by
-line, by summed residues or by exact division.
+of the restricted operator.  A root line sum_j c_j alpha_j projects to
+sum_j c_j pi(alpha_j), so the lines are grouped by their simple-root
+coordinates pushed onto an independent set of the pi(alpha_j), keyed up
+to scale (`Stratum.line_keys`): on a parabolic stratum X_I the
+coordinates outside I.  The grouping compares integer tuples, and each
+restricted line is projected once, through the integral rows of those
+pi(alpha_j), which one |I| x |I| solve on the simple roots' Gram matrix
+gives.  The identities verified here are exact, and their denominators
+are never cleared: a sum of a_k/l_k over pairwise non-proportional linear
+forms l_k is a polynomial exactly when each l_k divides a_k, so each
+identity is decided line by line, by summed residues or by exact division.
 
 The operator restricted is the Dunkl Laplacian sum_v T_v^2 on invariant
 polynomials, where it is the Calogero-Moser operator
@@ -134,15 +136,12 @@ class Configuration:
 def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configuration:
     """Orthogonal projections of the root lines, grouped and weighted.
 
-    The projection of a line alpha is sum_a (G^-1 r)_a b_a for its Gram
-    coordinates r = ((b, alpha))_b over the basis, with G the Gram matrix.
-    It is injective in r, so it vanishes exactly when r does, and two lines
-    have proportional projections exactly when their r are proportional.
-    The stratum's line keys are canonical integral rows of the r, so
-    grouping the lines by key gives the groups of the monic projections,
-    in the same order.  Each group is projected once, through the integral
-    matrix of r -> B^T G^-1 r up to a positive scale, and only its monic
-    image is built from field elements.
+    A line's key k stands for its projection sum_p k_p pi(alpha_p) over the
+    stratum's key roots, up to scale (see Stratum), so grouping the lines
+    by key gives the groups of the monic projections, in the same order.
+    Each group is projected once, through the integral rows of the
+    pi(alpha_p) (Stratum.key_projections), and only its monic image is
+    built from field elements.
     """
     rs = stratum.rs
     field = rs.field
@@ -153,10 +152,8 @@ def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configu
     for i, key in enumerate(stratum.line_keys):
         if key is not None:
             groups.setdefault(key, []).append(i)
-    # G^-1 is symmetric, so row j of B^T G^-1 is G^-1 times column j of B
-    ginv = invert(gram(basis), field)
-    projection = int_rows([mat_vec(ginv, col) for col in zip(*basis)])
-    vectors = [monic_row(field, [field.int_dot(row, key) for row in projection]) for key in groups]
+    columns = list(zip(*stratum.key_projections()))
+    vectors = [monic_row(field, [field.int_dot(key, col) for col in columns]) for key in groups]
     return Configuration(field, basis, vectors, [mults.line_sum(lines) for lines in groups.values()], mults.params)
 
 

@@ -5,7 +5,10 @@ representation exact with the standard dot product: Q for the crystallographic
 families, Q(sqrt(5)) for H3, H4 and the pentagon, Q(sqrt(2)) and Q(sqrt(3))
 for the octagon and the 12-gon.  Root systems store one representative per
 root line; every operation downstream is invariant under negating a root,
-so a geometric choice of positive system is never needed.
+so a geometric choice of positive system is never needed.  Each line also
+keeps its coordinates over the simple roots (RootSystem.coords), integral
+over one common denominator, on which the lines are walked and strata read
+their lines, their projections and their components.
 
 Subspaces are kept in canonical form (reduced echelon annihilator), but a
 flat is keyed by the sorted indices of the hyperplanes that contain it,
@@ -13,17 +16,21 @@ which the group permutes: a stratum's root lines, or for G(m,p,N) the
 hyperplanes of G(m,1,N).  flat_members builds the Subspace of each tuple.
 
 Every orbit is built by one breadth-first walk, orbit_walk: the root
-lines are the orbits of the simple-root lines, whose order of appearance
-also labels the weight orbits, and flats are orbits of line tuples under
-a list of line permutations (orbit_of_subspace), real and complex groups
-alike.  Parabolic classes are decided on the Coxeter diagram alone, by
+lines are the orbits of the simple-root lines on their coordinates, whose
+order of appearance also labels the weight orbits, and flats are orbits of
+line tuples under a list of line permutations (orbit_of_subspace), real and
+complex groups alike.  Parabolic classes are decided on the Coxeter diagram alone, by
 Deodhar's moves between subsets of the simple roots (parabolic_classes),
 which both the stratum enumeration and the command line's --subgraph type
 lookup consume; no command walks the orbit of a flat.
 
-The weighted Coxeter number of an irreducible set of root lines is computed
-in closed form, (2 / rank) * the sum of the line weights; the tests keep the
-weighted root form itself as the oracle it is checked against.
+A parabolic stratum X_I vanishes on the roots supported in I, and its
+irreducible components are those of I in the Coxeter diagram; only other
+subspaces compare their lines by orthogonality.  The weighted Coxeter
+number of an irreducible set of root lines is computed in closed form,
+(2 / rank) * the sum of the line weights, the rank of a parabolic
+component being its number of vertices; the tests keep the weighted root
+form itself as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -38,8 +45,11 @@ from .fields import Field, FieldElement, render_scalar
 from .linalg import (
     Vector,
     dot,
+    gram,
     int_rows,
+    invert,
     line_key,
+    mat_vec,
     nullspace,
     rank,
     reflect,
@@ -69,6 +79,29 @@ def _line_rep(v: Vector) -> Vector:
             if a:
                 return v if a > 0 else tuple(-y for y in v)
     return v
+
+
+def _negated(c: tuple) -> tuple:
+    return tuple(tuple([-a for a in x]) for x in c)
+
+
+def _coord_reflect(mul, den: int, i: int, column, c: tuple) -> tuple:
+    """s_i on the integral coordinates c over den, signed so that the first nonzero integer is positive.
+
+    column holds (j, den * <alpha_j, alpha_i^v>) for the nonzero Cartan
+    entries of column i, as integral vectors.
+    """
+    pairing = [0] * len(c[i])
+    for j, a in column:
+        if any(c[j]):
+            pairing = [p + q for p, q in zip(pairing, mul(c[j], a))]
+    ci = tuple([x - p // den for x, p in zip(c[i], pairing)])
+    out = c[:i] + (ci,) + c[i + 1:]
+    for x in out:
+        for a in x:
+            if a:
+                return out if a > 0 else _negated(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +165,55 @@ class RootSystem:
         self.simple = simple
         self.dim = len(simple[0])
         self.coxeter_number = coxeter_number
-        self.lines, self.orbit_labels, self.orbit_names = self._line_orbits()
+        self.lines, self.coords, self.coord_den, self.orbit_labels, self.orbit_names = self._line_orbits()
         self._line_index = {_vec_key(l): i for i, l in enumerate(self.lines)}
         self.line_norms = tuple(dot(l, l) for l in self.lines)
-        self._simple_line = tuple(self._line_index[_vec_key(_line_rep(s))] for s in self.simple)
 
     # -- construction -------------------------------------------------------
 
-    def _line_orbits(self) -> tuple[tuple[Vector, ...], tuple[int, ...], tuple[str, ...]]:
-        """Root lines sorted by key, each line's orbit label, and the orbit names.
+    def _line_orbits(self) -> tuple[tuple[Vector, ...], tuple, int, tuple[int, ...], tuple[str, ...]]:
+        """Root lines sorted by key, their coordinates over the simple roots and
+        the coordinates' common denominator, each line's orbit label, and the
+        orbit names.
 
         Every root is conjugate to a simple root, so the lines are the union
         of the orbits of the simple-root lines.  Orbits are numbered in order
-        of first appearance among the simple roots.
+        of first appearance among the simple roots.  The walk runs on the
+        coordinates c over the simple roots, where s_i changes only c_i, by
+        <c, alpha_i^v> = sum_j c_j <alpha_j, alpha_i^v>: a sum over the
+        nonzero Cartan entries of column i.  The coordinates are integral
+        rows over the common denominator E of the Cartan entries: they lie
+        in the ring the entries generate, Z or Z[tau]
+        for tau = (1 + sqrt(5)) / 2, which E times any element maps to
+        integral rows, so the division by E below is exact.  Each line is
+        sum_j c_j alpha_j, signed like _line_rep, its coordinates with it.
         """
-        moves = [lambda r, s=s, n=dot(s, s): _line_rep(reflect(r, s, n)) for s in self.simple]
-        orbits: list[dict[tuple, Vector]] = []
-        for s in self.simple:
-            start = _line_rep(s)
-            if not any(_vec_key(start) in orbit for orbit in orbits):
-                orbits.append(orbit_walk(start, moves, math.inf, key=_vec_key))
-        label = {k: i for i, orbit in enumerate(orbits) for k in orbit}
-        keys = sorted(label)
-        lines = tuple(orbits[label[k]][k] for k in keys)
+        field = self.field
+        norms = [dot(s, s) for s in self.simple]
+        cartan = [[dot(a, s) * 2 / n for s, n in zip(self.simple, norms)] for a in self.simple]
+        den = math.lcm(*(x.den for row in cartan for x in row))
+        columns = [[(j, a) for j, a in enumerate(col) if any(a)] for col in zip(*int_rows(cartan))]
+        mul = field._mul_nums
+        moves = [partial(_coord_reflect, mul, den, i, col) for i, col in enumerate(columns)]
+        zero = (0,) * field.degree
+        orbits: list[dict[tuple, tuple]] = []
+        for i in range(self.rank):
+            start = tuple((den,) + zero[1:] if j == i else zero for j in range(self.rank))
+            if not any(start in orbit for orbit in orbits):
+                orbits.append(orbit_walk(start, moves, math.inf, key=tuple))
+        # with the simple roots integral over sden, sum_j c_j alpha_j is integral over den * sden
+        sden = math.lcm(*(x.den for s in self.simple for x in s))
+        simple_columns = list(zip(*int_rows(self.simple)))
+        found = []
+        for label, orbit in enumerate(orbits):
+            for c in orbit:
+                line = tuple(field.quotient(field.int_dot(c, col), den * sden) for col in simple_columns)
+                rep = _line_rep(line)
+                found.append((_vec_key(rep), rep, c if rep is line else _negated(c), label))
+        found.sort(key=lambda entry: entry[0])
         names = ("c",) if len(orbits) == 1 else tuple(f"c{i + 1}" for i in range(len(orbits)))
-        return lines, tuple(label[k] for k in keys), names
+        _, lines, coords, labels = zip(*found)
+        return lines, coords, den, labels, names
 
     # -- basic queries -------------------------------------------------------
 
@@ -184,11 +241,6 @@ class RootSystem:
             scale = norm.inverse() * 2
             out.append(tuple(a * scale for a in alpha))
         return tuple(out)
-
-    @cached_property
-    def int_lines(self) -> list[list[tuple[int, ...]]]:
-        """The root lines as integral rows over one common denominator."""
-        return int_rows(self.lines)
 
     @cached_property
     def bonds(self) -> tuple[tuple[int, ...], ...]:
@@ -571,10 +623,11 @@ class Multiplicities:
         return self.values[self.rs.orbit_names[self.rs.orbit_labels[line_idx]]]
 
     def line_sum(self, line_indices) -> Polynomial:
-        """The sum of the values of the given root lines, in one accumulator."""
-        field = self.rs.field
-        one = field.one().nums
-        return linear_combination(field, len(self.params), ((self.line_value(i), one, 1) for i in line_indices))
+        """The sum of the values of the given root lines: one accumulator piece per orbit, times its line count."""
+        rs = self.rs
+        counts = Counter(rs.orbit_labels[i] for i in line_indices)
+        pieces = ((self.values[rs.orbit_names[k]], rs.field.element(n).nums, 1) for k, n in counts.items())
+        return linear_combination(rs.field, len(self.params), pieces)
 
     def line_scalar(self, line_idx: int) -> FieldElement:
         if not self.is_numeric:
@@ -594,11 +647,21 @@ class Multiplicities:
 class Stratum:
     """A reflection-group orbit of a flat, known by the sorted indices of its root lines.
 
-    line_keys holds, for each root line alpha, the line key of its integral
-    Gram row ((b, alpha))_b over the basis, whose vectors share one
-    denominator so that proportional Gram rows stay proportional.  The key
-    is None exactly for the lines orthogonal to the subspace, the stratum's
-    lines.
+    A root line alpha = sum_j c_j alpha_j projects onto the subspace as
+    sum_j c_j pi(alpha_j).  The projections of the simple roots key_roots
+    are a basis of the projections of all of them, and line_keys holds,
+    for each root line, the line key of its coordinates pushed onto that
+    basis: lines with proportional projections share a key, and the key is
+    None exactly for the lines that vanish on the subspace, the stratum's
+    lines.  For a parabolic stratum (gamma0 = I) the key roots are the
+    simple roots outside I and a key is read off the coordinates outside
+    I, so its lines are the roots supported in I (Phi cap span Delta_I =
+    Phi_I; Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.10).
+    Any other subspace takes the reduced form of its Gram rows ((b,
+    alpha_j))_b over the basis, an injective image of the pi(alpha_j): its
+    pivot columns are the key roots, and column j holds pi(alpha_j) over
+    their projections, so a line's key coordinates are its coordinates
+    times the reduced rows.
     """
 
     def __init__(self, rs: RootSystem, subspace: Subspace, gamma0: tuple[int, ...] | None = None, label: str = ""):
@@ -607,17 +670,64 @@ class Stratum:
         self.gamma0 = gamma0
         self.label = label
         field = rs.field
-        basis = int_rows(subspace.basis)
-        self.line_keys = tuple(line_key(field, [field.int_dot(b, l) for b in basis]) for l in rs.int_lines)
+        if gamma0 is not None:
+            self.key_roots = tuple(j for j in range(rs.rank) if j not in gamma0)
+            rows = ([c[j] for j in self.key_roots] for c in rs.coords)
+        else:
+            gram_rows = tuple(tuple(dot(b, alpha) for alpha in rs.simple) for b in subspace.basis)
+            reduced, self.key_roots = rref(gram_rows)
+            pushed = int_rows(reduced)
+            rows = ([field.int_dot(c, row) for row in pushed] for c in rs.coords)
+        self.line_keys = tuple(line_key(field, row) for row in rows)
         self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Vanishing root lines grouped by orthogonality connectivity.
+    def key_projections(self) -> list[list[tuple[int, ...]]]:
+        """The orthogonal projections pi(alpha_j) of the key roots onto the
+        subspace, as integral rows over one common denominator.
 
-        Each group is one irreducible root subsystem: the vanishing lines
-        are closed under their own reflections, and the irreducible parts
-        of such a set are its classes under non-orthogonality.
+        pi(alpha_j) = alpha_j - sum_a y_a n_a with y = M^-1 ((n_a, alpha_j))_a,
+        over normals n_a that span the annihilator and their Gram matrix M:
+        for a parabolic stratum the simple roots of gamma0, so one |I| x |I|
+        solve on the simple roots' Gram matrix.
         """
+        rs = self.rs
+        field = rs.field
+        normals = self.subspace.annihilator if self.gamma0 is None else [rs.simple[i] for i in self.gamma0]
+        if not normals:
+            return int_rows([rs.simple[j] for j in self.key_roots])
+        minv = invert(gram(normals), field)
+        one = field.one()
+        # the coefficients of each pi(alpha_j) over (alpha_j, n_1, ..., n_k)
+        coeffs = int_rows([
+            (one, *(-y for y in mat_vec(minv, tuple(dot(n, rs.simple[j]) for n in normals)))) for j in self.key_roots
+        ])
+        vectors = int_rows([*rs.simple, *normals])
+        normal_columns = list(zip(*vectors[rs.rank:]))
+        return [
+            [field.int_dot(c, (a, *col)) for a, col in zip(vectors[j], normal_columns)]
+            for j, c in zip(self.key_roots, coeffs)
+        ]
+
+    def components(self) -> list[tuple[int, ...]]:
+        """Vanishing root lines grouped into irreducible root subsystems.
+
+        For a parabolic stratum these are the root systems of the
+        components of gamma0 in the Coxeter diagram: a vanishing root is
+        supported in gamma0, and its support is connected, so the component
+        that holds its first simple root holds it.  For any other subspace
+        they are the classes of the vanishing lines under
+        non-orthogonality: the lines are closed under their own
+        reflections, and the irreducible parts of such a set are those
+        classes.
+        """
+        if self.gamma0 is not None:
+            comps = _diagram_components(self.rs, self.gamma0)
+            owner = {v: k for k, (_, _, verts, _) in enumerate(comps) for v in verts}
+            groups: dict[int, list[int]] = {}
+            for i in self.lines:
+                first = next(j for j, c in enumerate(self.rs.coords[i]) if any(c))
+                groups.setdefault(owner[first], []).append(i)
+            return sorted(map(tuple, groups.values()))
         remaining = set(self.lines)
         out: list[tuple[int, ...]] = []
         while remaining:
@@ -831,7 +941,15 @@ def generalized_coxeter_number(rs: RootSystem, mults: Multiplicities, line_indic
     irreducibly on the span of the lines and the weights are invariant, so
     the weighted form is h times the scalar product there; its trace is the
     sum of c_alpha over both roots of each line, hence
-    h = (2 / rank) * sum of the line weights.
+    h = (2 / rank) * sum of the line weights.  When the lines hold the
+    simple root of every vertex of their joint support S, as a component of
+    a parabolic stratum does, they are Phi_S (each root of Phi_S is
+    conjugate under W_S to one of those simple roots, and every line lies
+    in Phi cap span Delta_S = Phi_S), so the rank is |S|, read off the
+    coordinates; otherwise it is the rank of the lines.
     """
     line_indices = tuple(line_indices)
-    return mults.line_sum(line_indices) * rs.field.element(Fraction(2, rank(rs.lines[i] for i in line_indices)))
+    support = {j for i in line_indices for j, c in enumerate(rs.coords[i]) if any(c)}
+    simple_lines = sum(1 for i in line_indices if sum(map(any, rs.coords[i])) == 1)
+    rank_ = len(support) if simple_lines == len(support) else rank(rs.lines[i] for i in line_indices)
+    return mults.line_sum(line_indices) * rs.field.element(Fraction(2, rank_))

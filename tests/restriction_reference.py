@@ -3,10 +3,10 @@
 Projects every root line onto the stratum on its own (solve the Gram system
 for the coordinates, then sum the basis vectors entry by entry) and groups
 the lines by their monic projection, in first-seen order.  This is the
-per-line path that grouping by integral Gram rows replaced; it shares only
-the exact inner product and the Gram inverse with the code under test.  The
-stratum's own lines are the ones orthogonal to its basis, tested by the
-inner product.
+per-line path that grouping by integral Gram rows, and later by simple-root
+coordinates, replaced; it shares only the exact inner product and the Gram
+inverse with the code under test.  The stratum's own lines are the ones
+orthogonal to its basis, tested by the inner product.
 
 It also holds the gauge and restriction identities as they were checked
 before the residue argument replaced them: each rational identity is

@@ -18,6 +18,11 @@ subset's root lines up in it, where the program applies Deodhar's moves on
 the Coxeter diagram.  reference_parabolic_strata labels every class of every
 size with the program's :k suffixes of doubled types.
 
+reference_components groups a stratum's vanishing root lines by
+orthogonality connectivity, reading only the ambient lines, where the
+program reads the components of a parabolic stratum off the Coxeter
+diagram and the simple-root coordinates.
+
 reference_coxeter_number builds the weighted root form
 sum_alpha c_alpha (alpha,u)(alpha,v)/(alpha,alpha) as a matrix on a basis
 of the span of the lines and checks entry by entry that it is h times the
@@ -88,6 +93,31 @@ def reference_lines(simple) -> tuple[tuple, tuple[int, ...], tuple[str, ...]]:
     labels = tuple(order.index(c) for c in comp)
     names = ("c",) if ncomp == 1 else tuple(f"c{i + 1}" for i in range(ncomp))
     return lines, labels, names
+
+
+def reference_components(stratum) -> list[tuple[int, ...]]:
+    """The stratum's vanishing lines in classes under non-orthogonality, each sorted, the classes sorted.
+
+    The vanishing lines are closed under their own reflections, so these
+    classes are their irreducible root subsystems.
+    """
+    lines = stratum.rs.lines
+    remaining = set(stratum.lines)
+    out = []
+    while remaining:
+        start = min(remaining)
+        comp = {start}
+        stack = [start]
+        remaining.discard(start)
+        while stack:
+            i = stack.pop()
+            for j in list(remaining):
+                if not dot(lines[i], lines[j]).is_zero():
+                    remaining.discard(j)
+                    comp.add(j)
+                    stack.append(j)
+        out.append(tuple(sorted(comp)))
+    return sorted(out)
 
 
 def reference_coxeter_number(rs, mults, line_indices) -> Polynomial:

@@ -374,7 +374,14 @@ def test_unknown_weight_name(capsys):
     (["verify", "restriction", "--family", "B", "--rank", "3", "--subgraph", "A1", "--c2", "1/2",
       "--mult", "c2=1/2"], "c2"),
     (["check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2", "--mult", "c0=1/3"], "c0"),
-], ids=["flag-and-mult", "mult-twice", "same-value-twice", "group"])
+    (["check", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2", "--c", "1/3"], "c"),
+    (["check", "--family", "B", "--rank", "3", "--subgraph", "A1", "--c1", "1/2", "--c1", "1/2", "--c2", "1/3"], "c1"),
+    (["restrict", "--family", "F4", "--subgraph", "A1", "--c1", "1/2", "--c2", "1/3", "--c2", "1/4"], "c2"),
+    (["check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2", "--c0", "1/3"], "c0"),
+    (["check", "--group", "G(4,4,2)", "--blocks", "2", "--c0", "1/2", "--c0-odd", "1/9", "--c0-odd", "1/5"],
+     "c0_odd"),
+], ids=["flag-and-mult", "mult-twice", "same-value-twice", "group", "c-twice", "c1-twice", "c2-twice",
+        "c0-twice", "c0-odd-twice"])
 def test_weight_given_twice_is_a_usage_error(capsys, argv, name):
     # the later value used to override the earlier one without a word
     code, out = run(capsys, *argv)

@@ -18,6 +18,7 @@ from dunklcm.restriction import (
     restriction_defects,
 )
 from dunkl_reference import laplacian
+from dunklcm.cli import resolve_subgraph
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.polynomials import Polynomial, divide_by_linear
 from dunklcm.rootsystems import (
@@ -29,6 +30,7 @@ from dunklcm.rootsystems import (
     parabolic_stratum,
     root_system,
 )
+from rootsystem_reference import reference_components
 from restriction_reference import (
     pad_variables,
     reference_configuration,
@@ -183,6 +185,7 @@ def orbit_weights(rs):
 
 def assert_matches_reference(st):
     assert st.lines == reference_lines(st), st.label
+    assert st.components() == reference_components(st), st.label
     for mults in (orbit_weights(st.rs), Multiplicities.symbolic(st.rs)):
         cfg = restricted_configuration(st, mults)
         vectors, weights = reference_configuration(st, mults)
@@ -197,17 +200,30 @@ def test_grouped_projection_matches_reference_on_catalog():
         assert_matches_reference(catalog_stratum(row))
 
 
-@pytest.mark.parametrize("family", ["F4", "H3", "H4", "B4", "I2(5)", "I2(8)", "I2(12)"])
+def named_system(name):
+    return root_system(name[0], int(name[1:])) if name[0] in "ABD" else root_system(name)
+
+
+@pytest.mark.parametrize("family", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "D5", "D6", "F4", "G2", "H3", "H4",
+    *[f"I2({m})" for m in (3, 4, 5, 6, 8, 12)],
+])
 def test_grouped_projection_matches_reference_on_parabolic_strata(family):
-    rs = root_system("B", 4) if family == "B4" else root_system(family)
+    # every parabolic class, and the whole space as the command line builds it
+    rs = named_system(family)
     strata = enumerate_parabolic_strata(rs)
     assert strata
-    for st in strata:
+    for st in [resolve_subgraph(rs, ""), *strata]:
         assert_matches_reference(st)
 
 
 def test_grouped_projection_matches_reference_on_block_stratum():
-    assert_matches_reference(block_stratum(root_system("B", 4), m=1, k=2, l=1))
+    strata = [block_stratum(root_system("B", 4), m=1, k=2, l=1)]
+    for family, subgraph in (("A5", "A2:k=3,m=2"), ("B4", "Bl:l=2"), ("B4", "Bl:l=3"), ("D4", "Dp:l=2")):
+        strata.append(resolve_subgraph(named_system(family), subgraph))
+    for st in strata:
+        assert st.gamma0 is None
+        assert_matches_reference(st)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +242,12 @@ class PlantedWeight(Multiplicities):
     def line_value(self, line_idx):
         value = super().line_value(line_idx)
         return value + self.shift if line_idx == self.line else value
+
+    def line_sum(self, line_indices):
+        # the base class sums per orbit, which would not see the shifted line
+        line_indices = tuple(line_indices)
+        total = super().line_sum(line_indices)
+        return total + self.shift if self.line in line_indices else total
 
 
 def oracle_strata(system):

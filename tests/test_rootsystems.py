@@ -8,7 +8,7 @@ import pytest
 from dunklcm.fields import Field
 from dunklcm.invariance import criterion_invariant, solve_multiplicities
 from dunklcm.linalg import dot, reflect
-from dunklcm.polynomials import render_polynomial
+from dunklcm.polynomials import Polynomial, render_polynomial
 from dunklcm.rootsystems import (
     Multiplicities,
     OrbitCapExceeded,
@@ -98,6 +98,28 @@ ORACLE_SYSTEMS = [
 def test_lines_and_orbit_labels_match_reference(fam, rank_, m):
     rs = root_system(fam, rank_, m=m)
     assert (rs.lines, rs.orbit_labels, rs.orbit_names) == reference_lines(rs.simple)
+    # each line is sum_j c_j alpha_j over its coordinates, in field arithmetic on the simple roots
+    field = rs.field
+    assert len(rs.coords) == len(rs.lines)
+    for line, coords in zip(rs.lines, rs.coords):
+        assert len(coords) == rs.rank
+        c = [field.quotient(nums, rs.coord_den) for nums in coords]
+        total = tuple(sum((cj * alpha[k] for cj, alpha in zip(c, rs.simple)), field.zero()) for k in range(rs.dim))
+        assert total == line
+
+
+@pytest.mark.parametrize("fam,rank_,m", [("B", 3, None), ("F4", None, None), ("H3", None, None), ("I2", None, 8)])
+def test_line_sum_matches_the_per_line_sum(fam, rank_, m):
+    rs = root_system(fam, rank_, m=m)
+    rng = random.Random(fam)
+    weights = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for name in rs.orbit_names}
+    for mults in (Multiplicities.symbolic(rs), Multiplicities.numeric(rs, weights)):
+        zero = Polynomial.zero(rs.field, len(mults.params))
+        for size in (0, 1, 2, len(rs.lines) // 2, len(rs.lines)):
+            for _ in range(3):
+                indices = rng.sample(range(len(rs.lines)), size)
+                assert mults.line_sum(indices) == sum((mults.line_value(i) for i in indices), zero)
+                assert mults.line_sum(iter(indices)) == mults.line_sum(indices)
 
 
 def test_orbit_label_counts_B3():
