@@ -359,8 +359,11 @@ def _emit(args, payload: dict, pretty_lines=None) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
         return
     try:
         print(text)
@@ -535,7 +538,7 @@ def cmd_restrict(args) -> int:
     payload["potential_operator"] = config.potential_text()
     lines = [
         f"{rs.name} [{st.label or 'whole space'}]: "
-        f"{config.size} lines in dim {config.span_dim()}",
+        f"{config.size} lines in dim {config.span_dim}",
     ]
     for vec_text, mult_text in zip(
         payload["configuration"]["vectors"], payload["configuration"]["multiplicities"]

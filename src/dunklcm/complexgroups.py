@@ -153,7 +153,7 @@ class ComplexDunklContext(DunklContext):
             (alpha, tuple(x.conjugate() for x in alpha), c_odd if r % group.m % 2 else c_even)
             for r, alpha in enumerate(group.lines[:-group.N])
         ]
-        self._set_reflections(field, group.N, 0, reflections)
+        self._set_reflections(field, group.N, reflections)
 
     def apply(self, direction, f: Polynomial) -> Polynomial:
         out = super().apply(direction, f)
@@ -186,7 +186,7 @@ class ComplexDunklContext(DunklContext):
         if not self.cdiag or self.cdiag[0].is_zero():
             return images
         weight = self.cdiag[0] * self.field.element(self.group.diag_order)
-        first = len(self.group.lines) - self.nx
+        first = len(self.group.lines) - self.nvars
         zeros = {r - first for r in lines if r >= first}
         return [x - weight * form[v] if v in zeros else x for v, x in enumerate(images)]
 

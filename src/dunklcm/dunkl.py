@@ -9,8 +9,10 @@ The operator in direction xi acts on polynomials as
 where D_r f is a polynomial, since f - f o s_r vanishes on the mirror.  A
 root system supplies one reflection per root line; G(m,p,N) supplies its
 pair reflections and adds its cyclic diagonal term (see complexgroups).  The
-deformed variant adds a harmonic confinement parameter, carried as one
-extra inert variable so that all identities stay polynomial.
+deformed variant confines harmonically, a_v = T_v +- omega x_v, at omega = 1:
+with x_v of weight 1 and omega of weight -2 its identities are homogeneous,
+so on a homogeneous f the power j of each term omega^j x^a is fixed by |a|,
+and an identity holds at omega = 1 exactly when it holds for every omega.
 
 The core is graded: T_xi is linear and lowers the degree by one, so it is
 fixed by its images of monomials, and no division is left in it.  Writing
@@ -20,8 +22,7 @@ Leibniz rule
     D_r(x_v m) = (x_v o s_r) D_r m + alpha_r^v[v] m,   x_v o s_r = x_v - alpha_r^v[v] alpha_r(x)
 
 gives each monomial quotient from a smaller one by one product with a
-linear form; a monomial free of coordinates (a constant, or a power of the
-inert variable) has quotient 0.  apply(v, f) sums d_v f and the terms
+linear form; a constant has quotient 0.  apply(v, f) sums d_v f and the terms
 -f_a c_r alpha_r(e_v) D_r x^a, and reflect_poly(r, f) is f - alpha_r D_r f
 from the same quotients.  The coroots come from the root system, which
 computes them once (RootSystem.coroots).  A context keeps three memos of
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import reflect, vec
+from .linalg import vec
 from .polynomials import Polynomial, add_product, add_scaled, linear_combination, monomials
 from .rootsystems import Multiplicities, RootSystem
 
@@ -71,7 +72,7 @@ class DunklContext:
     so a reflection index is a line index.
     """
 
-    def __init__(self, rs: RootSystem, mults: Multiplicities, extra_vars: int = 0):
+    def __init__(self, rs: RootSystem, mults: Multiplicities):
         if not mults.is_numeric:
             raise ValueError("operator application needs numeric multiplicities")
         if mults.rs is not rs:
@@ -81,17 +82,13 @@ class DunklContext:
         reflections = [
             (alpha, coroot, mults.line_scalar(line)) for line, (alpha, coroot) in enumerate(zip(rs.lines, rs.coroots))
         ]
-        self._set_reflections(rs.field, rs.dim, extra_vars, reflections)
+        self._set_reflections(rs.field, rs.dim, reflections)
 
-    def _set_reflections(self, field, nx: int, extra_vars: int, reflections) -> None:
+    def _set_reflections(self, field, nvars: int, reflections) -> None:
         self.field = field
-        self.nx = nx
-        self.nvars = nx + extra_vars
-        pad = (field.zero(),) * extra_vars
-        # (mirror form over every variable, coroot, weight) per reflection
-        self.reflections = tuple(
-            (tuple(alpha) + pad, tuple(coroot), c) for alpha, coroot, c in reflections
-        )
+        self.nvars = nvars
+        # (mirror form, coroot, weight) per reflection
+        self.reflections = tuple((tuple(alpha), tuple(coroot), c) for alpha, coroot, c in reflections)
         # per direction v: (r, c_r alpha_r(e_v)) for every reflection it sees
         self._scales = tuple(
             tuple(
@@ -99,7 +96,7 @@ class DunklContext:
                 for r, (alpha, _, c) in enumerate(self.reflections)
                 if not (scale := c * alpha[v]).is_zero()
             )
-            for v in range(nx)
+            for v in range(nvars)
         )
         self._var_images: dict[tuple[int, int], Polynomial] = {}
         self._quotients: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
@@ -111,15 +108,13 @@ class DunklContext:
         return Polynomial.constant(self.field, self.nvars, self.field.element(c))
 
     def monomial(self, exps: tuple[int, ...]) -> Polynomial:
-        """x^exps over the coordinates, padded with zero exponents."""
-        exps = exps + (0,) * (self.nvars - len(exps))
         return Polynomial.monomial(self.field, exps, self.field.one())
 
     def _quotient(self, r: int, exps: tuple[int, ...]) -> Polynomial:
         """D_r x^exps, memoized, by the twisted Leibniz rule on its first coordinate."""
         q = self._quotients.get((r, exps))
         if q is None:
-            v = next((v for v in range(self.nx) if exps[v]), None)
+            v = next((v for v, e in enumerate(exps) if e), None)
             if v is None:
                 q = Polynomial.zero(self.field, self.nvars)
             else:
@@ -168,17 +163,10 @@ class DunklContext:
         return Polynomial._normal(self.field, self.nvars, acc, den)
 
     def _image(self, v: int, exps: tuple[int, ...]) -> Polynomial:
-        """T_v x^exps, memoized; a miss on a coordinate monomial goes through apply."""
-        key = (v, exps)
-        img = self._images.get(key)
+        """T_v x^exps, memoized; a miss goes through apply."""
+        img = self._images.get((v, exps))
         if img is None:
-            inert = (0,) * self.nx + exps[self.nx:]
-            if any(inert):
-                # T_v commutes with multiplication by the inert variables
-                img = self._image(v, exps[:self.nx] + (0,) * (self.nvars - self.nx)).shift(inert)
-            else:
-                img = self.apply(v, Polynomial.monomial(self.field, exps, self.field.one()))
-            self._images[key] = img
+            img = self._images[v, exps] = self.apply(v, self.monomial(exps))
         return img
 
     def extend(self, v: int, g: Polynomial) -> Polynomial:
@@ -209,29 +197,26 @@ class DunklContext:
     def commutativity_violations(self, max_degree: int, pairs=None) -> list:
         """(monomial, i, j) for each nonzero commutator [T_i, T_j] on a monomial, empty when commuting."""
         if pairs is None:
-            pairs = list(combinations(range(self.nx), 2))
+            pairs = list(combinations(range(self.nvars), 2))
         bad = []
-        pad = (0,) * (self.nvars - self.nx)
-        for exps in monomials(self.nx, max_degree):
-            full = exps + pad
+        for exps in monomials(self.nvars, max_degree):
             for i, j in pairs:
-                if self.extend(i, self._image(j, full)) != self.extend(j, self._image(i, full)):
+                if self.extend(i, self._image(j, exps)) != self.extend(j, self._image(i, exps)):
                     bad.append((exps, i, j))
         return bad
 
     def equivariance_violations(self, max_degree: int, lines=None) -> list:
-        """Checks s_w T_xi s_w = T_{s_w xi} on a monomial basis."""
+        """Checks s_w T_v s_w = T_{s_w e_v}, s_w(e_v) = e_v - alpha_w[v] alpha_w^v,
+        on a monomial basis, over reflection indices (all by default)."""
         if lines is None:
-            lines = range(len(self.rs.lines))
+            lines = range(len(self.reflections))
         bad = []
         for w in lines:
-            alpha = self.rs.lines[w]
-            nn = self.rs.line_norms[w]
-            for v in range(self.nx):
-                ev = [self.field.zero()] * self.nx
-                ev[v] = self.field.one()
-                img = reflect(tuple(ev), alpha, nn)
-                for exps in monomials(self.nx, max_degree):
+            alpha, coroot, _ = self.reflections[w]
+            for v in range(self.nvars):
+                img = [-(alpha[v] * a) for a in coroot]
+                img[v] = img[v] + self.field.one()
+                for exps in monomials(self.nvars, max_degree):
                     f = self.monomial(exps)
                     lhs = self.reflect_poly(w, self.extend(v, self.reflect_poly(w, f)))
                     rhs = self._combine(
@@ -244,20 +229,8 @@ class DunklContext:
 
 
 class DeformedContext(DunklContext):
-    """Dunkl operators with harmonic confinement.
-
-    The confinement strength is the last polynomial variable; reflections
-    and derivatives leave it alone, so operator identities linear in it are
-    verified exactly for all values at once.
-    """
-
-    def __init__(self, rs: RootSystem, mults: Multiplicities):
-        super().__init__(rs, mults, extra_vars=1)
-        self.omega_index = self.nx
-        # exponents of omega * x_v per coordinate v
-        self._omega_x = tuple(
-            tuple(int(u in (v, self.omega_index)) for u in range(self.nvars)) for v in range(self.nx)
-        )
+    """Dunkl operators with harmonic confinement at omega = 1, which on a
+    homogeneous f decides every omega (module docstring)."""
 
     def raising(self, v: int, f: Polynomial) -> Polynomial:
         return self._shifted_extend(v, f, 1)
@@ -266,9 +239,10 @@ class DeformedContext(DunklContext):
         return self._shifted_extend(v, f, -1)
 
     def _shifted_extend(self, v: int, f: Polynomial, sign: int) -> Polynomial:
-        """T_v f + sign * omega x_v f, in one accumulator."""
+        """T_v f + sign * x_v f, in one accumulator."""
         pieces = [(self._image(v, exps), t, f.den) for exps, t in f.nums.items()]
-        pieces.append((f.shift(self._omega_x[v]), (sign,) + self.field._zeros, 1))
+        x_v = tuple(int(u == v) for u in range(self.nvars))
+        pieces.append((f.shift(x_v), (sign,) + self.field._zeros, 1))
         return self._combine(pieces)
 
     def oscillator(self, v: int, f: Polynomial) -> Polynomial:
@@ -283,7 +257,7 @@ class DeformedContext(DunklContext):
     def total_power(self, k: int, f: Polynomial) -> Polynomial:
         """sum_v (oscillator_v)^k applied to f."""
         one = self.field.one().nums
-        return self._combine((self.oscillator_power(v, k, f), one, 1) for v in range(self.nx))
+        return self._combine((self.oscillator_power(v, k, f), one, 1) for v in range(self.nvars))
 
     def total_commutator(self, k: int, l: int, f: Polynomial) -> Polynomial:
         a = self.total_power(l, f)
@@ -297,28 +271,29 @@ class DeformedContext(DunklContext):
         the check is vacuous: it returns [] at every weight.
         """
         bad = []
-        for exps in monomials(self.nx, max_degree):
+        for exps in monomials(self.nvars, max_degree):
             if not self.total_commutator(k, l, self.monomial(exps)).is_zero():
                 bad.append(exps)
         return bad
 
     def pair_commutator_defect(self, i: int, j: int, f: Polynomial) -> Polynomial:
-        """[(h_i, h_j)] minus its closed form, for the classical families.
+        """[h_i, h_j] f minus its closed form, for the classical families.
 
         Family A uses the transposition part only; families B and D add the
-        sign-flipped pair reflection with the same coefficient.
+        sign-flipped pair reflection with the same coefficient.  Both sides
+        have weight -4: on a homogeneous f the defect at omega = 1 vanishes
+        exactly when it vanishes for every omega.
         """
         fam = self.rs.family
         if fam not in ("A", "B", "D"):
             raise ValueError("closed-form pair commutators cover families A, B, D")
         field = self.field
-        swap = [int(u == i) - int(u == j) for u in range(self.nx)]
+        swap = [int(u == i) - int(u == j) for u in range(self.nvars)]
         pair_lines = [self.rs.line_index(vec(field, swap))]
         if fam in ("B", "D"):
             pair_lines.append(self.rs.line_index(vec(field, [abs(a) for a in swap])))
-        # lhs - rhs in one sum, with rhs = 2 c_swap omega (h_i g - h_j g) over the images g of f
+        # lhs - rhs in one sum, with rhs = 2 c_swap (h_i g - h_j g) over the images g of f
         w = self.reflections[pair_lines[0]][2] * 2
-        omega = tuple(int(u == self.omega_index) for u in range(self.nvars))
         one = field.one()
         pieces = [
             (self.oscillator(i, self.oscillator(j, f)), one.nums, 1),
@@ -326,6 +301,6 @@ class DeformedContext(DunklContext):
         ]
         for line in pair_lines:
             g = self.reflect_poly(line, f)
-            pieces.append((self.oscillator(i, g).shift(omega), (-w).nums, w.den))
-            pieces.append((self.oscillator(j, g).shift(omega), w.nums, w.den))
+            pieces.append((self.oscillator(i, g), (-w).nums, w.den))
+            pieces.append((self.oscillator(j, g), w.nums, w.den))
         return self._combine(pieces)

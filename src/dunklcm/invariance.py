@@ -89,7 +89,7 @@ def conormal_violations(ctx: DunklContext, annihilator, lines) -> list:
     context's mirrors that contain the subspace (module docstring).
     """
     images = [ctx.conormal_images(row, lines) for row in annihilator]
-    return [(v, k) for v in range(ctx.nx) for k, row in enumerate(images) if not row[v].is_zero()]
+    return [(v, k) for v in range(ctx.nvars) for k, row in enumerate(images) if not row[v].is_zero()]
 
 
 def direct_invariance_violations(stratum: Stratum, mults: Multiplicities) -> list:

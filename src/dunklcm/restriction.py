@@ -34,7 +34,7 @@ import json
 from importlib import resources
 
 from .fields import Field, FieldElement, render_scalar
-from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, rank, reflection_matrix
+from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, reflection_matrix
 from .polynomials import Polynomial, divide_by_linear, linear_combination, render_polynomial
 from .rootsystems import (
     Multiplicities,
@@ -47,14 +47,15 @@ from .rootsystems import (
 
 
 class Configuration:
-    """Vectors with multiplicities on a subspace, one entry per line."""
+    """Vectors with multiplicities on a subspace, one entry per line, and the dimension of their span."""
 
-    def __init__(self, field: Field, basis: tuple[Vector, ...], vectors, mults, params: tuple[str, ...]):
+    def __init__(self, field: Field, basis: tuple[Vector, ...], vectors, mults, params: tuple[str, ...], span_dim: int):
         self.field = field
         self.basis = basis
         self.vectors = tuple(vectors)
         self.mults = tuple(mults)
         self.params = params
+        self.span_dim = span_dim
 
     @property
     def size(self) -> int:
@@ -63,9 +64,6 @@ class Configuration:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def span_dim(self) -> int:
-        return rank(self.vectors) if self.vectors else 0
 
     @property
     def is_numeric(self) -> bool:
@@ -95,7 +93,7 @@ class Configuration:
                 c2 = (dot(u, v) ** 2) / (dot(u, u) * dot(v, v))
                 pair = tuple(sorted((mu.sort_key(), mv.sort_key())))
                 pair_part.append((pair, c2.sort_key()))
-        return (self.span_dim(), self.size, mult_part, tuple(sorted(pair_part)))
+        return (self.span_dim, self.size, mult_part, tuple(sorted(pair_part)))
 
     def radial_text(self) -> str:
         names = tuple(f"x{i+1}" for i in range(len(self.vectors[0]) if self.vectors else 0))
@@ -123,7 +121,7 @@ class Configuration:
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
-            "span_dim": self.span_dim(),
+            "span_dim": self.span_dim,
             "size": self.size,
             "vectors": [[render_scalar(x) for x in v] for v in self.vectors],
             "multiplicities": [
@@ -141,20 +139,24 @@ def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configu
     by key gives the groups of the monic projections, in the same order.
     Each group is projected once, through the integral rows of the
     pi(alpha_p) (Stratum.key_projections), and only its monic image is
-    built from field elements.
+    built from field elements.  The projections span X meet span(Phi), of
+    dimension rank - len(annihilator), since X is a flat, so its annihilator
+    rows, spanned by the normals of its mirrors, lie in span(Phi).
     """
     rs = stratum.rs
     field = rs.field
     basis = stratum.subspace.basis
+    span_dim = rs.rank - len(stratum.subspace.annihilator)
     if not basis:
-        return Configuration(field, basis, (), (), mults.params)
+        return Configuration(field, basis, (), (), mults.params, span_dim)
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(stratum.line_keys):
         if key is not None:
             groups.setdefault(key, []).append(i)
     columns = list(zip(*stratum.key_projections()))
     vectors = [monic_row(field, [field.int_dot(key, col) for col in columns]) for key in groups]
-    return Configuration(field, basis, vectors, [mults.line_sum(lines) for lines in groups.values()], mults.params)
+    mult_sums = [mults.line_sum(lines) for lines in groups.values()]
+    return Configuration(field, basis, vectors, mult_sums, mults.params, span_dim)
 
 
 def conservation_defect(stratum: Stratum, mults: Multiplicities, config: Configuration) -> Polynomial:
@@ -371,14 +373,13 @@ def catalog_row_result(row: dict) -> dict:
     c = catalog_weight(st, row)
     mults = Multiplicities.numeric(rs, {"c": c})
     config = restricted_configuration(st, mults)
-    # dimension inside the reflection representation, not the coordinate space
-    dim = st.subspace.dim - (rs.dim - rs.rank)
     return {
         "family": row["family"],
         "type": row["type"],
         "gamma0": row["gamma0"],
         "c": render_scalar(c),
-        "dim": dim,
+        # dimension inside the reflection representation, not the coordinate space
+        "dim": config.span_dim,
         "size": config.size,
         "mults": config.mult_multiset(),
         "config": config,

@@ -8,21 +8,27 @@ context holds (reflections, weights), never its caches or methods, with
 one exception: `laplacian` composes the context's own `apply`, so that the
 Dunkl route through the monomial memos is the oracle of the closed form in
 `dunklcm.restriction.invariant_laplacian`.
+
+`SymbolicOmega` is the route the confined operators of
+`dunklcm.dunkl.DeformedContext` replaced: the confinement strength omega
+as one more variable after the coordinates, fixed by every reflection, so
+that [H_k, H_l] comes out as a polynomial in omega, not at omega = 1.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
+from dunklcm.polynomials import Polynomial, divide_by_linear, linear_combination, monomials
 
 
 def _reflected(ctx, alpha, coroot, f: Polynomial) -> Polynomial:
-    """f o s_r by substituting x_v - coroot_v alpha(x) for each coordinate."""
+    """f o s_r by substituting x_v - coroot_v alpha(x) for each coordinate;
+    a variable past the coroot's entries is fixed."""
     field = ctx.field
     images = []
     for v in range(ctx.nvars):
-        if v >= ctx.nx:
+        if v >= len(coroot):
             images.append(Polynomial.variable(field, ctx.nvars, v))
             continue
         row = [-(coroot[v] * a) for a in alpha]
@@ -51,7 +57,7 @@ def reference_apply(ctx, direction, f: Polynomial) -> Polynomial:
     """T_direction f for a coordinate index or a vector over the coordinates."""
     field = ctx.field
     if isinstance(direction, int):
-        xi = tuple(field.one() if v == direction else field.zero() for v in range(ctx.nx))
+        xi = tuple(field.one() if v == direction else field.zero() for v in range(ctx.nvars))
     else:
         xi = tuple(direction)
     out = Polynomial.zero(field, ctx.nvars)
@@ -75,11 +81,10 @@ def reference_apply(ctx, direction, f: Polynomial) -> Polynomial:
 def reference_commutativity_violations(ctx, max_degree: int) -> list:
     """(exponents, i, j) for every monomial with [T_i, T_j] x^a != 0."""
     field = ctx.field
-    pad = (0,) * (ctx.nvars - ctx.nx)
     bad = []
-    for exps in monomials(ctx.nx, max_degree):
-        f = Polynomial.monomial(field, exps + pad, field.one())
-        for i, j in combinations(range(ctx.nx), 2):
+    for exps in monomials(ctx.nvars, max_degree):
+        f = Polynomial.monomial(field, exps, field.one())
+        for i, j in combinations(range(ctx.nvars), 2):
             lhs = reference_apply(ctx, i, reference_apply(ctx, j, f))
             rhs = reference_apply(ctx, j, reference_apply(ctx, i, f))
             if lhs != rhs:
@@ -90,6 +95,65 @@ def reference_commutativity_violations(ctx, max_degree: int) -> list:
 def laplacian(ctx, f: Polynomial) -> Polynomial:
     """sum_v T_v T_v f over the coordinate directions, through ctx.apply."""
     out = Polynomial.zero(ctx.field, ctx.nvars)
-    for v in range(ctx.nx):
+    for v in range(ctx.nvars):
         out = out + ctx.apply(v, ctx.apply(v, f))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the confined operators with omega as a variable
+
+
+class SymbolicOmega:
+    """A stand-in for a real context with omega as the last variable.
+
+    Each mirror form gets a zero appended, so every reflection fixes omega
+    and reference_apply treats it as a constant: T_v (omega^j x^a) is
+    omega^j T_v x^a.  So T_v is summed over the terms from one image per
+    coordinate monomial, kept once, as the confined commutators apply T_v
+    to the same monomials many times over.
+    """
+
+    def __init__(self, ctx):
+        self.field = ctx.field
+        self.nvars = ctx.nvars + 1
+        zero = ctx.field.zero()
+        self.reflections = tuple((alpha + (zero,), coroot, c) for alpha, coroot, c in ctx.reflections)
+        self._images: dict = {}
+
+    def apply(self, v: int, f: Polynomial) -> Polynomial:
+        pieces = []
+        for exps, t in f.nums.items():
+            coords = exps[:-1] + (0,)
+            if (v, coords) not in self._images:
+                self._images[v, coords] = reference_apply(self, v, Polynomial.monomial(self.field, coords))
+            omega_power = (0,) * (self.nvars - 1) + exps[-1:]
+            pieces.append((self._images[v, coords].shift(omega_power), t, f.den))
+        return linear_combination(self.field, self.nvars, pieces)
+
+    def oscillator(self, v: int, f: Polynomial) -> Polynomial:
+        """(T_v + omega x_v)(T_v - omega x_v) f."""
+        n = self.nvars
+        omega_x = Polynomial.variable(self.field, n, v) * Polynomial.variable(self.field, n, n - 1)
+        g = self.apply(v, f) - omega_x * f
+        return self.apply(v, g) + omega_x * g
+
+    def total_power(self, k: int, f: Polynomial) -> Polynomial:
+        """H_k f = sum_v (oscillator_v)^k f over the coordinates."""
+        out = Polynomial.zero(self.field, self.nvars)
+        for v in range(self.nvars - 1):
+            g = f
+            for _ in range(k):
+                g = self.oscillator(v, g)
+            out = out + g
+        return out
+
+    def integrability_violations(self, k: int, l: int, max_degree: int) -> list:
+        """Exponents of the coordinate monomials x^a of degree <= max_degree
+        with [H_k, H_l] x^a != 0 as a polynomial in omega."""
+        bad = []
+        for exps in monomials(self.nvars - 1, max_degree):
+            f = Polynomial.monomial(self.field, exps + (0,))
+            if self.total_power(k, self.total_power(l, f)) != self.total_power(l, self.total_power(k, f)):
+                bad.append(exps)
+        return bad

@@ -15,10 +15,13 @@ polynomial.  These share the restricted configuration and the polynomial
 arithmetic with the code under test, but not the grouping by line or the
 exact division, and their left-hand side takes the Dunkl route (the
 operators of `dunklcm.dunkl`), not the closed form of
-`dunklcm.restriction.invariant_laplacian`.  Their confined form carries
-the confinement variable omega after the coordinates, which the code under
-test does not: there the confined identity is the plain one with the same
-terms added to both sides.
+`dunklcm.restriction.invariant_laplacian`.  Their confined form is checked
+at omega = 1, with the operators of `dunklcm.dunkl.DeformedContext`: with
+x of weight 1 and omega of weight -2 the confined identity on the power sum
+of degree k is weight-homogeneous, so its omega^j terms have degree
+k - 2 + 2j on the stratum, and it holds at omega = 1 exactly when it holds
+for every omega.  The code under test checks no confined form: there the
+confined identity is the plain one with the same terms added to both sides.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ def reference_configuration(stratum, mults) -> tuple[list, list]:
     return [v for v, _ in groups.values()], [m for _, m in groups.values()]
 
 
-def pad_variables(f, nvars):
-    """f as a polynomial in nvars variables, in which the added ones do not occur."""
-    return f.substitute([Polynomial.variable(f.field, nvars, i) for i in range(f.nvars)])
-
-
 # ---------------------------------------------------------------------------
 # the identities with denominators cleared
 
@@ -135,20 +133,23 @@ _LEFT_SIDES: dict = {}
 
 def reference_left_side(rs, mults, k, deformed):
     """The Dunkl Laplacian of the power sum of degree k, or with deformed
-    its confined form sum_v (T_v + omega x_v)(T_v - omega x_v), with omega
-    after the coordinates.  It does not depend on the stratum, so it is kept
-    per system, line weights, degree and form."""
+    its confined form sum_v (T_v + omega x_v)(T_v - omega x_v) at omega = 1.
+    It does not depend on the stratum, so it is kept per system, line
+    weights, degree and form."""
     key = (rs.name, tuple(mults.line_scalar(i) for i in range(len(rs.lines))), k, deformed)
     if key not in _LEFT_SIDES:
-        ctx = DeformedContext(rs, mults) if deformed else DunklContext(rs, mults, extra_vars=0)
-        f = pad_variables(invariant_power_sum(rs, k), ctx.nvars)
-        _LEFT_SIDES[key] = ctx.total_power(1, f) if deformed else laplacian(ctx, f)
+        f = invariant_power_sum(rs, k)
+        if deformed:
+            _LEFT_SIDES[key] = DeformedContext(rs, mults).total_power(1, f)
+        else:
+            _LEFT_SIDES[key] = laplacian(DunklContext(rs, mults), f)
     return _LEFT_SIDES[key]
 
 
 def reference_restriction_defects(stratum, mults, degrees=(2, 4, 6), deformed=False) -> list[int]:
     """`restriction_defects` by multiplying the identity through by the
-    product of the configuration forms."""
+    product of the configuration forms; with deformed, the confined
+    identity at omega = 1 (module docstring)."""
     rs = stratum.rs
     field = rs.field
     basis = stratum.subspace.basis
@@ -159,48 +160,42 @@ def reference_restriction_defects(stratum, mults, degrees=(2, 4, 6), deformed=Fa
     ms = config.scalar_mults()
     gmat = gram(basis)
     ginv = invert(gmat, field)
-    extra = 1 if deformed else 0
-    nt = r + extra
-    ext_basis = [tuple(b) + (field.zero(),) * extra for b in basis]
-    if deformed:
-        ext_basis.append((field.zero(),) * rs.dim + (field.one(),))
-    ext_basis = tuple(ext_basis)
     forms = []
     dirs = []
     for v in config.vectors:
-        row = tuple(dot(v, b) for b in basis) + (field.zero(),) * extra
+        row = tuple(dot(v, b) for b in basis)
         forms.append(Polynomial.linear_form(field, row))
         dirs.append(mat_vec(ginv, tuple(dot(b, v) for b in basis)))
     if forms:
         denom, others = partial_products(forms)
     else:
-        denom, others = Polynomial.constant(field, nt, field.one()), []
+        denom, others = Polynomial.constant(field, r, field.one()), []
     total_c = field.zero()
     for i in range(len(rs.lines)):
         total_c = total_c + mults.line_scalar(i)
     bad = []
     for k in degrees:
-        lhs = reference_left_side(rs, mults, k, deformed).restrict_to(ext_basis)
-        g = pad_variables(invariant_power_sum(rs, k), rs.dim + extra).restrict_to(ext_basis)
-        radial = Polynomial.zero(field, nt)
+        lhs = reference_left_side(rs, mults, k, deformed).restrict_to(basis)
+        g = invariant_power_sum(rs, k).restrict_to(basis)
+        radial = Polynomial.zero(field, r)
         for a in range(r):
             ga = g.partial(a)
             for b in range(r):
                 if not ginv[a][b].is_zero():
                     radial = radial + ga.partial(b) * ginv[a][b]
         if deformed:
-            omega = Polynomial.variable(field, nt, r)
-            quad = Polynomial.zero(field, nt)
+            # omega K g - omega^2 (t^T G t) g at omega = 1
+            quad = Polynomial.zero(field, r)
             for a in range(r):
-                ta = Polynomial.variable(field, nt, a)
+                ta = Polynomial.variable(field, r, a)
                 for b in range(r):
                     if not gmat[a][b].is_zero():
-                        quad = quad + ta * Polynomial.variable(field, nt, b) * gmat[a][b]
-            radial = radial - omega * omega * quad * g
-            radial = radial + omega * g * (field.element(-rs.dim) + total_c * 2)
+                        quad = quad + ta * Polynomial.variable(field, r, b) * gmat[a][b]
+            radial = radial - quad * g
+            radial = radial + g * (field.element(-rs.dim) + total_c * 2)
         rhs = denom * radial
         for m, coeffs, rest in zip(ms, dirs, others):
-            dv = Polynomial.zero(field, nt)
+            dv = Polynomial.zero(field, r)
             for j, cj in enumerate(coeffs):
                 if not cj.is_zero():
                     dv = dv + g.partial(j) * cj

@@ -257,6 +257,15 @@ def test_catalog_command(capsys, tmp_path):
     assert all(r["dim"] == stored[r["index"]]["dim"] and r["mults"] == stored[r["index"]]["mults"] for r in rows)
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["missing-directory", "a-directory"])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, where):
+    target = str(tmp_path / where)
+    code, out = run(capsys, "solve", "--family", "A", "--rank", "3", "--subgraph", "A1", "--out", target)
+    assert code == 2
+    assert "internal" not in out
+    assert out["error"].startswith(f"cannot write --out {target!r}")
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--seed", "9"],
     ["solve", "--family", "A", "--rank", "3", "--subgraph", "A1", "--seed", "2"],
@@ -314,6 +323,13 @@ def test_verify_restriction_reaches_e6_a2_at_degree_four(capsys):
 def test_verify_deformed(capsys):
     code, out = run(capsys, "verify", "deformed", "--family", "A", "--rank", "2", "--k", "1", "--l", "2", "--degree", "2")
     assert code == 0
+    # k != l on B3, at weights on the invariance locus of A1 (2*c1 = 1)
+    code, out = run(capsys, "verify", "deformed", "--family", "B", "--rank", "3", "--subgraph", "A1",
+                    "--k", "1", "--l", "2", "--degree", "1", "--c1", "1/2", "--c2", "1/3")
+    assert code == 0
+    assert out["powers"] == [1, 2]
+    assert out["violations"] == 0
+    assert out["restriction_failing_degrees"] == []
 
 
 def test_verify_catalog_golden_size_note(capsys, tmp_path):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_reference import _reflected, laplacian, reference_apply, reference_commutativity_violations
+from dunkl_reference import (
+    SymbolicOmega,
+    _reflected,
+    laplacian,
+    reference_apply,
+    reference_commutativity_violations,
+)
 from dunklcm.complexgroups import ComplexDunklContext, ComplexReflectionGroup
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.polynomials import Polynomial, monomials
@@ -19,13 +25,13 @@ def numeric_ctx(fam, rank_=None, m=None, mapping=Fraction(1, 2), deformed=False)
 
 
 def variables(ctx):
-    return [Polynomial.variable(ctx.field, ctx.nvars, v) for v in range(ctx.nx)]
+    return [Polynomial.variable(ctx.field, ctx.nvars, v) for v in range(ctx.nvars)]
 
 
 def test_kills_constants():
     ctx = numeric_ctx("A", 3)
     one = Polynomial.constant(ctx.field, ctx.nvars, 1)
-    for v in range(ctx.nx):
+    for v in range(ctx.nvars):
         assert ctx.apply(v, one).is_zero()
 
 
@@ -56,7 +62,7 @@ def test_coordinate_commutator_closed_form():
     rs = ctx.rs
     x = variables(ctx)
     f = x[0] ** 2 * x[2] - x[1] * x[3]
-    for i in range(ctx.nx):
+    for i in range(ctx.nvars):
         lhs = ctx.apply(i, x[i] * f) - x[i] * ctx.apply(i, f)
         rhs = f
         for line, alpha in enumerate(rs.lines):
@@ -85,6 +91,18 @@ def test_equivariance():
     assert ctx.equivariance_violations(3) == []
 
 
+@pytest.mark.parametrize("m,p,N", [(3, 3, 2), (4, 2, 3), (4, 4, 2), (6, 2, 2)])
+def test_equivariance_on_complex_groups(m, p, N):
+    # over the context's own pair reflections, s_w(e_v) = e_v - alpha_w[v] alpha_w^v
+    g = ComplexReflectionGroup(m, p, N)
+    ctx = ComplexDunklContext(g, Fraction(2, 7), cdiag=[Fraction(t, 5) for t in range(1, g.diag_order)])
+    assert ctx.equivariance_violations(3) == []
+    # weights that are not constant on the conjugacy classes break it
+    ctx._set_reflections(g.field, N, [(alpha, coroot, g.field.element(Fraction(r + 1, 7)))
+                                      for r, (alpha, coroot, _) in enumerate(ctx.reflections)])
+    assert ctx.equivariance_violations(1)
+
+
 def test_laplacian_of_invariant_quadric():
     # sum of squares is fixed by every reflection, so only the plain
     # Laplacian survives
@@ -93,7 +111,7 @@ def test_laplacian_of_invariant_quadric():
     q = sum((xi * xi for xi in x), Polynomial.zero(ctx.field, ctx.nvars))
     lap = laplacian(ctx, q)
     lines = ctx.rs.lines
-    expected = 2 * ctx.nx - 4 * Fraction(1, 6) * len(lines)
+    expected = 2 * ctx.nvars - 4 * Fraction(1, 6) * len(lines)
     assert (lap - ctx.constant(expected)).is_zero()
 
 
@@ -102,16 +120,21 @@ def test_laplacian_of_invariant_quadric():
 
 
 def test_raising_lowering_factor_through_omega():
-    ctx = numeric_ctx("A", 2, mapping=Fraction(1, 2), deformed=True)
+    c = Fraction(1, 2)
+    ctx = numeric_ctx("A", 2, mapping=c, deformed=True)
     x = variables(ctx)
     f = x[0] * x[1]
-    # a+ a- = a- a+ - 2 omega on each coordinate, up to the reflection part
-    h = ctx.oscillator(0, f)
-    alt = ctx.lowering(0, ctx.raising(0, f))
-    diff = alt - h
-    # the gap is linear in omega with an f-dependent polynomial coefficient
+    # a- a+ - a+ a- = 2 omega [T_0, x_0], with [T_0, x_0] f = f - c sum_r s_r f
+    # over the lines that see x_0; the gap has weight 0, so at omega = 1 it
+    # keeps the degree of f
+    diff = ctx.lowering(0, ctx.raising(0, f)) - ctx.oscillator(0, f)
+    commutator = f
+    for line, alpha in enumerate(ctx.rs.lines):
+        if not alpha[0].is_zero():
+            commutator = commutator - ctx.reflect_poly(line, f) * c
     assert not diff.is_zero()
-    assert diff.degree() == f.degree() + 1
+    assert diff == commutator * 2
+    assert diff.degree() == f.degree()
 
 
 @pytest.mark.parametrize(
@@ -129,10 +152,15 @@ def test_confined_integrability(fam, rank_, mapping, k, l):
 
 
 def test_pair_commutator_closed_form():
-    ctx = numeric_ctx("B", 2, mapping={"c1": Fraction(2, 3), "c2": Fraction(1, 5)}, deformed=True)
-    for exps in monomials(2, 3):
-        f = Polynomial.monomial(ctx.field, exps + (0,), ctx.field.one())
-        assert ctx.pair_commutator_defect(0, 1, f).is_zero()
+    # both sides have weight -4, so the defect at omega = 1 decides every omega on a monomial
+    for fam, rank_, mapping in (
+        ("B", 2, {"c1": Fraction(2, 3), "c2": Fraction(1, 5)}),
+        ("A", 3, Fraction(2, 7)),
+        ("D", 3, Fraction(3, 4)),
+    ):
+        ctx = numeric_ctx(fam, rank_, mapping=mapping, deformed=True)
+        for exps in monomials(ctx.nvars, 3):
+            assert ctx.pair_commutator_defect(0, 1, ctx.monomial(exps)).is_zero(), (fam, exps)
 
 
 def test_pair_commutator_rejects_exceptional():
@@ -167,8 +195,8 @@ def complex_case(m, p, N):
     return make
 
 
-# Q, Q(sqrt5), the confinement variable, cyclotomic fields with and without
-# the diagonal term
+# Q, Q(sqrt5), the confined context (the same core), cyclotomic fields with
+# and without the diagonal term
 CORE_CASES = {
     "B3": real_case("B", 3),
     "H3": real_case("H3"),
@@ -197,7 +225,7 @@ def field_polynomials(draw, ctx):
 
 def assert_matches_reference(ctx, f, xi):
     term = Polynomial(ctx.field, ctx.nvars, dict(list(f.terms.items())[:1]))
-    for v in range(ctx.nx):
+    for v in range(ctx.nvars):
         want = reference_apply(ctx, v, f)
         assert ctx.apply(v, f) == want
         assert ctx.extend(v, f) == want
@@ -215,7 +243,7 @@ def test_apply_matches_reference(name, data):
     field = cold.field
     f = data.draw(field_polynomials(cold))
     g = data.draw(field_polynomials(cold))
-    xi = tuple(field.element(data.draw(st.integers(-2, 2))) for _ in range(cold.nx))
+    xi = tuple(field.element(data.draw(st.integers(-2, 2))) for _ in range(cold.nvars))
     assert_matches_reference(cold, f, xi)  # every memo empty on entry
     assert_matches_reference(cold, f, xi)  # the same inputs, all hits
     assert_matches_reference(cold, g, xi)  # partly warm
@@ -226,9 +254,9 @@ def test_apply_matches_reference(name, data):
 def test_deep_monomials_match_reference(name):
     # the quotient recursion runs one level per degree, deeper than the draws above
     ctx = warm_context(name)
-    for exps in monomials(ctx.nx, 6):
+    for exps in monomials(ctx.nvars, 6):
         f = ctx.monomial(exps)
-        for v in range(ctx.nx):
+        for v in range(ctx.nvars):
             assert ctx.apply(v, f) == reference_apply(ctx, v, f), (exps, v)
         for r, (alpha, coroot, _) in enumerate(ctx.reflections):
             assert ctx.reflect_poly(r, f) == _reflected(ctx, alpha, coroot, f), (exps, r)
@@ -238,9 +266,9 @@ def planted_context(rs, weight_of_line, deformed=False):
     """A context whose weights are not constant on the orbits of root lines."""
     mults = Multiplicities.numeric(rs, Fraction(1, 2))
     ctx = DeformedContext(rs, mults) if deformed else DunklContext(rs, mults)
-    reflections = [(alpha[:rs.dim], coroot, rs.field.element(weight_of_line(r)))
+    reflections = [(alpha, coroot, rs.field.element(weight_of_line(r)))
                    for r, (alpha, coroot, _) in enumerate(ctx.reflections)]
-    ctx._set_reflections(rs.field, rs.dim, ctx.nvars - rs.dim, reflections)
+    ctx._set_reflections(rs.field, rs.dim, reflections)
     return ctx
 
 
@@ -267,3 +295,29 @@ def test_equal_powers_make_integrability_vacuous():
     ctx = planted_context(root_system("A", 2), lambda r: Fraction(r + 1, 7), deformed=True)
     assert ctx.integrability_violations(1, 2, 2)
     assert ctx.integrability_violations(2, 2, 2) == []
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["orbit-weights", "planted"])
+@pytest.mark.parametrize("fam,rank_,nonempty", [
+    ("A", 2, False), ("A", 3, False), ("B", 3, False), ("G2", None, True), ("H3", None, True),
+], ids=["A2", "A3", "B3", "G2", "H3"])
+def test_confined_integrability_matches_symbolic_omega(fam, rank_, nonempty, planted):
+    """[H_k, H_l] is weight-homogeneous (x of weight 1, omega of weight -2), so
+    on a monomial each omega^j x^a of it has j fixed by |a|, and the check at
+    omega = 1 finds the monomials that the oracle, with omega as a variable,
+    finds.  Orbit weights keep A2, A3 and B3 integrable and not G2 or H3;
+    planted weights break every system."""
+    rs = root_system(fam, rank_)
+    if planted:
+        ctx = planted_context(rs, lambda r: Fraction(r + 1, 7), deformed=True)
+    else:
+        weights = {name: Fraction(i + 2, 7) for i, name in enumerate(rs.orbit_names)}
+        ctx = DeformedContext(rs, Multiplicities.numeric(rs, weights))
+    oracle = SymbolicOmega(ctx)
+    found = 0
+    for k, l, degree in ((1, 2, 2), (2, 3, 1), (1, 3, 2)):
+        degree = 1 if fam == "H3" else degree
+        got = ctx.integrability_violations(k, l, degree)
+        assert got == oracle.integrability_violations(k, l, degree), (k, l, degree)
+        found += len(got)
+    assert bool(found) == (nonempty or planted)

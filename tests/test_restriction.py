@@ -20,6 +20,7 @@ from dunklcm.restriction import (
 from dunkl_reference import laplacian
 from dunklcm.cli import resolve_subgraph
 from dunklcm.dunkl import DeformedContext, DunklContext
+from dunklcm.linalg import rank
 from dunklcm.polynomials import Polynomial, divide_by_linear
 from dunklcm.rootsystems import (
     Multiplicities,
@@ -32,7 +33,6 @@ from dunklcm.rootsystems import (
 )
 from rootsystem_reference import reference_components
 from restriction_reference import (
-    pad_variables,
     reference_configuration,
     reference_lines,
     reference_gauge_defects,
@@ -217,13 +217,29 @@ def test_grouped_projection_matches_reference_on_parabolic_strata(family):
         assert_matches_reference(st)
 
 
-def test_grouped_projection_matches_reference_on_block_stratum():
+def checked_block_strata():
     strata = [block_stratum(root_system("B", 4), m=1, k=2, l=1)]
     for family, subgraph in (("A5", "A2:k=3,m=2"), ("B4", "Bl:l=2"), ("B4", "Bl:l=3"), ("D4", "Dp:l=2")):
         strata.append(resolve_subgraph(named_system(family), subgraph))
-    for st in strata:
+    return strata
+
+
+def test_grouped_projection_matches_reference_on_block_stratum():
+    for st in checked_block_strata():
         assert st.gamma0 is None
         assert_matches_reference(st)
+
+
+def test_span_dim_is_the_rank_of_the_projected_lines():
+    # the configuration is handed rank - len(annihilator); the rank of its
+    # vectors, which it no longer takes, is the oracle
+    strata = list(checked_block_strata())
+    for family in ("A3", "B3", "D4", "F4", "H3"):
+        rs = named_system(family)
+        strata += [resolve_subgraph(rs, ""), *enumerate_parabolic_strata(rs)]
+    for st in strata:
+        cfg = restricted_configuration(st, orbit_weights(st.rs))
+        assert cfg.span_dim == (rank(cfg.vectors) if cfg.vectors else 0), (st.rs.name, st.label)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +332,9 @@ def test_plain_restriction_decides_the_confined_identity(family, rank_, weights)
     with t the coordinates over the stratum's basis and G its Gram matrix.
     Restricted to the stratum |x|^2 is t^T G t, so the added terms are
     equal and the plain identity holds exactly when the confined one does.
-    The oracle checks the confined identity on the Dunkl route, with omega
-    as a variable; each weight is on the invariance locus of some strata
-    and off that of others."""
+    The oracle checks the confined identity on the Dunkl route at omega = 1,
+    which by weight decides every omega; each weight is on the invariance
+    locus of some strata and off that of others."""
     rs = root_system(family, rank_)
     outcomes = set()
     for w in weights:
@@ -371,7 +387,8 @@ def test_closed_form_laplacian_matches_dunkl_route(family, rank_, degrees):
     """Heckman's lemma: on W-invariant f, sum_v T_v^2 f is the Calogero-Moser
     operator Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x), and the
     confined sum_v (T_v + omega x_v)(T_v - omega x_v) f adds omega K f -
-    omega^2 |x|^2 f, with omega after the n coordinates.  `restriction_defects`
+    omega^2 |x|^2 f, checked at omega = 1: the three parts have degrees
+    k - 2, k and k + 2, so omega = 1 decides every omega.  `restriction_defects`
     takes its left-hand side from this closed form, so on the empty subgraph,
     where the stratum is the whole space, it compares the closed form with
     itself: this test, which applies the Dunkl operators themselves, is what
@@ -382,14 +399,12 @@ def test_closed_form_laplacian_matches_dunkl_route(family, rank_, degrees):
     mults = orbit_weights(rs) if family != "B" else Multiplicities.numeric(rs, {"c1": 0, "c2": Fraction(3, 7)})
     plain, confined = DunklContext(rs, mults), DeformedContext(rs, mults)
     const = field.element(-n) + sum((mults.line_scalar(i) for i in range(len(rs.lines))), field.zero()) * 2
-    omega = Polynomial.variable(field, n + 1, n)
-    norm2 = sum((Polynomial.variable(field, n + 1, v) ** 2 for v in range(n)), Polynomial.zero(field, n + 1))
+    norm2 = sum((Polynomial.variable(field, n, v) ** 2 for v in range(n)), Polynomial.zero(field, n))
     for k in degrees:
         f = invariant_power_sum(rs, k)
         lf = invariant_laplacian(rs, mults, f)
         assert lf == laplacian(plain, f), k
-        f, lf = pad_variables(f, n + 1), pad_variables(lf, n + 1)
-        assert lf + omega * f * const - omega * omega * norm2 * f == confined.total_power(1, f), k
+        assert lf + f * const - norm2 * f == confined.total_power(1, f), k
 
 
 def test_restriction_builds_no_dunkl_context(monkeypatch):

@@ -238,17 +238,17 @@ def test_point_values_equal_the_expanded_images(name):
     members = [orbit[k] for k in sorted(orbit)]
     forms = witness_forms(ctx, members, base, 7)
     rng = random.Random(7)
-    f = Polynomial.constant(field, ctx.nx, field.one())
+    f = Polynomial.constant(field, ctx.nvars, field.one())
     for form in forms:
         f = f * Polynomial.linear_form(field, form)
     # small coefficients, so that some points lie on more mirrors than their member
-    points = [(field.zero(),) * ctx.nx]
+    points = [(field.zero(),) * ctx.nvars]
     for m in members:
         for _ in range(4):
             coeffs = [field.element(rng.randint(-1, 1)) for _ in m.basis]
-            points.append(tuple(field.dot(coeffs, [b[j] for b in m.basis]) for j in range(ctx.nx)))
+            points.append(tuple(field.dot(coeffs, [b[j] for b in m.basis]) for j in range(ctx.nvars)))
     images = witness_images(ctx, forms, points)
-    for v in range(ctx.nx):
+    for v in range(ctx.nvars):
         g = ctx.apply(v, f)
         assert [row[v] for row in images] == [g.evaluate(p) for p in points], v
 

@@ -88,7 +88,7 @@ def witness_images(ctx, forms, points) -> list[list]:
     weight = None
     if isinstance(ctx, ComplexDunklContext) and ctx.cdiag and not ctx.cdiag[0].is_zero():
         weight = ctx.cdiag[0] * field.element(ctx.group.diag_order)
-    columns = [[form[v] for form in forms] for v in range(ctx.nx)]
+    columns = [[form[v] for form in forms] for v in range(ctx.nvars)]
     out = []
     for p in points:
         cof = cofactors([dot(form, p) for form in forms], one)
@@ -100,7 +100,7 @@ def witness_images(ctx, forms, points) -> list[list]:
             if dot(alpha, p).is_zero()
         ]
         row = []
-        for v in range(ctx.nx):
+        for v in range(ctx.nvars):
             value = grad[v]
             for alpha, c, along in mirrors:
                 value = value - c * alpha[v] * along
@@ -126,11 +126,11 @@ def witness_violations(ctx, orbit: dict, base, seed: int = 0) -> list:
     points = []
     for member in members:
         coeffs = [field.element(point_rng.randint(-POINT_RANGE, POINT_RANGE)) for _ in member.basis]
-        points.append(tuple(field.dot(coeffs, [b[j] for b in member.basis]) for j in range(ctx.nx)))
+        points.append(tuple(field.dot(coeffs, [b[j] for b in member.basis]) for j in range(ctx.nvars)))
     images = witness_images(ctx, forms, points)
     return [
         (v, member.key)
-        for v in range(ctx.nx)
+        for v in range(ctx.nvars)
         for member, row in zip(members, images)
         if not row[v].is_zero()
     ]
@@ -140,11 +140,11 @@ def reference_witness_violations(ctx, orbit: dict, base, seed: int = 0) -> list:
     """(direction, member key) for every T_v f that does not vanish on its member, f expanded."""
     field = ctx.field
     members = [orbit[k] for k in sorted(orbit)]
-    f = Polynomial.constant(field, ctx.nx, field.one())
+    f = Polynomial.constant(field, ctx.nvars, field.one())
     for form in witness_forms(ctx, members, base, seed):
         f = f * Polynomial.linear_form(field, form)
     bad = []
-    for v in range(ctx.nx):
+    for v in range(ctx.nvars):
         g = ctx.apply(v, f)
         if g.is_zero():
             continue
