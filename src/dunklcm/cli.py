@@ -33,7 +33,6 @@ from .polynomials import render_polynomial, solve_affine
 from .rootsystems import (
     Multiplicities,
     Stratum,
-    Subspace,
     block_stratum,
     enumerate_parabolic_strata,
     parabolic_classes,
@@ -158,7 +157,7 @@ def _parse_opts(text: str) -> dict:
 def resolve_subgraph(rs, text: str) -> Stratum:
     text = (text or "").strip()
     if not text:
-        return Stratum(rs, Subspace(rs.field, rs.dim, []), gamma0=(), label="")
+        return parabolic_stratum(rs, ())
     if text.startswith("verts:"):
         verts = []
         for token in filter(None, (t.strip() for t in text[len("verts:"):].split(","))):
@@ -173,6 +172,8 @@ def resolve_subgraph(rs, text: str) -> Stratum:
     head = head.strip()
     opts = _parse_opts(opts_text)
     if head in ("Bl", "Dp") or set(_BLOCK_KEYS) & set(opts):
+        if head not in ("Bl", "Dp"):
+            _parse_type_expr(head)  # the head only names the blocks' type, but it must parse
         m = opts.get("m", 0)
         k = opts.get("k", 1)
         l = opts.get("l", opts.get("p", 0))
@@ -376,10 +377,7 @@ def _emit(args, payload: dict, pretty_lines=None) -> None:
 
 
 def _stratum_summary(st) -> dict:
-    data = {"family": st.rs.family, "rank": st.rs.rank, "label": st.label}
-    if st.gamma0 is not None:
-        data["gamma0"] = [i + 1 for i in st.gamma0]
-    return data
+    return {"family": st.rs.family, "rank": st.rs.rank, "label": st.label, "gamma0": [i + 1 for i in st.gamma0]}
 
 
 def _random_sample(rng, names) -> dict[str, Fraction]:

@@ -5,7 +5,7 @@ multiplicities of lines with a common image yields the vector configuration
 of the restricted operator.  A root line sum_j c_j alpha_j projects to
 sum_j c_j pi(alpha_j), so the lines are grouped by their simple-root
 coordinates pushed onto an independent set of the pi(alpha_j), keyed up
-to scale (`Stratum.line_keys`): on a parabolic stratum X_I the
+to scale (`Stratum.line_keys`): on the stratum X_I, every stratum, the
 coordinates outside I.  The grouping compares integer tuples, and each
 restricted line is projected once, through the integral rows of those
 pi(alpha_j), which one |I| x |I| solve on the simple roots' Gram matrix

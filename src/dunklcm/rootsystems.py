@@ -24,13 +24,13 @@ Deodhar's moves between subsets of the simple roots (parabolic_classes),
 which both the stratum enumeration and the command line's --subgraph type
 lookup consume; no command walks the orbit of a flat.
 
-A parabolic stratum X_I vanishes on the roots supported in I, and its
-irreducible components are those of I in the Coxeter diagram; only other
-subspaces compare their lines by orthogonality.  The weighted Coxeter
-number of an irreducible set of root lines is computed in closed form,
-(2 / rank) * the sum of the line weights, the rank of a parabolic
-component being its number of vertices; the tests keep the weighted root
-form itself as the oracle it is checked against.
+Every stratum is a standard parabolic flat X_I, the block strata of the
+classical families included: it vanishes on the roots supported in I, and
+its irreducible components are those of I in the Coxeter diagram.  The
+weighted Coxeter number of an irreducible set of root lines is computed
+in closed form, (2 / rank) * the sum of the line weights, the rank of a
+parabolic component being its number of vertices; the tests keep the
+weighted root form itself as the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -645,59 +645,52 @@ class Multiplicities:
 
 
 class Stratum:
-    """A reflection-group orbit of a flat, known by the sorted indices of its root lines.
+    """The standard parabolic flat X_I of gamma0 = I, a sorted tuple of simple-root indices.
 
-    A root line alpha = sum_j c_j alpha_j projects onto the subspace as
-    sum_j c_j pi(alpha_j).  The projections of the simple roots key_roots
-    are a basis of the projections of all of them, and line_keys holds,
-    for each root line, the line key of its coordinates pushed onto that
-    basis: lines with proportional projections share a key, and the key is
-    None exactly for the lines that vanish on the subspace, the stratum's
-    lines.  For a parabolic stratum (gamma0 = I) the key roots are the
-    simple roots outside I and a key is read off the coordinates outside
-    I, so its lines are the roots supported in I (Phi cap span Delta_I =
-    Phi_I; Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.10).
-    Any other subspace takes the reduced form of its Gram rows ((b,
-    alpha_j))_b over the basis, an injective image of the pi(alpha_j): its
-    pivot columns are the key roots, and column j holds pi(alpha_j) over
-    their projections, so a line's key coordinates are its coordinates
-    times the reduced rows.
+    X_I is annihilated by the simple roots of I.  Every flat is
+    W-conjugate to one of these (move a point of it into the closed
+    fundamental chamber: its isotropy group there is generated by the
+    simple reflections it lies on; Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, 1.12), and the ideal of a W-orbit does not
+    depend on the member chosen.  A root line alpha = sum_j c_j alpha_j
+    projects onto X_I as sum_j c_j pi(alpha_j), and the projections of the
+    simple roots outside I, key_roots, are a basis of those of all of
+    them.  line_keys holds, for each root line, the line key of its
+    coordinates outside I: lines with proportional projections share a
+    key, and the key is None exactly for the lines that vanish on X_I,
+    the stratum's lines, which are the roots supported in I (Phi cap span
+    Delta_I = Phi_I; Humphreys 1.10).
     """
 
-    def __init__(self, rs: RootSystem, subspace: Subspace, gamma0: tuple[int, ...] | None = None, label: str = ""):
+    def __init__(self, rs: RootSystem, gamma0, label: str = ""):
+        gamma0 = tuple(sorted(set(gamma0)))
+        for i in gamma0:
+            if not 0 <= i < rs.rank:
+                raise ValueError(f"simple root index {i} out of range")
         self.rs = rs
-        self.subspace = subspace
+        self.subspace = Subspace(rs.field, rs.dim, [rs.simple[i] for i in gamma0])
         self.gamma0 = gamma0
         self.label = label
-        field = rs.field
-        if gamma0 is not None:
-            self.key_roots = tuple(j for j in range(rs.rank) if j not in gamma0)
-            rows = ([c[j] for j in self.key_roots] for c in rs.coords)
-        else:
-            gram_rows = tuple(tuple(dot(b, alpha) for alpha in rs.simple) for b in subspace.basis)
-            reduced, self.key_roots = rref(gram_rows)
-            pushed = int_rows(reduced)
-            rows = ([field.int_dot(c, row) for row in pushed] for c in rs.coords)
-        self.line_keys = tuple(line_key(field, row) for row in rows)
+        self.key_roots = tuple(j for j in range(rs.rank) if j not in gamma0)
+        self.line_keys = tuple(line_key(rs.field, [c[j] for j in self.key_roots]) for c in rs.coords)
         self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
 
     def key_projections(self) -> list[list[tuple[int, ...]]]:
-        """The orthogonal projections pi(alpha_j) of the key roots onto the
-        subspace, as integral rows over one common denominator.
+        """The orthogonal projections pi(alpha_j) of the key roots onto X_I,
+        as integral rows over one common denominator.
 
-        pi(alpha_j) = alpha_j - sum_a y_a n_a with y = M^-1 ((n_a, alpha_j))_a,
-        over normals n_a that span the annihilator and their Gram matrix M:
-        for a parabolic stratum the simple roots of gamma0, so one |I| x |I|
-        solve on the simple roots' Gram matrix.
+        pi(alpha_j) = alpha_j - sum_a y_a alpha_a over a in I, with
+        y = M^-1 ((alpha_a, alpha_j))_a and M the Gram matrix of the simple
+        roots of I: one |I| x |I| solve.
         """
         rs = self.rs
         field = rs.field
-        normals = self.subspace.annihilator if self.gamma0 is None else [rs.simple[i] for i in self.gamma0]
+        normals = [rs.simple[i] for i in self.gamma0]
         if not normals:
             return int_rows([rs.simple[j] for j in self.key_roots])
         minv = invert(gram(normals), field)
         one = field.one()
-        # the coefficients of each pi(alpha_j) over (alpha_j, n_1, ..., n_k)
+        # the coefficients of each pi(alpha_j) over (alpha_j, alpha_a for a in I)
         coeffs = int_rows([
             (one, *(-y for y in mat_vec(minv, tuple(dot(n, rs.simple[j]) for n in normals)))) for j in self.key_roots
         ])
@@ -711,58 +704,27 @@ class Stratum:
     def components(self) -> list[tuple[int, ...]]:
         """Vanishing root lines grouped into irreducible root subsystems.
 
-        For a parabolic stratum these are the root systems of the
-        components of gamma0 in the Coxeter diagram: a vanishing root is
-        supported in gamma0, and its support is connected, so the component
-        that holds its first simple root holds it.  For any other subspace
-        they are the classes of the vanishing lines under
-        non-orthogonality: the lines are closed under their own
-        reflections, and the irreducible parts of such a set are those
-        classes.
+        These are the root systems of the components of gamma0 in the
+        Coxeter diagram: a vanishing root is supported in gamma0, and its
+        support is connected, so the component that holds its first simple
+        root holds it.
         """
-        if self.gamma0 is not None:
-            comps = _diagram_components(self.rs, self.gamma0)
-            owner = {v: k for k, (_, _, verts, _) in enumerate(comps) for v in verts}
-            groups: dict[int, list[int]] = {}
-            for i in self.lines:
-                first = next(j for j, c in enumerate(self.rs.coords[i]) if any(c))
-                groups.setdefault(owner[first], []).append(i)
-            return sorted(map(tuple, groups.values()))
-        remaining = set(self.lines)
-        out: list[tuple[int, ...]] = []
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            stack = [start]
-            remaining.discard(start)
-            while stack:
-                i = stack.pop()
-                for j in list(remaining):
-                    if not dot(self.rs.lines[i], self.rs.lines[j]).is_zero():
-                        remaining.discard(j)
-                        comp.add(j)
-                        stack.append(j)
-            out.append(tuple(sorted(comp)))
-        out.sort()
-        return out
+        comps = _diagram_components(self.rs, self.gamma0)
+        owner = {v: k for k, (_, _, verts, _) in enumerate(comps) for v in verts}
+        groups: dict[int, list[int]] = {}
+        for i in self.lines:
+            first = next(j for j, c in enumerate(self.rs.coords[i]) if any(c))
+            groups.setdefault(owner[first], []).append(i)
+        return sorted(map(tuple, groups.values()))
 
     @cached_property
     def conditions(self) -> tuple[Polynomial, ...]:
         """The weighted Coxeter number of each component, an affine form over rs.orbit_names.
 
         The stratum's ideal is invariant exactly where every form equals 1.
-        Raises ValueError when the subspace is not the flat of its lines.
         """
         mults = Multiplicities.symbolic(self.rs)
-        comps = self.components()
-        forms = tuple(generalized_coxeter_number(self.rs, mults, comp) for comp in comps)
-        # a form is 2 |lines| / rank at unit weights, which gives back the rank it took; the
-        # components are orthogonal, so on a flat their ranks add up to the codimension
-        unit = (self.rs.field.one(),) * len(mults.params)
-        ranks = sum(2 * len(comp) / h.evaluate(unit).as_fraction() for comp, h in zip(comps, forms))
-        if ranks != len(self.subspace.annihilator):
-            raise ValueError(f"{self.rs.name} stratum {self.label!r} is not an intersection of mirrors")
-        return forms
+        return tuple(generalized_coxeter_number(self.rs, mults, comp) for comp in self.components())
 
     @cached_property
     def solution(self) -> tuple[str, dict[str, Polynomial], list[str]]:
@@ -770,16 +732,8 @@ class Stratum:
         return solve_affine(self.rs.field, self.rs.orbit_names, self.conditions)
 
 
-def parabolic_subspace(rs: RootSystem, indices) -> Subspace:
-    rows = [rs.simple[i] for i in indices]
-    return Subspace(rs.field, rs.dim, rows)
-
-
 def parabolic_stratum(rs: RootSystem, indices) -> Stratum:
-    indices = tuple(sorted(set(indices)))
-    comps = classify_indices(rs, indices)
-    label = subgraph_type_name(comps)
-    return Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=label)
+    return Stratum(rs, indices, label=subgraph_type_name(classify_indices(rs, indices)))
 
 
 def orbit_walk(start, moves, cap, key) -> dict:
@@ -818,11 +772,13 @@ def flat_members(field: Field, ambient: int, lines, tuples) -> dict[tuple, Subsp
 
 
 def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> Stratum:
-    """Collision stratum: m blocks of k equal coordinates, then l zeros.
+    """Collision stratum: m blocks of k equal coordinates, and the last l coordinates zero.
 
-    For family D with eps=-1 the last block collides up to a sign, which is
-    a genuinely different stratum exactly when k is even and there are no
-    other coordinates.
+    It is X_I for I the simple roots x_i - x_(i+1) inside each block and
+    the last l simple roots.  For family D with eps=-1 the last block
+    collides up to a sign, x_(n-1) = -x_n, so alpha_n replaces
+    alpha_(n-1) in I; that is a genuinely different stratum exactly when
+    k is even and there are no other coordinates.
     """
     fam = rs.family
     if fam not in ("A", "B", "D"):
@@ -844,28 +800,17 @@ def block_stratum(rs: RootSystem, m: int, k: int, l: int = 0, eps: int = 1) -> S
             raise ValueError("the sign-twisted block stratum only exists in family D")
         if k % 2 or m * k != n_coords:
             raise ValueError("the twisted stratum needs an even block size and no other coordinates")
-    rows = []
-    field = rs.field
-    for b in range(m):
-        base = b * k
-        for j in range(k - 1):
-            row = [0] * n_coords
-            row[base + j] = 1
-            row[base + j + 1] = -1
-            if eps == -1 and b == m - 1 and j == k - 2:
-                row[base + j + 1] = -eps
-            rows.append(vec(field, row))
-    for j in range(l):
-        row = [0] * n_coords
-        row[m * k + j] = 1
-        rows.append(vec(field, row))
+    indices = [b * k + j for b in range(m) for j in range(k - 1)]
+    if eps == -1:
+        indices[-1] = rs.rank - 1
+    indices += range(rs.rank - l, rs.rank)
     label = f"blocks(m={m},k={k}"
     if l:
         label += f",l={l}"
     if eps == -1:
         label += ",eps=-1"
     label += ")"
-    return Stratum(rs, Subspace(field, n_coords, rows), gamma0=None, label=label)
+    return Stratum(rs, indices, label=label)
 
 
 def parabolic_classes(rs: RootSystem, size: int, label: str | None = None):
@@ -892,7 +837,7 @@ def parabolic_classes(rs: RootSystem, size: int, label: str | None = None):
             continue
         if label is not None and name != label:
             continue
-        yield Stratum(rs, parabolic_subspace(rs, indices), gamma0=indices, label=name)
+        yield Stratum(rs, indices, label=name)
         seen.update(orbit_walk(indices, moves, math.inf, key=tuple))
 
 

@@ -23,6 +23,14 @@ orthogonality connectivity, reading only the ambient lines, where the
 program reads the components of a parabolic stratum off the Coxeter
 diagram and the simple-root coordinates.
 
+reference_stratum is the stratum the program built before every stratum
+became a standard parabolic flat X_I: any subspace, given by annihilator
+rows, keys its lines by the reduced form of its Gram rows and projects
+the key roots along its annihilator rows.  It has what the restriction
+code reads of a Stratum, so the identities run on flats placed anywhere
+and on subspaces that are no flats, and its components are
+reference_components.
+
 reference_coxeter_number builds the weighted root form
 sum_alpha c_alpha (alpha,u)(alpha,v)/(alpha,alpha) as a matrix on a basis
 of the span of the lines and checks entry by entry that it is h times the
@@ -36,9 +44,9 @@ from collections import Counter
 from functools import cache
 from itertools import combinations
 
-from dunklcm.linalg import dot, gram, reflect, rref
+from dunklcm.linalg import dot, gram, int_rows, invert, line_key, mat_vec, reflect, rref, vec
 from dunklcm.polynomials import Polynomial
-from dunklcm.rootsystems import classify_indices, orbit_of_subspace, parabolic_stratum, subgraph_type_name
+from dunklcm.rootsystems import Subspace, classify_indices, orbit_of_subspace, parabolic_stratum, subgraph_type_name
 
 
 def _key(v) -> tuple:
@@ -118,6 +126,57 @@ def reference_components(stratum) -> list[tuple[int, ...]]:
                     stack.append(j)
         out.append(tuple(sorted(comp)))
     return sorted(out)
+
+
+class ReferenceStratum:
+    """A stratum on any subspace, keyed by the reduced form of its Gram rows.
+
+    The rows ((b, alpha_j))_j over the basis b of the subspace are an
+    injective image of the projections pi(alpha_j): the pivot columns of
+    their reduced form are the key roots, and column j holds pi(alpha_j)
+    over their projections, so a line's key is the line key of its
+    simple-root coordinates times the reduced rows.
+    """
+
+    gamma0 = None
+
+    def __init__(self, rs, subspace, label=""):
+        field = rs.field
+        self.rs = rs
+        self.subspace = subspace
+        self.label = label
+        gram_rows = tuple(tuple(dot(b, alpha) for alpha in rs.simple) for b in subspace.basis)
+        reduced, self.key_roots = rref(gram_rows)
+        pushed = int_rows(reduced)
+        self.line_keys = tuple(line_key(field, [field.int_dot(c, row) for row in pushed]) for c in rs.coords)
+        self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
+
+    def key_projections(self):
+        """pi(alpha_j) = alpha_j - sum_a y_a n_a, y = M^-1 ((n_a, alpha_j))_a, over the annihilator rows n_a."""
+        rs = self.rs
+        field = rs.field
+        normals = self.subspace.annihilator
+        if not normals:
+            return int_rows([rs.simple[j] for j in self.key_roots])
+        minv = invert(gram(normals), field)
+        one = field.one()
+        coeffs = int_rows([
+            (one, *(-y for y in mat_vec(minv, tuple(dot(n, rs.simple[j]) for n in normals)))) for j in self.key_roots
+        ])
+        vectors = int_rows([*rs.simple, *normals])
+        normal_columns = list(zip(*vectors[rs.rank:]))
+        return [
+            [field.int_dot(c, (a, *col)) for a, col in zip(vectors[j], normal_columns)]
+            for j, c in zip(self.key_roots, coeffs)
+        ]
+
+    def components(self):
+        return reference_components(self)
+
+
+def reference_stratum(rs, rows, label="") -> ReferenceStratum:
+    """The stratum of the subspace annihilated by rows, each a list of rationals or field elements."""
+    return ReferenceStratum(rs, Subspace(rs.field, rs.dim, [vec(rs.field, r) for r in rows]), label)
 
 
 def reference_coxeter_number(rs, mults, line_indices) -> Polynomial:

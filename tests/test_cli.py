@@ -592,6 +592,35 @@ def test_bad_subgraph_option_is_a_usage_error(capsys, subgraph, token):
     assert token in out["error"]
 
 
+@pytest.mark.parametrize("family,rank_,subgraph,error", [
+    ("A", "5", "foo:k=3,m=2", "cannot parse subgraph type 'foo'"),
+    ("B", "4", ":l=2", "empty subgraph type"),
+])
+def test_bad_block_head_is_a_usage_error(capsys, family, rank_, subgraph, error):
+    # a block spec's head is Bl, Dp or a type expression, checked for syntax only
+    code, out = run(capsys, "solve", "--family", family, "--rank", rank_, "--subgraph", subgraph)
+    assert code == 2
+    assert error in out["error"]
+
+
+@pytest.mark.parametrize("family,rank_,subgraph,gamma0", [
+    ("A", "5", "A2:k=3,m=2", [1, 2, 4, 5]),
+    ("B", "4", "Bl:l=2", [3, 4]),
+    ("D", "4", "D2^2:k=2,m=2,eps=-1", [1, 4]),
+])
+def test_block_stratum_is_a_standard_parabolic_flat(capsys, family, rank_, subgraph, gamma0):
+    # the simple roots inside each block, then the last l; eps=-1 swaps alpha_(n-1) for alpha_n
+    code, out = run(capsys, "solve", "--family", family, "--rank", rank_, "--subgraph", subgraph)
+    assert (code, out["stratum"]["gamma0"]) == (0, gamma0)
+
+
+def test_block_stratum_puts_its_zeros_last(capsys):
+    code, out = run(capsys, "restrict", "--family", "B", "--rank", "4", "--subgraph", "Bl:l=2")
+    assert (code, out["stratum"]["gamma0"]) == (0, [3, 4])
+    vectors = out["configuration"]["vectors"]
+    assert vectors and all(v[2:] == ["0", "0"] for v in vectors)
+
+
 @pytest.mark.parametrize("family,rank_", [
     ("A", 3), ("B", 3), ("B", 4), ("D", 4), ("D", 5), ("F4", None), ("H3", None),
 ])

@@ -1,9 +1,11 @@
 """Every `dunklcm ...` line of the README's Examples block runs as documented.
 
 A line exits 0 unless its comment says `# exit N`; any text quoted in the
-comment must appear on stdout.
+comment must appear on stdout.  The Python block of the Library quick tour
+runs too, and its solved values are the ones its comment shows.
 """
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -34,3 +36,20 @@ def test_readme_example(capsys, line):
 
 def test_readme_has_examples():
     assert len(example_lines()) >= 10
+
+
+def quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Library quick tour", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour(capsys):
+    code = quick_tour()
+    namespace: dict = {}
+    exec(compile(code, "README.md quick tour", "exec"), namespace)
+    assert capsys.readouterr().out.strip()
+    comment = next(line.partition("#")[2] for line in code.splitlines() if line.startswith("solved ="))
+    status = re.search(r"'status': '(\w+)'", comment).group(1)
+    values = ast.literal_eval(re.search(r"'values': (\{[^}]*\})", comment).group(1))
+    assert (status, values) == ("unique", {"c1": "1/2", "c2": "0"})
+    assert (namespace["solved"]["status"], namespace["solved"]["values"]) == (status, values)

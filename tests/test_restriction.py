@@ -24,14 +24,12 @@ from dunklcm.linalg import rank
 from dunklcm.polynomials import Polynomial, divide_by_linear
 from dunklcm.rootsystems import (
     Multiplicities,
-    Stratum,
-    Subspace,
     block_stratum,
     enumerate_parabolic_strata,
     parabolic_stratum,
     root_system,
 )
-from rootsystem_reference import reference_components
+from rootsystem_reference import reference_components, reference_stratum
 from restriction_reference import (
     reference_configuration,
     reference_lines,
@@ -225,8 +223,10 @@ def checked_block_strata():
 
 
 def test_grouped_projection_matches_reference_on_block_stratum():
-    for st in checked_block_strata():
-        assert st.gamma0 is None
+    # each block stratum is X_I: the simple roots inside its blocks, then the last l
+    want = [(0, 3), (0, 1, 3, 4), (2, 3), (1, 2, 3), (2, 3)]
+    for st, gamma0 in zip(checked_block_strata(), want, strict=True):
+        assert st.gamma0 == gamma0, st.label
         assert_matches_reference(st)
 
 
@@ -351,7 +351,7 @@ def test_identities_off_a_flat_match_cleared_denominators(family, rank_, row):
     # a plane that is no intersection of mirrors: d_v g need not vanish where
     # (v, x) does, so an exact division leaves a remainder
     rs = root_system(family, rank_)
-    st = Stratum(rs, Subspace(rs.field, rs.dim, [tuple(rs.field.element(x) for x in row)]))
+    st = reference_stratum(rs, [row])
     mults = Multiplicities.numeric(rs, Fraction(1, 2))
     got = restriction_defects(st, mults, degrees=(2, 4))
     assert got == reference_restriction_defects(st, mults, degrees=(2, 4)) == [2, 4]

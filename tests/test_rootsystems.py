@@ -1,14 +1,15 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from dunklcm.fields import Field
-from dunklcm.invariance import criterion_invariant, solve_multiplicities
-from dunklcm.linalg import dot, reflect
+from dunklcm.linalg import dot, reflect, vec
 from dunklcm.polynomials import Polynomial, render_polynomial
+from dunklcm.restriction import restricted_configuration
 from dunklcm.rootsystems import (
     Multiplicities,
     OrbitCapExceeded,
@@ -33,6 +34,7 @@ from rootsystem_reference import (
     reference_orbit,
     reference_parabolic_classes,
     reference_parabolic_strata,
+    reference_stratum,
 )
 
 LINE_COUNTS = {
@@ -230,8 +232,7 @@ def _oracle_cases():
     for fam, rank_, shape in BLOCK_STRATA:
         yield block_stratum(root_system(fam, rank_), **shape)
     for fam, rank_, rows in OFF_FLAT_ROWS:
-        rs = root_system(fam, rank_)
-        yield Stratum(rs, Subspace(rs.field, rs.dim, [tuple(rs.field.element(x) for x in r) for r in rows]))
+        yield reference_stratum(root_system(fam, rank_), rows)
 
 
 def test_closed_form_matches_weighted_form_on_every_component():
@@ -496,21 +497,47 @@ def test_block_line_orbits_match_reference(fam, rank_, shape):
     assert members(st).keys() == reference_orbit(rs, st.subspace).keys()
 
 
-@pytest.mark.parametrize("fam,rank_,rows", OFF_FLAT_ROWS)
-def test_orbit_refuses_a_subspace_off_the_flats(fam, rank_, rows):
-    rs = root_system(fam, rank_)
-    st = Stratum(rs, Subspace(rs.field, rs.dim, [tuple(rs.field.element(x) for x in r) for r in rows]))
-    mults = Multiplicities.numeric(rs, {name: Fraction(1, 3) for name in rs.orbit_names})
-    with pytest.raises(ValueError, match="not an intersection of mirrors"):
-        solve_multiplicities(st)
-    with pytest.raises(ValueError, match="not an intersection of mirrors"):
-        criterion_invariant(st, mults)
+@pytest.mark.parametrize("indices", [(-1,), (4,), (0, 4)])
+def test_stratum_refuses_an_index_out_of_range(indices):
+    # a negative index would otherwise read a simple root from the end
+    with pytest.raises(ValueError, match="out of range"):
+        Stratum(root_system("A", 4), indices)
 
 
-@pytest.mark.parametrize("fam,rank_", [("A", 4), ("B", 4), ("D", 4), ("D", 5)])
+BLOCK_SYSTEMS = [
+    *[("A", n) for n in range(1, 8)], *[("B", n) for n in range(2, 8)], *[("D", n) for n in range(3, 8)],
+]
+# the systems whose block strata also have their orbits walked against the reference
+ORBIT_CHECKED = {("A", 4), ("B", 4), ("D", 4), ("D", 5)}
+
+
+def block_rows(n, m, k, l, eps, first_zero):
+    """Rows x_i - x_(i+1) inside m blocks of k coordinates, the last one
+    x_(n-1) + x_n when eps = -1, then x_j for l coordinates from first_zero on."""
+    rows = []
+    for i in (b * k + j for b in range(m) for j in range(k - 1)):
+        row = [0] * n
+        row[i], row[i + 1] = 1, -1
+        rows.append(row)
+    if eps == -1:
+        rows[-1][-1] = 1
+    for j in range(first_zero, first_zero + l):
+        row = [0] * n
+        row[j] = 1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("fam,rank_", BLOCK_SYSTEMS)
 def test_every_block_stratum_is_a_flat(fam, rank_):
+    """Each block stratum is the flat of its rows written out here, with the
+    zeros last, and has the lines, components and configuration that
+    reference_stratum finds on those rows the general way.  Its conditions
+    are those of the flat with the zeros right after the blocks, which is
+    W-conjugate to it."""
     rs = root_system(fam, rank_)
     n = rs.dim
+    symbolic = Multiplicities.symbolic(rs)
     accepted = 0
     for m in range(n + 1):
         for k in range(1, n + 1) if m else (1,):
@@ -520,8 +547,18 @@ def test_every_block_stratum_is_a_flat(fam, rank_):
                         st = block_stratum(rs, m, k, l=l, eps=eps)
                     except ValueError:
                         continue
-                    st.conditions  # refuses a subspace that is not a flat
-                    assert len(orbit(st)) == len(reference_orbit(rs, st.subspace)), (m, k, l, eps)
+                    shape = (m, k, l, eps)
+                    rows = block_rows(n, m, k, l, eps, n - l)
+                    assert st.subspace == Subspace(rs.field, n, [vec(rs.field, r) for r in rows]), shape
+                    ref = reference_stratum(rs, rows)
+                    assert (st.lines, st.components()) == (ref.lines, ref.components()), shape
+                    got, want = (restricted_configuration(s, symbolic) for s in (st, ref))
+                    assert (got.vectors, got.mults) == (want.vectors, want.mults), shape
+                    conjugate = reference_stratum(rs, block_rows(n, m, k, l, eps, m * k))
+                    hs = [reference_coxeter_number(rs, symbolic, comp) for comp in conjugate.components()]
+                    assert Counter(st.conditions) == Counter(hs), shape
+                    if (fam, rank_) in ORBIT_CHECKED:
+                        assert len(orbit(st)) == len(reference_orbit(rs, st.subspace)), shape
                     accepted += 1
     assert accepted >= n
 
