@@ -23,10 +23,9 @@ from .rootsystems import (
 from .dunkl import DeformedContext, DunklContext
 from .invariance import (
     condition_equations,
+    conditions_hold,
     criterion_invariant,
     direct_invariance_violations,
-    invariance_conditions,
-    is_invariant_direct,
     order_vanishing_violations,
     solve_multiplicities,
 )
@@ -40,12 +39,10 @@ from .restriction import (
     restriction_defects,
 )
 from .complexgroups import (
+    CollisionFlat,
     ComplexDunklContext,
     ComplexReflectionGroup,
-    collision_subspace,
     direct_ideal_violations,
-    ideal_conditions,
-    ideal_conditions_hold,
     parse_group_name,
 )
 
@@ -71,10 +68,9 @@ __all__ = [
     "DeformedContext",
     "DunklContext",
     "condition_equations",
+    "conditions_hold",
     "criterion_invariant",
     "direct_invariance_violations",
-    "invariance_conditions",
-    "is_invariant_direct",
     "order_vanishing_violations",
     "solve_multiplicities",
     "Configuration",
@@ -84,12 +80,10 @@ __all__ = [
     "gauge_defects",
     "restricted_configuration",
     "restriction_defects",
+    "CollisionFlat",
     "ComplexDunklContext",
     "ComplexReflectionGroup",
-    "collision_subspace",
     "direct_ideal_violations",
-    "ideal_conditions",
-    "ideal_conditions_hold",
     "parse_group_name",
 ]
 

@@ -28,8 +28,8 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .fields import Field, render_scalar
-from .polynomials import render_polynomial, solve_affine
+from .fields import render_scalar
+from .polynomials import render_polynomial
 from .rootsystems import (
     Multiplicities,
     Stratum,
@@ -43,9 +43,9 @@ from .rootsystems import (
 from .dunkl import DeformedContext, DunklContext
 from .invariance import (
     condition_equations,
+    conditions_hold,
     criterion_invariant,
     direct_invariance_violations,
-    solve_conditions,
     solve_multiplicities,
 )
 from .restriction import (
@@ -59,12 +59,9 @@ from .restriction import (
     _load_catalog_rows,
 )
 from .complexgroups import (
+    CollisionFlat,
     ComplexDunklContext,
-    collision_subspace,
-    condition_forms,
     direct_ideal_violations,
-    ideal_conditions,
-    ideal_conditions_hold,
     parse_group_name,
     weight_point,
 )
@@ -258,19 +255,19 @@ def _stratum(rs, args) -> Stratum:
     return _from_user(resolve_subgraph, rs, args.subgraph)
 
 
-def _instantiate_solution(st, offset: int = 0) -> Multiplicities:
+def _instantiate_solution(st, offset: int = 0, rng=None) -> Multiplicities:
     """A numeric point on the stratum's invariance locus, which must not be empty.
 
-    The free weights are sampled, the solved ones evaluated exactly there.
+    The free weights are drawn from rng, else (2i+1)/(2i+5) from i = offset
+    on; the solved ones are evaluated exactly there.
     """
     rs = st.rs
     field = rs.field
     names = rs.orbit_names
     _, values, free = st.solution
-    vals = {
-        name: field.element(Fraction(2 * (i + offset) + 1, 2 * (i + offset) + 5))
-        for i, name in enumerate(free)
-    }
+    sample = _random_sample(rng, free) if rng else {
+        name: Fraction(2 * (i + offset) + 1, 2 * (i + offset) + 5) for i, name in enumerate(free)}
+    vals = {name: field.element(v) for name, v in sample.items()}
     point = tuple(vals.get(n, field.zero()) for n in names)
     vals.update((name, h.evaluate(point)) for name, h in values.items())
     return Multiplicities.numeric(rs, vals)
@@ -447,33 +444,25 @@ def _parse_blocks(text: str | None) -> tuple[int, int]:
     return (1, sizes[0]) if len(sizes) == 1 else (sizes[0], sizes[1])
 
 
-def _complex_stratum(args):
-    """The group of --group and the collision subspace of --blocks, --zeros and --eps."""
+def _collision_flat(args) -> CollisionFlat:
+    """The collision flat of --group, --blocks, --zeros and --eps."""
     group = _from_user(parse_group_name, args.group)
     q, r = _parse_blocks(args.blocks)
-    l = args.zeros or 0
-    eps = args.eps or 0
-    sub = _from_user(collision_subspace, group, q, r, l, eps)
-    return group, (q, r, l, eps), sub
-
-
-def _solve_complex(group, shape) -> dict:
-    names, hs = group.param_names(), condition_forms(group, *shape)
-    return solve_conditions(names, hs, solve_affine(Field.rational(), names, hs))
+    return _from_user(CollisionFlat, group, q, r, args.zeros or 0, args.eps or 0)
 
 
 def _check_complex(args) -> int:
-    group, shape, sub = _complex_stratum(args)
-    q, r, l, eps = shape
+    flat = _collision_flat(args)
+    group = flat.group
     payload = {
         "command": "check",
         "group": repr(group),
-        "blocks": {"q": q, "r": r, "eps": eps},
-        "zeros": l,
-        "equations": ideal_conditions(group, *shape),
+        "blocks": {"q": flat.q, "r": flat.r, "eps": flat.eps},
+        "zeros": flat.l,
+        "equations": condition_equations(flat),
     }
     if args.symbolic:
-        solved = _solve_complex(group, shape)
+        solved = solve_multiplicities(flat)
         payload.update(solved)
         _emit(args, payload, _pretty_solve(payload))
         return 0 if solved["status"] != "inconsistent" else 1
@@ -481,16 +470,15 @@ def _check_complex(args) -> int:
     if not vals:
         raise UsageError("provide weights (--c0 ...), or --symbolic for the conditions")
     point = _from_user(weight_point, group, vals)
-    invariant = ideal_conditions_hold(group, point, *shape)
+    invariant = conditions_hold(flat, point)
     payload["weights"] = {k: str(v) for k, v in sorted(vals.items())}
     payload["invariant"] = invariant
     if args.direct:
-        ctx = ComplexDunklContext.at_weights(group, point)
-        viol = direct_ideal_violations(ctx, sub)
+        viol = direct_ideal_violations(ComplexDunklContext(group, point), flat)
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
     lines = [
-        f"{group!r} blocks q={q} r={r} eps={eps} zeros={l}",
+        f"{group!r} blocks q={flat.q} r={flat.r} eps={flat.eps} zeros={flat.l}",
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
         f"invariant: {invariant}",
     ]
@@ -562,14 +550,12 @@ def _pretty_solve(payload: dict) -> list[str]:
 def cmd_solve(args) -> int:
     _stratum_options(args, ())
     if args.group:
-        group, shape, _ = _complex_stratum(args)
-        solved = _solve_complex(group, shape)
-        payload = {"command": "solve", "group": repr(group)}
+        flat = _collision_flat(args)
+        payload = {"command": "solve", "group": repr(flat.group)}
     else:
-        rs = _root_system(args)
-        st = _stratum(rs, args)
-        solved = solve_multiplicities(st)
-        payload = {"command": "solve", "stratum": _stratum_summary(st)}
+        flat = _stratum(_root_system(args), args)
+        payload = {"command": "solve", "stratum": _stratum_summary(flat)}
+    solved = solve_multiplicities(flat)
     payload.update(solved)
     _emit(args, payload, _pretty_solve(payload))
     return 0 if solved["status"] != "inconsistent" else 1
@@ -644,7 +630,7 @@ def _verify_commutativity(args) -> tuple[dict, int]:
         report["group"] = repr(group)
         names = group.param_names()
         def context(vals):
-            return ComplexDunklContext.at_weights(group, _from_user(weight_point, group, vals))
+            return ComplexDunklContext(group, _from_user(weight_point, group, vals))
     else:
         rs = _root_system(args)
         report["family"] = rs.name
@@ -723,10 +709,18 @@ def _verify_deformed(args) -> tuple[dict, int]:
     _require_at_least(args, "degree", 0)
     _require_at_least(args, "k", 1)
     _require_at_least(args, "l", 1)
+    if args.k == args.l and not args.subgraph:  # [H_k, H_k] = 0 at every weight
+        raise UsageError(f"verify deformed with --k = --l = {args.k} and no --subgraph checks nothing")
     rs = _root_system(args)
     rng = random.Random(args.seed)
-    vals = _collect_mult_values(args) or _random_sample(rng, rs.orbit_names)
-    mults = _numeric_mults(rs, vals)
+    st = _stratum(rs, args) if args.subgraph else None
+    vals = _collect_mult_values(args)
+    if vals or st is None:
+        mults = _numeric_mults(rs, vals or _random_sample(rng, rs.orbit_names))
+    elif st.solution[0] == "inconsistent":
+        return {"suite": "deformed", "error": "no invariant multiplicities"}, 3
+    else:  # a seeded point of the stratum's invariance locus
+        mults = _instantiate_solution(st, rng=rng)
     ctx = DeformedContext(rs, mults)
     bad = ctx.integrability_violations(args.k, args.l, args.degree)
     report = {
@@ -734,12 +728,11 @@ def _verify_deformed(args) -> tuple[dict, int]:
         "family": rs.name,
         "powers": [args.k, args.l],
         "degree": args.degree,
-        "multiplicities": {k: str(v) for k, v in sorted(vals.items())},
+        "multiplicities": {name: render_scalar(mults.scalar(name)) for name in rs.orbit_names},
         "violations": len(bad),
     }
     code = 0 if not bad else 1
-    if args.subgraph:
-        st = _stratum(rs, args)
+    if st is not None:
         degrees = tuple(range(2, args.degree + 1, 2)) or (2,)
         defects = restriction_defects(st, mults, degrees=degrees)
         report["restriction_label"] = st.label

@@ -16,26 +16,27 @@ parity of k is a conjugation invariant and odd k may carry a second weight.
 The pair reflections are handed to the shared operator core of the dunkl
 module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j; only
 the diagonal term is computed here, by lowering exponents: no division.
-The direct ideal test is the conormal identity real groups use, whose right
-side gains c_1 (m/p) lambda[v] for each coordinate x_v that vanishes on the
-subspace.
+Named weights are checked and completed in one place, weight_point, which
+the context calls itself.  The direct ideal test is the conormal identity
+real groups use, whose right side gains c_1 (m/p) lambda[v] for each
+coordinate x_v that vanishes on the flat.
 
-A collision subspace is a flat of the G(m,1,N) arrangement x_i = xi^k x_j,
-x_i = 0 (Orlik and Terao, Arrangements of Hyperplanes, 1992), which
-G(m,p,N) permutes, so its orbit is walked on line tuples as a real one is.
-
-The ideal of q blocks of r equal coordinates (the last block twisted by
-xi^eps) and l zero coordinates is invariant exactly where each of its
-conditions h = 1 holds, h an affine form over param_names().  With the pair
-weight cbar = c0, or (c0 + c0_odd)/2 under the parity split:
+A CollisionFlat, q blocks of r equal coordinates (the last block twisted
+by xi^eps) and l zero coordinates, is a flat of the G(m,1,N) arrangement
+x_i = xi^k x_j, x_i = 0 (Orlik and Terao, Arrangements of Hyperplanes,
+1992), which G(m,p,N) permutes, so its orbit is walked on line tuples as a
+real one is.  Its ideal is invariant exactly where each of its conditions
+h = 1 holds, h an affine form over param_names().  With the pair weight
+cbar = c0, or (c0 + c0_odd)/2 under the parity split:
 
     a block of r > 1 coordinates:  h = r c, c = c0_odd for odd eps under
                                    the split, c0 otherwise;
     l zero coordinates:            h = m(l-1) cbar + [p < m] (m/p) c1;
     p = m and l = 1:               h = 0, so "0 = 1" and never invariant.
 
-These forms go through the renderer and the affine solver of the invariance
-module, the ones real groups use for their weighted Coxeter numbers.
+The flat keeps these forms and their exact solution under the names a real
+Stratum uses (names, conditions, solution, subspace, lines), so the helpers
+of the invariance module render, evaluate, solve and test both kinds alike.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from math import lcm
 
 from .dunkl import DunklContext
 from .fields import Field
-from .invariance import _render_equations, conormal_violations
+from .invariance import conormal_violations
 from .linalg import Vector, dot, identity, int_rows, line_key, mat_vec
-from .polynomials import Polynomial
+from .polynomials import Polynomial, solve_affine
 from .rootsystems import Subspace, flat_members, orbit_of_subspace
 
 
@@ -122,24 +123,17 @@ class ComplexDunklContext(DunklContext):
     """Operator application for G(m,p,N) at numeric weights: the core's
     pair-reflection operators, minus the diagonal term.
 
-    Reflection r has the mirror group.lines[r], so the mirror x_i = xi^k x_j,
-    i < j, has the index k + m * (its pair's index among i < j).
+    The weights are named as in group.param_names() and completed by
+    weight_point.  Reflection r has the mirror group.lines[r], so the mirror
+    x_i = xi^k x_j, i < j, has the index k + m * (its pair's index among i < j).
     """
 
-    def __init__(self, group: ComplexReflectionGroup, c0, c0_odd=None, cdiag=()):
+    def __init__(self, group: ComplexReflectionGroup, weights: dict):
         field = group.field
-        c_even = field.element(c0)
-        if c0_odd is None:
-            c_odd = c_even
-        else:
-            if not group.has_parity_split:
-                raise ValueError("a separate odd weight needs N = 2 and even p")
-            c_odd = field.element(c0_odd)
-        cdiag = tuple(field.element(c) for c in cdiag)
-        if len(cdiag) != group.diag_order - 1:
-            raise ValueError(
-                f"need {group.diag_order - 1} diagonal weights, got {len(cdiag)}"
-            )
+        point = weight_point(group, weights)
+        c_even = field.element(point["c0"])
+        c_odd = field.element(point.get("c0_odd", c_even))
+        cdiag = tuple(field.element(point[f"c{t}"]) for t in range(1, group.diag_order))
         self.group = group
         self.cdiag = cdiag
         # d * c_t over one common denominator, None for a zero weight
@@ -190,57 +184,75 @@ class ComplexDunklContext(DunklContext):
         zeros = {r - first for r in lines if r >= first}
         return [x - weight * form[v] if v in zeros else x for v, x in enumerate(images)]
 
-    @classmethod
-    def at_weights(cls, group: ComplexReflectionGroup, values: dict) -> "ComplexDunklContext":
-        """The context at named weights, defaults filled in by weight_point."""
-        point = weight_point(group, values)
-        cdiag = tuple(point[f"c{t}"] for t in range(1, group.diag_order))
-        return cls(group, point["c0"], point.get("c0_odd"), cdiag=cdiag)
-
 
 # ---------------------------------------------------------------------------
 # strata and their ideals
 
 
-def collision_subspace(group: ComplexReflectionGroup, q: int, r: int, l: int = 0, eps: int = 0) -> Subspace:
-    """q blocks of r coordinates equal up to the eps-th root power, then l zeros.
+class CollisionFlat:
+    """q blocks of r coordinates equal up to the eps-th root power, then l zeros:
+    a flat of the G(m,1,N) arrangement.
 
     The twist multiplies the last coordinate of the last block by xi^eps.
+    It reads as a real Stratum does: names are the weights, conditions the
+    affine forms h with h = 1 on the invariance locus, solution their exact
+    solution, lines the indices of the group.lines through the subspace.
     """
-    if r < 1 or q < 0 or l < 0 or q * r + l > group.N:
-        raise ValueError("blocks and zeros do not fit")
-    if eps % group.m and q == 0:
-        raise ValueError("a twist needs at least one block")
-    if eps % group.m and r == 1:
-        raise ValueError("a twist needs blocks of at least two coordinates")
-    # x_i - x_{i+1} within each block, x_i - xi^eps x_{i+1} for the last pair, then x_i
-    e = identity(group.field, group.N)
-    rows = [tuple(a - group.xi ** (eps if i == q * r - 2 else 0) * b for a, b in zip(e[i], e[i + 1]))
-            for block in range(q) for i in range(block * r, block * r + r - 1)]
-    return Subspace(group.field, group.N, rows + list(e[q * r:q * r + l]))
+
+    def __init__(self, group: ComplexReflectionGroup, q: int = 0, r: int = 1, l: int = 0, eps: int = 0):
+        if r < 1 or q < 0 or l < 0 or q * r + l > group.N:
+            raise ValueError("blocks and zeros do not fit")
+        if eps % group.m and q == 0:
+            raise ValueError("a twist needs at least one block")
+        if eps % group.m and r == 1:
+            raise ValueError("a twist needs blocks of at least two coordinates")
+        self.group, self.q, self.r, self.l, self.eps = group, q, r, l, eps
+        self.names = group.param_names()
+        # x_i - x_{i+1} within each block, x_i - xi^eps x_{i+1} for the last pair, then x_i
+        e = identity(group.field, group.N)
+        rows = [tuple(a - group.xi ** (eps if i == q * r - 2 else 0) * b for a, b in zip(e[i], e[i + 1]))
+                for block in range(q) for i in range(block * r, block * r + r - 1)]
+        self.subspace = Subspace(group.field, group.N, rows + list(e[q * r:q * r + l]))
+
+    @cached_property
+    def lines(self) -> tuple[int, ...]:
+        """The indices of the group.lines that vanish on the subspace: pair mirrors, then the zero coordinates."""
+        basis = self.subspace.basis
+        return tuple(i for i, l in enumerate(self.group.lines) if all(dot(l, b).is_zero() for b in basis))
+
+    @cached_property
+    def conditions(self) -> tuple[Polynomial, ...]:
+        """The affine forms h over names whose equations h = 1 cut out the locus (module docstring)."""
+        group = self.group
+        split = group.has_parity_split
+        forms = []
+        if self.q and self.r > 1:
+            forms.append({"c0_odd" if self.eps % 2 and split else "c0": self.r})
+        if self.l:
+            # m(l-1) times the pair weight, which averages c0 and c0_odd under the split
+            pair = Fraction(group.m * (self.l - 1), 2 if split else 1)
+            h = dict.fromkeys(("c0", "c0_odd") if split else ("c0",), pair)
+            if group.p < group.m:
+                h["c1"] = Fraction(group.m, group.p)
+            forms.append(h)
+        field = Field.rational()
+        return tuple(Polynomial.linear_form(field, tuple(field.element(h.get(name, 0)) for name in self.names))
+                     for h in forms)
+
+    @cached_property
+    def solution(self) -> tuple[str, dict[str, Polynomial], list[str]]:
+        """solve_affine's exact (status, pivot weights, free weights) for the conditions, solved once."""
+        return solve_affine(Field.rational(), self.names, self.conditions)
 
 
-def _lines_through(group: ComplexReflectionGroup, sub: Subspace) -> tuple[int, ...]:
-    """The indices of the group.lines that vanish on sub: pair mirrors, then the zero coordinates."""
-    return tuple(i for i, l in enumerate(group.lines) if all(dot(l, b).is_zero() for b in sub.basis))
+def subspace_orbit(group: ComplexReflectionGroup, flat: CollisionFlat, cap: int = 4096) -> dict:
+    """The orbit of the flat's subspace as {Subspace.key: Subspace}, walked on the tuple of its lines."""
+    return flat_members(group.field, group.N, group.lines, orbit_of_subspace(group.line_perms, flat.lines, cap))
 
 
-def subspace_orbit(group: ComplexReflectionGroup, sub: Subspace, cap: int = 4096) -> dict:
-    """The orbit of sub as {Subspace.key: Subspace}, walked on the tuple of group.lines that vanish on it."""
-    start = _lines_through(group, sub)
-    orbit = flat_members(group.field, group.N, group.lines, orbit_of_subspace(group.line_perms, start, cap))
-    if sub.key not in orbit:
-        raise ValueError(f"{sub!r} is not an intersection of hyperplanes of G({group.m},1,{group.N})")
-    return orbit
-
-
-def direct_ideal_violations(ctx: ComplexDunklContext, sub: Subspace) -> list:
-    """The conormal test of the real groups on sub's annihilator, with the hyperplanes of group.lines through sub."""
-    return conormal_violations(ctx, sub.annihilator, _lines_through(ctx.group, sub))
-
-
-# ---------------------------------------------------------------------------
-# invariance conditions: affine forms h in the weights, each imposing h = 1
+def direct_ideal_violations(ctx: ComplexDunklContext, flat: CollisionFlat) -> list:
+    """The conormal test of the real groups on the flat, with the hyperplanes of group.lines through it."""
+    return conormal_violations(ctx, flat)
 
 
 def weight_point(group: ComplexReflectionGroup, values: dict) -> dict:
@@ -253,36 +265,6 @@ def weight_point(group: ComplexReflectionGroup, values: dict) -> dict:
     if "c0" not in values:
         raise ValueError(f"{group!r} needs the pair weight c0")
     return {name: values.get(name, values["c0"] if name == "c0_odd" else 0) for name in names}
-
-
-def condition_forms(group: ComplexReflectionGroup, q: int = 0, r: int = 1, l: int = 0, eps: int = 0) -> list[Polynomial]:
-    """The affine forms h over param_names() whose equations h = 1 cut out the locus."""
-    split = group.has_parity_split
-    forms = []
-    if q and r > 1:
-        forms.append({"c0_odd" if eps % 2 and split else "c0": r})
-    if l:
-        # m(l-1) times the pair weight, which averages c0 and c0_odd under the split
-        pair = Fraction(group.m * (l - 1), 2 if split else 1)
-        h = dict.fromkeys(("c0", "c0_odd") if split else ("c0",), pair)
-        if group.p < group.m:
-            h["c1"] = Fraction(group.m, group.p)
-        forms.append(h)
-    field = Field.rational()
-    return [Polynomial.linear_form(field, tuple(field.element(h.get(name, 0)) for name in group.param_names()))
-            for h in forms]
-
-
-def ideal_conditions(group: ComplexReflectionGroup, q: int = 0, r: int = 1, l: int = 0, eps: int = 0) -> list[str]:
-    """Equation strings cutting out the invariance locus of the ideal."""
-    return _render_equations(group.param_names(), condition_forms(group, q, r, l, eps))
-
-
-def ideal_conditions_hold(group: ComplexReflectionGroup, values: dict, q: int = 0, r: int = 1, l: int = 0, eps: int = 0) -> bool:
-    """Whether every condition form is 1 at weight_point(group, values)."""
-    field = Field.rational()
-    x = tuple(field.element(v) for v in weight_point(group, values).values())
-    return all(h.evaluate(x) == field.one() for h in condition_forms(group, q, r, l, eps))
 
 
 _GROUP_RE = re.compile(r"^\s*(?:G\s*\(\s*)?(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)?\s*$")

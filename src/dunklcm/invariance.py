@@ -14,11 +14,15 @@ AMS 311, 1989), so it is invariant exactly when
     lambda = sum_{r: X in mirror r} c_r lambda(alpha_r^v) alpha_r
 
 for every row lambda of X's annihilator.  The test is exact, walks no
-orbit and draws nothing at random.  The affine solver (solve_affine, in
-the polynomials module) and the equation renderer take any list of forms h
-with "h = 1", and the direct test any operator context, so both serve the
-complex groups G(m,p,N) as well.  The solver returns exact affine forms
-for the pivot weights, which a stratum keeps; text is made only for output.
+orbit and draws nothing at random.
+
+Every helper here reads a flat through the same attributes: names (the
+weights), conditions (the affine forms h with h = 1), solution (their
+exact solve_affine solution, pivot weights as affine forms in the free
+ones), subspace and lines (the indices of the context's mirrors through
+it).  A real Stratum and a G(m,p,N) CollisionFlat (complexgroups module)
+both have them, and the direct test takes any operator context, so one set
+of helpers serves both kinds of group; text is made only for output.
 """
 
 from __future__ import annotations
@@ -37,68 +41,53 @@ from .rootsystems import (
 from .dunkl import DunklContext
 
 
-def invariance_conditions(stratum: Stratum) -> tuple[Polynomial, ...]:
-    """The affine forms h over rs.orbit_names, one per component, with the conditions h = 1."""
-    return stratum.conditions
+def condition_equations(flat) -> list[str]:
+    """The sorted distinct equations "h = 1" of the flat's conditions, h rendered in flat.names."""
+    return sorted({render_polynomial(h, names=flat.names) + " = 1" for h in flat.conditions})
 
 
-def condition_equations(stratum: Stratum) -> list[str]:
-    return _render_equations(stratum.rs.orbit_names, invariance_conditions(stratum))
-
-
-def _render_equations(names: tuple[str, ...], hs) -> list[str]:
-    """The sorted distinct equations "h = 1", h rendered in the given names."""
-    return sorted({render_polynomial(h, names=names) + " = 1" for h in hs})
+def conditions_hold(flat, point: dict) -> bool:
+    """Whether every condition h = 1 of the flat holds at point, which maps each of flat.names to a value."""
+    return all(h.evaluate([h.field.element(point[name]) for name in flat.names]) == h.field.one()
+               for h in flat.conditions)
 
 
 def criterion_invariant(stratum: Stratum, mults: Multiplicities) -> bool:
     """Each component's weighted Coxeter number must equal one."""
     if not mults.is_numeric:
         raise ValueError("criterion evaluation needs numeric multiplicities")
-    rs = stratum.rs
-    point = tuple(mults.scalar(name) for name in rs.orbit_names)
-    one = rs.field.one()
-    return all(h.evaluate(point) == one for h in invariance_conditions(stratum))
+    return conditions_hold(stratum, {name: mults.scalar(name) for name in stratum.names})
 
 
-def solve_conditions(names: tuple[str, ...], hs, solution) -> dict:
-    """solve_affine's solution of the conditions hs as JSON text, beside the deduplicated equations."""
-    status, values, free = solution
+def solve_multiplicities(flat) -> dict:
+    """The flat's invariance conditions and their solution, which the flat computes once, as text."""
+    status, values, free = flat.solution
     return {
-        "equations": _render_equations(names, hs),
+        "equations": condition_equations(flat),
         "status": status,
-        "values": {name: render_polynomial(h, names=names) for name, h in values.items()},
+        "values": {name: render_polynomial(h, names=flat.names) for name, h in values.items()},
         "free": free,
     }
-
-
-def solve_multiplicities(stratum: Stratum) -> dict:
-    """The stratum's invariance conditions and their solution, which the stratum computes once, as text."""
-    return solve_conditions(stratum.rs.orbit_names, invariance_conditions(stratum), stratum.solution)
 
 
 # ---------------------------------------------------------------------------
 # direct route
 
 
-def conormal_violations(ctx: DunklContext, annihilator, lines) -> list:
-    """(direction v, row index k) for every nonzero ctx.conormal_images(row k, lines)[v].
+def conormal_violations(ctx: DunklContext, flat) -> list:
+    """(direction v, row index k) for every nonzero ctx.conormal_images(row k, flat.lines)[v].
 
-    Empty exactly when the ideal of the orbit of the subspace with these
-    annihilator rows is invariant, lines holding the indices of the
-    context's mirrors that contain the subspace (module docstring).
+    Empty exactly when the ideal of the flat's orbit is invariant, row k
+    running over the flat's annihilator and flat.lines holding the indices
+    of the context's mirrors that contain it (module docstring).
     """
-    images = [ctx.conormal_images(row, lines) for row in annihilator]
+    images = [ctx.conormal_images(row, flat.lines) for row in flat.subspace.annihilator]
     return [(v, k) for v in range(ctx.nvars) for k, row in enumerate(images) if not row[v].is_zero()]
 
 
 def direct_invariance_violations(stratum: Stratum, mults: Multiplicities) -> list:
-    """The conormal test on the stratum's annihilator; a reflection index is a line index."""
-    return conormal_violations(DunklContext(stratum.rs, mults), stratum.subspace.annihilator, stratum.lines)
-
-
-def is_invariant_direct(stratum: Stratum, mults: Multiplicities) -> bool:
-    return not direct_invariance_violations(stratum, mults)
+    """The conormal test on the stratum; a reflection index is a line index."""
+    return conormal_violations(DunklContext(stratum.rs, mults), stratum)
 
 
 # ---------------------------------------------------------------------------

@@ -668,6 +668,7 @@ class Stratum:
             if not 0 <= i < rs.rank:
                 raise ValueError(f"simple root index {i} out of range")
         self.rs = rs
+        self.names = rs.orbit_names
         self.subspace = Subspace(rs.field, rs.dim, [rs.simple[i] for i in gamma0])
         self.gamma0 = gamma0
         self.label = label
@@ -719,7 +720,7 @@ class Stratum:
 
     @cached_property
     def conditions(self) -> tuple[Polynomial, ...]:
-        """The weighted Coxeter number of each component, an affine form over rs.orbit_names.
+        """The weighted Coxeter number of each component, an affine form over names, the orbit weights.
 
         The stratum's ideal is invariant exactly where every form equals 1.
         """
@@ -729,7 +730,7 @@ class Stratum:
     @cached_property
     def solution(self) -> tuple[str, dict[str, Polynomial], list[str]]:
         """solve_affine's exact (status, pivot weights, free weights) for the conditions, solved once."""
-        return solve_affine(self.rs.field, self.rs.orbit_names, self.conditions)
+        return solve_affine(self.rs.field, self.names, self.conditions)
 
 
 def parabolic_stratum(rs: RootSystem, indices) -> Stratum:

@@ -11,16 +11,17 @@ from fractions import Fraction
 
 from dunklcm.cli import _instantiate_solution
 from dunklcm.complexgroups import (
+    CollisionFlat,
     ComplexDunklContext,
     ComplexReflectionGroup,
-    collision_subspace,
     direct_ideal_violations,
-    ideal_conditions_hold,
+    weight_point,
 )
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.invariance import (
+    conditions_hold,
     criterion_invariant,
-    is_invariant_direct,
+    direct_invariance_violations,
     order_vanishing_violations,
     solve_multiplicities,
 )
@@ -107,7 +108,7 @@ def test_criterion_03_direct_test_matches_criterion():
             )
             for mults, expect in ((good, True), (bad, False)):
                 assert criterion_invariant(st, mults) is expect, (fam, st.label, expect)
-                assert is_invariant_direct(st, mults) is expect, (fam, st.label, expect)
+                assert (not direct_invariance_violations(st, mults)) is expect, (fam, st.label, expect)
                 pairs += 1
     assert pairs >= 20
     print(f"\nACCEPTANCE 3: PASS — direct ideal test and closed criterion agree on "
@@ -345,11 +346,9 @@ def test_criterion_09_complex_group_conditions():
     start = time.monotonic()
     for (m, p, N), (q, r, l, eps), weights, expect in COMPLEX_CASES:
         group = ComplexReflectionGroup(m, p, N)
-        cdiag = tuple(weights.get(f"c{t}", 0) for t in range(1, group.diag_order))
-        ctx = ComplexDunklContext(group, weights.get("c0", 0), weights.get("c0_odd"), cdiag=cdiag)
-        sub = collision_subspace(group, q, r, l=l, eps=eps)
-        direct = not direct_ideal_violations(ctx, sub)
-        closed = ideal_conditions_hold(group, weights, q=q, r=r, l=l, eps=eps)
+        flat = CollisionFlat(group, q, r, l=l, eps=eps)
+        direct = not direct_ideal_violations(ComplexDunklContext(group, weights), flat)
+        closed = conditions_hold(flat, weight_point(group, weights))
         assert direct is expect, ((m, p, N), (q, r, l, eps), weights)
         assert closed is expect, ((m, p, N), (q, r, l, eps), weights)
     elapsed = time.monotonic() - start

@@ -449,6 +449,50 @@ def test_deformed_powers_below_one_are_usage_errors(capsys, k, l, flag):
     assert f"needs {flag} >= 1" in out["error"]
 
 
+def test_deformed_equal_powers_without_a_stratum_are_a_usage_error(capsys):
+    # [H_2, H_2] vanishes at every weight, so the run would check nothing
+    code, out = run(capsys, "verify", "deformed", "--family", "B", "--rank", "3", "--k", "2", "--l", "2")
+    assert code == 2
+    assert "checks nothing" in out["error"]
+    # on a stratum the restriction identity is still checked
+    code, out = run(capsys, "verify", "deformed", "--family", "B", "--rank", "3", "--k", "2", "--l", "2",
+                    "--subgraph", "A1", "--degree", "1", "--c1", "1/2", "--c2", "1/3")
+    assert code == 0
+    assert out["violations"] == 0 and out["restriction_failing_degrees"] == []
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_deformed_samples_weights_on_the_stratum_locus(capsys, seed):
+    # A1 in A3 is invariant only at c = 1/2, where verify restriction passes too
+    argv = ["--family", "A", "--rank", "3", "--subgraph", "A1", "--degree", "2"]
+    code, out = run(capsys, "verify", "deformed", *argv, "--seed", seed)
+    assert code == 0
+    assert out["multiplicities"] == {"c": "1/2"}
+    assert out["restriction_failing_degrees"] == []
+    assert run(capsys, "verify", "restriction", *argv)[1]["multiplicities"] == {"c": "1/2"}
+
+
+def test_deformed_samples_only_the_free_weights(capsys):
+    # A1 in B3 pins c1 = 1/2 and leaves c2 free, which the seed draws
+    argv = ["verify", "deformed", "--family", "B", "--rank", "3", "--subgraph", "A1", "--degree", "1"]
+    draws = set()
+    for seed in ("0", "1", "2", "3"):
+        code, out = run(capsys, *argv, "--seed", seed)
+        assert code == 0 and out["restriction_failing_degrees"] == []
+        assert out["multiplicities"]["c1"] == "1/2"
+        draws.add(out["multiplicities"]["c2"])
+    assert len(draws) > 1
+
+
+def test_deformed_on_a_stratum_without_invariant_weights_exits_3(capsys):
+    # A1*A2 in A4 needs 2c = 1 and 3c = 1
+    argv = ["--family", "A", "--rank", "4", "--subgraph", "A1A2", "--degree", "2"]
+    for suite in ("deformed", "restriction"):
+        code, out = run(capsys, "verify", suite, *argv)
+        assert code == 3
+        assert out == {"suite": suite, "error": "no invariant multiplicities"}
+
+
 def test_consecutive_calls_share_no_arguments(capsys):
     argv = ["check", "--family", "A", "--rank", "3", "--subgraph", "A1"]
     assert run(capsys, *argv, "--mult", "c=1/2")[0] == 0
@@ -464,10 +508,10 @@ def test_unreadable_golden_file_is_a_usage_error(capsys, tmp_path):
 
 
 def test_internal_value_error_exits_4(capsys, monkeypatch):
-    def planted(stratum):
+    def planted(flat):
         raise ValueError("planted fault")
 
-    monkeypatch.setattr(invariance, "invariance_conditions", planted)
+    monkeypatch.setattr(invariance, "condition_equations", planted)
     code, out = run(capsys, "solve", "--family", "A", "--rank", "3", "--subgraph", "A1")
     assert code == 4
     assert out["internal"] is True
@@ -676,7 +720,9 @@ def test_check_and_solve_reject_options_they_ignore(capsys, argv, error):
 @pytest.mark.parametrize("argv,strata", [
     (["verify", "gauge", "--family", "F4"], 11),
     (["restrict", "--family", "H3", "--subgraph", "A1"], 1),
-], ids=["gauge", "restrict"])
+    (["solve", "--group", "G(4,2,3)", "--blocks", "2", "--zeros", "1"], 1),
+    (["check", "--group", "G(4,2,2)", "--zeros", "2", "--symbolic"], 1),
+], ids=["gauge", "restrict", "solve-group", "check-group-symbolic"])
 def test_each_stratum_is_solved_once(capsys, monkeypatch, argv, strata):
     calls = []
 
@@ -685,6 +731,7 @@ def test_each_stratum_is_solved_once(capsys, monkeypatch, argv, strata):
         return solve_affine(*args)
 
     monkeypatch.setattr(rootsystems, "solve_affine", counted)
+    monkeypatch.setattr(complexgroups, "solve_affine", counted)
     code = main(argv)
     capsys.readouterr()
     assert code == 0

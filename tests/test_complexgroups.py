@@ -6,23 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklcm.complexgroups import (
+    CollisionFlat,
     ComplexDunklContext,
     ComplexReflectionGroup,
-    collision_subspace,
-    condition_forms,
     direct_ideal_violations,
-    ideal_conditions,
-    ideal_conditions_hold,
     parse_group_name,
     subspace_orbit,
     weight_point,
 )
 from dunklcm.dunkl import DunklContext
 from dunklcm.fields import Field
-from dunklcm.invariance import condition_equations
+from dunklcm.invariance import condition_equations, conditions_hold
 from dunklcm.linalg import vec
-from dunklcm.polynomials import Polynomial, divide_by_linear, monomials, solve_affine
-from dunklcm.rootsystems import Multiplicities, Subspace, block_stratum, root_system
+from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
+from dunklcm.rootsystems import Multiplicities, block_stratum, root_system
 from complex_reference import reference_subspace_orbit
 from test_acceptance import COMPLEX_CASES
 
@@ -71,7 +68,7 @@ def test_pair_matrix_is_involution():
 
 def test_mirror_form_flips():
     g = ComplexReflectionGroup(4, 4, 2)
-    ctx = ComplexDunklContext(g, Fraction(1, 2), Fraction(1, 3))
+    ctx = ComplexDunklContext(g, {"c0": Fraction(1, 2), "c0_odd": Fraction(1, 3)})
     xi = g.xi
     for k in range(4):
         coeffs = (g.field.one(), -(xi**k))
@@ -105,6 +102,14 @@ def definition_apply(g, c0, c0_odd, cdiag, i, f):
     return out
 
 
+def named(c0, c0_odd=None, cdiag=()):
+    """The weights by name, as ComplexDunklContext takes them."""
+    weights = {"c0": c0, **{f"c{t}": c for t, c in enumerate(cdiag, 1)}}
+    if c0_odd is not None:
+        weights["c0_odd"] = c0_odd
+    return weights
+
+
 weights = st.fractions(min_value=-2, max_value=2, max_denominator=7)
 
 
@@ -128,7 +133,7 @@ def group_inputs(draw, g):
 def test_apply_matches_definition(m, p, N, data):
     g = ComplexReflectionGroup(m, p, N)
     c0, c0_odd, cdiag, f = data.draw(group_inputs(g))
-    ctx = ComplexDunklContext(g, c0, c0_odd, cdiag=cdiag)
+    ctx = ComplexDunklContext(g, named(c0, c0_odd, cdiag))
     for i in range(N):
         assert ctx.apply(i, f) == definition_apply(g, c0, c0_odd, cdiag, i, f)
 
@@ -138,7 +143,7 @@ def test_apply_matches_definition(m, p, N, data):
 def test_apply_along_a_vector_is_linear(data):
     g = ComplexReflectionGroup(4, 2, 3)
     c0, _, cdiag, f = data.draw(group_inputs(g))
-    ctx = ComplexDunklContext(g, c0, cdiag=cdiag)
+    ctx = ComplexDunklContext(g, named(c0, cdiag=cdiag))
     small = st.integers(min_value=-2, max_value=2)
     xi = tuple(g.field.element(data.draw(small)) + g.xi * data.draw(small) for _ in range(g.N))
     split = Polynomial.zero(g.field, g.N)
@@ -149,17 +154,20 @@ def test_apply_along_a_vector_is_linear(data):
 
 def test_weight_validation():
     g = ComplexReflectionGroup(3, 3, 3)
-    with pytest.raises(ValueError):
-        ComplexDunklContext(g, Fraction(1, 2), Fraction(1, 3))  # no parity split here
-    with pytest.raises(ValueError):
-        ComplexDunklContext(ComplexReflectionGroup(4, 2, 3), Fraction(1, 2))  # missing c1
+    with pytest.raises(ValueError, match="unknown weight name"):
+        ComplexDunklContext(g, {"c0": Fraction(1, 2), "c0_odd": Fraction(1, 3)})  # no parity split here
+    with pytest.raises(ValueError, match="needs the pair weight c0"):
+        ComplexDunklContext(g, {})
+    # an omitted c1 means 0, as on the command line
+    g423 = ComplexReflectionGroup(4, 2, 3)
+    assert ComplexDunklContext(g423, {"c0": Fraction(1, 2)}).cdiag == (g423.field.zero(),)
 
 
 def test_reduces_to_signed_permutations():
     # m = 2, p = 1 is the hyperoctahedral group; the operators must agree
     g = ComplexReflectionGroup(2, 1, 3)
     c_pair, c_axis = Fraction(2, 7), Fraction(3, 5)
-    cg = ComplexDunklContext(g, c_pair, cdiag=(c_axis,))
+    cg = ComplexDunklContext(g, {"c0": c_pair, "c1": c_axis})
     rs = root_system("B", 3)
     cb = DunklContext(rs, Multiplicities.numeric(rs, {"c1": c_pair, "c2": c_axis}))
     for exps in monomials(3, 3):
@@ -170,8 +178,8 @@ def test_reduces_to_signed_permutations():
 
 def test_diagonal_term_reads_own_coordinate():
     g = ComplexReflectionGroup(4, 2, 2)
-    lo = ComplexDunklContext(g, Fraction(1, 2), Fraction(1, 2), cdiag=(Fraction(1, 3),))
-    hi = ComplexDunklContext(g, Fraction(1, 2), Fraction(1, 2), cdiag=(Fraction(2, 3),))
+    lo = ComplexDunklContext(g, {"c0": Fraction(1, 2), "c0_odd": Fraction(1, 2), "c1": Fraction(1, 3)})
+    hi = ComplexDunklContext(g, {"c0": Fraction(1, 2), "c0_odd": Fraction(1, 2), "c1": Fraction(2, 3)})
     f = Polynomial.monomial(g.field, (3, 0), g.field.one())
     assert (lo.apply(1, f) - hi.apply(1, f)).is_zero()
     delta = lo.apply(0, f) - hi.apply(0, f)
@@ -191,32 +199,25 @@ def test_diagonal_term_reads_own_coordinate():
     ],
 )
 def test_operators_commute(m, p, N, weights):
-    g = ComplexReflectionGroup(m, p, N)
-    d = g.diag_order
-    ctx = ComplexDunklContext(
-        g,
-        weights["c0"],
-        weights.get("c0_odd"),
-        cdiag=tuple(weights.get("c1", 0) for _ in range(d - 1)),
-    )
+    ctx = ComplexDunklContext(ComplexReflectionGroup(m, p, N), weights)
     assert ctx.commutativity_violations(2) == []
 
 
 def test_collision_subspace_shapes():
     g = ComplexReflectionGroup(3, 3, 3)
-    assert collision_subspace(g, 1, 2).dim == 2
-    assert collision_subspace(g, 1, 3).dim == 1
-    assert collision_subspace(g, 0, 1, l=2).dim == 1
-    assert collision_subspace(g, 1, 3, eps=1).dim == 1
+    assert CollisionFlat(g, 1, 2).subspace.dim == 2
+    assert CollisionFlat(g, 1, 3).subspace.dim == 1
+    assert CollisionFlat(g, 0, 1, l=2).subspace.dim == 1
+    assert CollisionFlat(g, 1, 3, eps=1).subspace.dim == 1
     with pytest.raises(ValueError):
-        collision_subspace(g, 2, 2)  # needs 4 coordinates
+        CollisionFlat(g, 2, 2)  # needs 4 coordinates
 
 
 def test_orbit_sizes():
     g = ComplexReflectionGroup(3, 3, 3)
-    assert len(subspace_orbit(g, collision_subspace(g, 1, 2))) == 9
-    assert len(subspace_orbit(g, collision_subspace(g, 1, 3, eps=1))) == 3
-    assert len(subspace_orbit(g, collision_subspace(g, 0, 1, l=2))) == 3
+    assert len(subspace_orbit(g, CollisionFlat(g, 1, 2))) == 9
+    assert len(subspace_orbit(g, CollisionFlat(g, 1, 3, eps=1))) == 3
+    assert len(subspace_orbit(g, CollisionFlat(g, 0, 1, l=2))) == 3
 
 
 # every shape of acceptance 9, the p = m shapes with one zero among them (G(3,3,2) and
@@ -232,9 +233,9 @@ ORBIT_SHAPES = sorted({(mpn, shape) for mpn, shape, _, _ in COMPLEX_CASES}) + [
                          ids=[f"G{mpn}-qrle{shape}".replace(" ", "") for mpn, shape in ORBIT_SHAPES])
 def test_subspace_orbit_matches_reference(mpn, shape):
     group = ComplexReflectionGroup(*mpn)
-    sub = collision_subspace(group, *shape)
-    got = subspace_orbit(group, sub)
-    ref = reference_subspace_orbit(group, sub)
+    flat = CollisionFlat(group, *shape)
+    got = subspace_orbit(group, flat)
+    ref = reference_subspace_orbit(group, flat.subspace)
     assert got.keys() == ref.keys()
     for key, member in got.items():
         assert (member.annihilator, member.basis) == (ref[key].annihilator, ref[key].basis)
@@ -243,36 +244,23 @@ def test_subspace_orbit_matches_reference(mpn, shape):
 def test_group_builds_its_lines_and_permutations_lazily():
     g = ComplexReflectionGroup(4, 2, 4)
     assert "lines" not in vars(g) and "line_perms" not in vars(g)
-    subspace_orbit(g, collision_subspace(g, 1, 2))
+    subspace_orbit(g, CollisionFlat(g, 1, 2))
     assert len(g.lines) == 4 * 6 + 4
     assert len(g.line_perms) == 3 + 1 + 1
     assert all(sorted(perm) == list(range(len(g.lines))) for perm in g.line_perms)
 
 
-def test_subspace_orbit_refuses_a_subspace_off_the_arrangement():
-    g = ComplexReflectionGroup(3, 3, 2)
-    one, two = g.field.one(), g.field.element(2)
-    with pytest.raises(ValueError, match="not an intersection"):
-        subspace_orbit(g, Subspace(g.field, 2, [(one, two)]))
-
-
 def test_condition_texts():
     g33 = ComplexReflectionGroup(3, 3, 3)
-    assert ideal_conditions(g33, q=1, r=2) == ["2*c0 = 1"]
-    assert ideal_conditions(g33, l=1) == ["0 = 1"]
-    assert ideal_conditions(g33, l=2) == ["3*c0 = 1"]
+    assert condition_equations(CollisionFlat(g33, q=1, r=2)) == ["2*c0 = 1"]
+    assert condition_equations(CollisionFlat(g33, l=1)) == ["0 = 1"]
+    assert condition_equations(CollisionFlat(g33, l=2)) == ["3*c0 = 1"]
     g42 = ComplexReflectionGroup(4, 2, 3)
-    assert ideal_conditions(g42, l=1) == ["2*c1 = 1"]
-    assert ideal_conditions(g42, l=2) == ["4*c0+2*c1 = 1"]
+    assert condition_equations(CollisionFlat(g42, l=1)) == ["2*c1 = 1"]
+    assert condition_equations(CollisionFlat(g42, l=2)) == ["4*c0+2*c1 = 1"]
     g422 = ComplexReflectionGroup(4, 2, 2)
-    assert ideal_conditions(g422, l=2) == ["2*c0+2*c0_odd+2*c1 = 1"]
-    assert ideal_conditions(g422, q=1, r=2, eps=1) == ["2*c0_odd = 1"]
-
-
-def make_ctx(g, values):
-    d = g.diag_order
-    cdiag = tuple(values.get(f"c{t}", 0) for t in range(1, d))
-    return ComplexDunklContext(g, values.get("c0", 0), values.get("c0_odd"), cdiag=cdiag)
+    assert condition_equations(CollisionFlat(g422, l=2)) == ["2*c0+2*c0_odd+2*c1 = 1"]
+    assert condition_equations(CollisionFlat(g422, q=1, r=2, eps=1)) == ["2*c0_odd = 1"]
 
 
 @pytest.mark.parametrize(
@@ -306,11 +294,10 @@ def make_ctx(g, values):
 def test_ideal_membership_both_routes(name, qrle, values, expect):
     g = parse_group_name(name)
     q, r, l, eps = qrle
-    sub = collision_subspace(g, q, r, l=l, eps=eps)
-    ctx = make_ctx(g, values)
-    direct = not direct_ideal_violations(ctx, sub)
+    flat = CollisionFlat(g, q, r, l=l, eps=eps)
+    direct = not direct_ideal_violations(ComplexDunklContext(g, values), flat)
     assert direct is expect
-    assert ideal_conditions_hold(g, values, q=q, r=r, l=l, eps=eps) is expect
+    assert conditions_hold(flat, weight_point(g, values)) is expect
 
 
 def collision_shapes(N):
@@ -335,7 +322,8 @@ def test_conditions_match_classical_families(family, N):
     # one zero coordinate of D_N is not an intersection of mirrors
     shapes = [s for s in collision_shapes(N) if family == "B" or s[2] != 1]
     for q, r, l in shapes:
-        renamed = [re.sub(r"\bc[01]\b", lambda m: names[m.group()], e) for e in ideal_conditions(g, q, r, l)]
+        renamed = [re.sub(r"\bc[01]\b", lambda m: names[m.group()], e)
+                   for e in condition_equations(CollisionFlat(g, q, r, l))]
         assert sorted(renamed) == condition_equations(block_stratum(rs, q, r, l=l)), (q, r, l)
 
 
@@ -347,31 +335,31 @@ def test_solved_weights_pass_the_direct_test(m, p, N):
     solved_strata = 0
     for q, r, l in collision_shapes(N):
         for eps in (0, 1) if q else (0,):
-            status, values, free = solve_affine(field, names, condition_forms(g, q, r, l, eps))
+            flat = CollisionFlat(g, q, r, l, eps)
+            status, values, free = flat.solution
             if status == "inconsistent":
                 continue
             point = {name: Fraction(2 * i + 1, 2 * i + 5) for i, name in enumerate(free)}
             x = tuple(field.element(point.get(name, 0)) for name in names)
             for name, h in values.items():
                 point[name] = h.evaluate(x).as_fraction()
-            sub = collision_subspace(g, q, r, l=l, eps=eps)
-            assert ideal_conditions_hold(g, point, q, r, l, eps)
-            assert not direct_ideal_violations(ComplexDunklContext.at_weights(g, point), sub), (q, r, l, eps)
+            assert conditions_hold(flat, weight_point(g, point))
+            assert not direct_ideal_violations(ComplexDunklContext(g, point), flat), (q, r, l, eps)
             pivot = next(iter(values))
             off = dict(point, **{pivot: point[pivot] + Fraction(1, 7)})
-            assert not ideal_conditions_hold(g, off, q, r, l, eps)
-            assert direct_ideal_violations(ComplexDunklContext.at_weights(g, off), sub), (q, r, l, eps)
+            assert not conditions_hold(flat, weight_point(g, off))
+            assert direct_ideal_violations(ComplexDunklContext(g, off), flat), (q, r, l, eps)
             solved_strata += 1
     assert solved_strata == {(3, 3, 2): 3, (3, 3, 3): 6, (4, 2, 2): 4, (4, 2, 3): 9, (4, 4, 2): 3, (6, 3, 2): 4}[m, p, N]
 
 
 def test_missing_odd_weight_defaults_to_c0():
     g = ComplexReflectionGroup(4, 2, 2)
-    sub = collision_subspace(g, 0, 1, l=2)
+    flat = CollisionFlat(g, 0, 1, l=2)
     for values, expect in (
         ({"c0": Fraction(1, 8), "c1": Fraction(1, 4)}, True),
         ({"c0": Fraction(1, 4), "c1": Fraction(1, 4)}, False),
     ):
         assert weight_point(g, values) == dict(values, c0_odd=values["c0"])
-        assert ideal_conditions_hold(g, values, l=2) is expect
-        assert (not direct_ideal_violations(ComplexDunklContext.at_weights(g, values), sub)) is expect
+        assert conditions_hold(flat, weight_point(g, values)) is expect
+        assert (not direct_ideal_violations(ComplexDunklContext(g, values), flat)) is expect

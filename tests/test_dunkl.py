@@ -95,7 +95,7 @@ def test_equivariance():
 def test_equivariance_on_complex_groups(m, p, N):
     # over the context's own pair reflections, s_w(e_v) = e_v - alpha_w[v] alpha_w^v
     g = ComplexReflectionGroup(m, p, N)
-    ctx = ComplexDunklContext(g, Fraction(2, 7), cdiag=[Fraction(t, 5) for t in range(1, g.diag_order)])
+    ctx = ComplexDunklContext(g, {"c0": Fraction(2, 7), **{f"c{t}": Fraction(t, 5) for t in range(1, g.diag_order)}})
     assert ctx.equivariance_violations(3) == []
     # weights that are not constant on the conjugacy classes break it
     ctx._set_reflections(g.field, N, [(alpha, coroot, g.field.element(Fraction(r + 1, 7)))
@@ -189,8 +189,8 @@ def real_case(fam, rank_=None, deformed=False):
 def complex_case(m, p, N):
     def make(draw):
         g = ComplexReflectionGroup(m, p, N)
-        cdiag = [draw(weights) for _ in range(g.diag_order - 1)]
-        return ComplexDunklContext(g, draw(weights), cdiag=cdiag)
+        cdiag = {f"c{t}": draw(weights) for t in range(1, g.diag_order)}
+        return ComplexDunklContext(g, {"c0": draw(weights), **cdiag})
 
     return make
 

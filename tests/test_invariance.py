@@ -8,8 +8,6 @@ from dunklcm.invariance import (
     condition_equations,
     criterion_invariant,
     direct_invariance_violations,
-    invariance_conditions,
-    is_invariant_direct,
     order_vanishing_violations,
     solve_multiplicities,
 )
@@ -50,7 +48,7 @@ def test_criterion_matches_direct_route(gamma0, good, bad):
     for value, expect in ((good, True), (bad, False)):
         mults = Multiplicities.numeric(rs, value)
         assert criterion_invariant(st, mults) is expect
-        assert is_invariant_direct(st, mults) is expect
+        assert (not direct_invariance_violations(st, mults)) is expect
 
 
 def test_direct_route_mixed_orbits():
@@ -58,9 +56,9 @@ def test_direct_route_mixed_orbits():
     st = block_stratum(rs, m=0, k=0, l=2)
     good = Multiplicities.numeric(rs, {"c1": Fraction(1, 3), "c2": Fraction(1, 6)})
     off = Multiplicities.numeric(rs, {"c1": Fraction(1, 3), "c2": Fraction(1, 5)})
-    assert criterion_invariant(st, good) and is_invariant_direct(st, good)
+    assert criterion_invariant(st, good) and not direct_invariance_violations(st, good)
     assert not criterion_invariant(st, off)
-    assert not is_invariant_direct(st, off)
+    assert direct_invariance_violations(st, off)
 
 
 def test_direct_route_walks_no_orbit(monkeypatch):
@@ -99,7 +97,7 @@ def test_criterion_matches_numeric_coxeter_numbers(seed):
         rs = st.rs
         names = rs.orbit_names
         points = [{name: weight() for name in names}]
-        status, values, free = solve_affine(rs.field, names, invariance_conditions(st))
+        status, values, free = solve_affine(rs.field, names, st.conditions)
         if status != "inconsistent":
             sample = {name: rs.field.element(weight()) for name in free}
             x = tuple(sample.get(name, rs.field.zero()) for name in names)

@@ -2,7 +2,9 @@
 
 A line exits 0 unless its comment says `# exit N`; any text quoted in the
 comment must appear on stdout.  The Python block of the Library quick tour
-runs too, and its solved values are the ones its comment shows.
+runs too: the solved values of its real stratum are the ones its comment
+shows, and its G(4,2,3) flat solves to c0 = c1 = 1/2 and passes the
+direct test there.
 """
 
 import ast
@@ -53,3 +55,6 @@ def test_readme_quick_tour(capsys):
     values = ast.literal_eval(re.search(r"'values': (\{[^}]*\})", comment).group(1))
     assert (status, values) == ("unique", {"c1": "1/2", "c2": "0"})
     assert (namespace["solved"]["status"], namespace["solved"]["values"]) == (status, values)
+    solved_flat = namespace["solved_flat"]
+    assert (solved_flat["status"], solved_flat["values"]) == ("unique", {"c0": "1/2", "c1": "1/2"})
+    assert namespace["violations"] == []

@@ -14,18 +14,17 @@ from fractions import Fraction
 import pytest
 
 from dunklcm.complexgroups import (
+    CollisionFlat,
     ComplexDunklContext,
     ComplexReflectionGroup,
-    collision_subspace,
-    condition_forms,
     direct_ideal_violations,
-    ideal_conditions_hold,
     subspace_orbit,
+    weight_point,
 )
 from dunklcm.dunkl import DunklContext
 from dunklcm.fields import Field
-from dunklcm.invariance import criterion_invariant, direct_invariance_violations
-from dunklcm.polynomials import Polynomial, solve_affine
+from dunklcm.invariance import conditions_hold, criterion_invariant, direct_invariance_violations
+from dunklcm.polynomials import Polynomial
 from dunklcm.restriction import _load_catalog_rows, catalog_stratum
 from dunklcm.rootsystems import (
     Multiplicities,
@@ -82,11 +81,9 @@ def _complex(g, shape, weights, shift):
     """(context, orbit, base subspace, conormal violations) of a collision subspace."""
     group = ComplexReflectionGroup(*g)
     q, r, l, eps = shape
-    weights = {k: v + shift for k, v in weights.items()}
-    cdiag = tuple(weights.get(f"c{t}", 0) for t in range(1, group.diag_order))
-    ctx = ComplexDunklContext(group, weights["c0"], weights.get("c0_odd"), cdiag=cdiag)
-    sub = collision_subspace(group, q, r, l=l, eps=eps)
-    return ctx, subspace_orbit(group, sub, cap=ORBIT_LIMIT), sub, direct_ideal_violations(ctx, sub)
+    ctx = ComplexDunklContext(group, {k: v + shift for k, v in weights.items()})
+    flat = CollisionFlat(group, q, r, l=l, eps=eps)
+    return ctx, subspace_orbit(group, flat, cap=ORBIT_LIMIT), flat.subspace, direct_ideal_violations(ctx, flat)
 
 
 def _agree(ctx, orbit, base, _):
@@ -155,7 +152,7 @@ def test_conormal_matches_criterion_on_every_golden_row():
 
 
 def _collision_shapes(group):
-    """Every (q, r, l, eps) that collision_subspace takes, blocks of one coordinate only as q = 0."""
+    """Every (q, r, l, eps) that CollisionFlat takes, blocks of one coordinate only as q = 0."""
     n = group.N
     yield from ((0, 1, l, 0) for l in range(n + 1))
     for r in range(2, n + 1):
@@ -171,18 +168,18 @@ def test_conormal_matches_conditions_on_every_collision_shape(g):
     field = Field.rational()
     rng = random.Random(sum(g))
     for shape in _collision_shapes(group):
-        sub = collision_subspace(group, *shape)
+        flat = CollisionFlat(group, *shape)
         seeded = {name: Fraction(rng.randint(1, 9), rng.randint(2, 9)) for name in names}
         points = [seeded]
-        status, values, free = solve_affine(field, names, condition_forms(group, *shape))
+        status, values, free = flat.solution
         if status != "inconsistent":
             # the free weights at the seeded values, the solved ones evaluated there
             at = tuple(field.element(seeded[n]) if n in free else field.zero() for n in names)
             points.append({**seeded, **{n: Fraction(str(h.evaluate(at))) for n, h in values.items()}})
-            assert ideal_conditions_hold(group, points[-1], *shape), shape
+            assert conditions_hold(flat, weight_point(group, points[-1])), shape
         for point in points:
-            ctx = ComplexDunklContext.at_weights(group, point)
-            assert (not direct_ideal_violations(ctx, sub)) is ideal_conditions_hold(group, point, *shape), (shape, point)
+            ctx = ComplexDunklContext(group, point)
+            assert (not direct_ideal_violations(ctx, flat)) is conditions_hold(flat, weight_point(group, point)), (shape, point)
 
 
 @pytest.mark.parametrize("case", REAL_CASES, ids=lambda c: f"{c[0]}{c[1] or ''}-{c[2]}")
