@@ -233,16 +233,6 @@ def _collect_mult_values(args) -> dict[str, Fraction]:
     return vals
 
 
-def _numeric_mults(rs, vals: dict[str, Fraction]) -> Multiplicities:
-    unknown = sorted(set(vals) - set(rs.orbit_names))
-    if unknown:
-        raise UsageError(
-            f"unknown weight name(s) {', '.join(unknown)} for {rs.name}; "
-            f"its orbit weights are {', '.join(rs.orbit_names)}"
-        )
-    return _from_user(Multiplicities.numeric, rs, vals)
-
-
 def _root_system(args):
     """The root system named by --family and --rank."""
     if not args.family:
@@ -386,6 +376,7 @@ def _random_sample(rng, names) -> dict[str, Fraction]:
 
 
 def cmd_check(args) -> int:
+    reads = (*_WEIGHT_FLAGS, "symbolic", "direct", "seed")
     if args.symbolic:
         ignored = [
             f"--{name.replace('_', '-')}"
@@ -394,44 +385,26 @@ def cmd_check(args) -> int:
         ]
         if ignored:
             raise UsageError(f"--symbolic takes no weights and no --direct; got {', '.join(ignored)}")
-    _stratum_options(args, (*_WEIGHT_FLAGS, "symbolic", "direct", "seed"))
-    if args.group:
-        return _check_complex(args)
-    rs = _root_system(args)
-    st = _stratum(rs, args)
-    payload = {"command": "check", "stratum": _stratum_summary(st)}
-    payload["equations"] = condition_equations(st)
-    if args.symbolic:
-        solved = solve_multiplicities(st)
-        payload.update(solved)
-        _emit(args, payload, _pretty_solve(payload))
-        return 0 if solved["status"] != "inconsistent" else 1
+        return cmd_solve(args, reads)
+    flat, payload, title = _flat(args, reads)
+    payload["equations"] = condition_equations(flat)
     vals = _collect_mult_values(args)
     if not vals:
         raise UsageError("provide multiplicity values, or --symbolic for the conditions")
-    mults = _numeric_mults(rs, vals)
-    invariant = criterion_invariant(st, mults)
-    payload["multiplicities"] = {k: str(v) for k, v in sorted(vals.items())}
+    key, invariant, direct = _at_weights(flat, vals)
+    payload[key] = {k: str(v) for k, v in sorted(vals.items())}
     payload["invariant"] = invariant
     if args.direct:
-        viol = direct_invariance_violations(st, mults)
+        viol = direct()
         payload["direct_invariant"] = not viol
         payload["routes_agree"] = (not viol) == invariant
     lines = [
-        f"{st.rs.name} [{st.label or 'whole space'}]",
+        title,
         "conditions: " + "; ".join(payload["equations"] or ["none"]),
         f"invariant: {invariant}",
     ]
     _emit(args, payload, lines)
     return 0 if invariant else 1
-
-
-def _stratum_options(args, reads) -> None:
-    """check and solve name a stratum by --family or by --group; the other kind's options are usage errors."""
-    if not (args.family or args.group):
-        raise UsageError(f"{args.command} needs --family or --group")
-    kind, own = ("group", ("blocks", "zeros", "eps")) if args.group else ("family", ("rank", "subgraph"))
-    _reject_ignored(args, (kind, *own, *reads), f"{args.command} --{kind}")
 
 
 def _parse_blocks(text: str | None) -> tuple[int, int]:
@@ -444,46 +417,42 @@ def _parse_blocks(text: str | None) -> tuple[int, int]:
     return (1, sizes[0]) if len(sizes) == 1 else (sizes[0], sizes[1])
 
 
-def _collision_flat(args) -> CollisionFlat:
-    """The collision flat of --group, --blocks, --zeros and --eps."""
-    group = _from_user(parse_group_name, args.group)
-    q, r = _parse_blocks(args.blocks)
-    return _from_user(CollisionFlat, group, q, r, args.zeros or 0, args.eps or 0)
+def _flat(args, reads) -> tuple[Stratum | CollisionFlat, dict, str]:
+    """The flat that check and solve name, the payload that describes it and its --pretty title.
+
+    A real stratum is named by --family, --rank and --subgraph, a G(m,p,N)
+    collision flat by --group, --blocks, --zeros and --eps.  An option given
+    that is neither in reads nor of the named kind is a usage error.
+    """
+    if args.group:
+        _reject_ignored(args, ("group", "blocks", "zeros", "eps", *reads), f"{args.command} --group")
+        group = _from_user(parse_group_name, args.group)
+        flat = _from_user(CollisionFlat, group, *_parse_blocks(args.blocks), args.zeros or 0, args.eps or 0)
+        payload = {"group": repr(group), "blocks": {"q": flat.q, "r": flat.r, "eps": flat.eps}, "zeros": flat.l}
+        title = f"{group!r} blocks q={flat.q} r={flat.r} eps={flat.eps} zeros={flat.l}"
+    elif args.family:
+        _reject_ignored(args, ("family", "rank", "subgraph", *reads), f"{args.command} --family")
+        flat = _stratum(_root_system(args), args)
+        payload = {"stratum": _stratum_summary(flat)}
+        title = f"{flat.rs.name} [{flat.label or 'whole space'}]"
+    else:
+        raise UsageError(f"{args.command} needs --family or --group")
+    return flat, {"command": args.command, **payload}, title
 
 
-def _check_complex(args) -> int:
-    flat = _collision_flat(args)
-    group = flat.group
-    payload = {
-        "command": "check",
-        "group": repr(group),
-        "blocks": {"q": flat.q, "r": flat.r, "eps": flat.eps},
-        "zeros": flat.l,
-        "equations": condition_equations(flat),
-    }
-    if args.symbolic:
-        solved = solve_multiplicities(flat)
-        payload.update(solved)
-        _emit(args, payload, _pretty_solve(payload))
-        return 0 if solved["status"] != "inconsistent" else 1
-    vals = _collect_mult_values(args)
-    if not vals:
-        raise UsageError("provide weights (--c0 ...), or --symbolic for the conditions")
-    point = _from_user(weight_point, group, vals)
-    invariant = conditions_hold(flat, point)
-    payload["weights"] = {k: str(v) for k, v in sorted(vals.items())}
-    payload["invariant"] = invariant
-    if args.direct:
-        viol = direct_ideal_violations(ComplexDunklContext(group, point), flat)
-        payload["direct_invariant"] = not viol
-        payload["routes_agree"] = (not viol) == invariant
-    lines = [
-        f"{group!r} blocks q={flat.q} r={flat.r} eps={flat.eps} zeros={flat.l}",
-        "conditions: " + "; ".join(payload["equations"] or ["none"]),
-        f"invariant: {invariant}",
-    ]
-    _emit(args, payload, lines)
-    return 0 if invariant else 1
+def _at_weights(flat, vals: dict[str, Fraction]) -> tuple:
+    """The weights vals on the flat: the payload key they are reported under,
+    the criterion's verdict there, and a thunk that runs the direct test there.
+
+    Multiplicities.numeric reads the weights of a real stratum, weight_point
+    those of a G(m,p,N) flat; each rejects a name its group does not have.
+    """
+    if isinstance(flat, CollisionFlat):
+        point = _from_user(weight_point, flat.group, vals)
+        return ("weights", conditions_hold(flat, point),
+                lambda: direct_ideal_violations(ComplexDunklContext(flat.group, point), flat))
+    mults = _from_user(Multiplicities.numeric, flat.rs, vals)
+    return "multiplicities", criterion_invariant(flat, mults), lambda: direct_invariance_violations(flat, mults)
 
 
 def cmd_restrict(args) -> int:
@@ -492,7 +461,7 @@ def cmd_restrict(args) -> int:
     payload = {"command": "restrict", "stratum": _stratum_summary(st)}
     vals = _collect_mult_values(args)
     if vals:
-        mults = _numeric_mults(rs, vals)
+        mults = _from_user(Multiplicities.numeric, rs, vals)
         invariant = criterion_invariant(st, mults)
         payload["invariant"] = invariant
         payload["multiplicities"] = {k: str(v) for k, v in sorted(vals.items())}
@@ -547,14 +516,9 @@ def _pretty_solve(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_solve(args) -> int:
-    _stratum_options(args, ())
-    if args.group:
-        flat = _collision_flat(args)
-        payload = {"command": "solve", "group": repr(flat.group)}
-    else:
-        flat = _stratum(_root_system(args), args)
-        payload = {"command": "solve", "stratum": _stratum_summary(flat)}
+def cmd_solve(args, reads=()) -> int:
+    """Solves the invariance conditions of the flat; check --symbolic reads its own options too."""
+    flat, payload, _ = _flat(args, reads)
     solved = solve_multiplicities(flat)
     payload.update(solved)
     _emit(args, payload, _pretty_solve(payload))
@@ -636,7 +600,7 @@ def _verify_commutativity(args) -> tuple[dict, int]:
         report["family"] = rs.name
         names = rs.orbit_names
         def context(vals):
-            return DunklContext(rs, _numeric_mults(rs, vals))
+            return DunklContext(rs, _from_user(Multiplicities.numeric, rs, vals))
     got = _collect_mult_values(args)
     vals_list = [got] if got else [_random_sample(rng, names) for _ in range(args.samples)]
     for vals in vals_list:
@@ -687,7 +651,7 @@ def _verify_restriction(args) -> tuple[dict, int]:
     st = _stratum(rs, args)
     vals = _collect_mult_values(args)
     if vals:
-        mults = _numeric_mults(rs, vals)
+        mults = _from_user(Multiplicities.numeric, rs, vals)
     elif solve_multiplicities(st)["status"] == "inconsistent":
         return {"suite": "restriction", "error": "no invariant multiplicities"}, 3
     else:
@@ -712,11 +676,17 @@ def _verify_deformed(args) -> tuple[dict, int]:
     if args.k == args.l and not args.subgraph:  # [H_k, H_k] = 0 at every weight
         raise UsageError(f"verify deformed with --k = --l = {args.k} and no --subgraph checks nothing")
     rs = _root_system(args)
+    # H_k = sum_v (oscillator_v)^k is W-invariant only when W permutes the coordinates up to sign,
+    # that is when each simple root has at most two nonzero coordinates, of equal absolute value
+    nonzero = ([x for x in alpha if not x.is_zero()] for alpha in rs.simple)
+    if any(len(xs) > 2 or len(xs) == 2 and xs[0] not in (xs[1], -xs[1]) for xs in nonzero):
+        raise UsageError(f"verify deformed needs a group that permutes the coordinates up to sign, "
+                         f"as those of A, B and D do; {rs.name} does not")
     rng = random.Random(args.seed)
     st = _stratum(rs, args) if args.subgraph else None
     vals = _collect_mult_values(args)
     if vals or st is None:
-        mults = _numeric_mults(rs, vals or _random_sample(rng, rs.orbit_names))
+        mults = _from_user(Multiplicities.numeric, rs, vals or _random_sample(rng, rs.orbit_names))
     elif st.solution[0] == "inconsistent":
         return {"suite": "deformed", "error": "no invariant multiplicities"}, 3
     else:  # a seeded point of the stratum's invariance locus

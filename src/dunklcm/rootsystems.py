@@ -144,27 +144,16 @@ class Subspace:
 # root systems
 
 
-_FAMILY_COXETER = {
-    "E6": 12,
-    "E7": 18,
-    "E8": 30,
-    "F4": 12,
-    "G2": 6,
-    "H3": 10,
-    "H4": 30,
-}
-
 _SUPPORTED_DIHEDRAL = (3, 4, 5, 6, 8, 12)
 
 
 class RootSystem:
-    def __init__(self, family: str, rank_: int, field: Field, simple: tuple[Vector, ...], coxeter_number: int):
+    def __init__(self, family: str, rank_: int, field: Field, simple: tuple[Vector, ...]):
         self.family = family
         self.rank = rank_
         self.field = field
         self.simple = simple
         self.dim = len(simple[0])
-        self.coxeter_number = coxeter_number
         self.lines, self.coords, self.coord_den, self.orbit_labels, self.orbit_names = self._line_orbits()
         self._line_index = {_vec_key(l): i for i, l in enumerate(self.lines)}
         self.line_norms = tuple(dot(l, l) for l in self.lines)
@@ -314,7 +303,7 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
     if fam == "A":
         if rank_ is None or rank_ < 1:
             raise ValueError("family A needs a rank >= 1")
-        return RootSystem("A", rank_, Q, _simple_A(Q, rank_ + 1), rank_ + 1)
+        return RootSystem("A", rank_, Q, _simple_A(Q, rank_ + 1))
     if fam == "B":
         if rank_ is None or rank_ < 2:
             raise ValueError("family B needs a rank >= 2")
@@ -322,7 +311,7 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
         last = [0] * rank_
         last[-1] = 1
         simple.append(vec(Q, last))
-        return RootSystem("B", rank_, Q, tuple(simple), 2 * rank_)
+        return RootSystem("B", rank_, Q, tuple(simple))
     if fam == "D":
         if rank_ is None or rank_ < 3:
             raise ValueError("family D needs a rank >= 3")
@@ -330,7 +319,7 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
         last = [0] * rank_
         last[-2], last[-1] = 1, 1
         simple.append(vec(Q, last))
-        return RootSystem("D", rank_, Q, tuple(simple), 2 * rank_ - 2)
+        return RootSystem("D", rank_, Q, tuple(simple))
     if fam in ("E6", "E7", "E8"):
         h = Fraction(1, 2)
         e8 = [
@@ -344,7 +333,7 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
             vec(Q, [0, 0, 0, 0, 0, -1, 1, 0]),
         ]
         r = int(fam[1])
-        return RootSystem(fam, r, Q, tuple(e8[:r]), _FAMILY_COXETER[fam])
+        return RootSystem(fam, r, Q, tuple(e8[:r]))
     if fam == "F4":
         h = Fraction(1, 2)
         simple = (
@@ -353,10 +342,10 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
             vec(Q, [0, 0, 0, 1]),
             vec(Q, [h, -h, -h, -h]),
         )
-        return RootSystem("F4", 4, Q, simple, 12)
+        return RootSystem("F4", 4, Q, simple)
     if fam == "G2":
         simple = (vec(Q, [1, -1, 0]), vec(Q, [-2, 1, 1]))
-        return RootSystem("G2", 2, Q, simple, 6)
+        return RootSystem("G2", 2, Q, simple)
     if fam in ("H3", "H4"):
         F5 = Field.quadratic(5)
         g = F5.generator()
@@ -368,14 +357,14 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
                 (-phi * half, (1 - phi) * half, half),
                 (F5.zero(), F5.zero(), -F5.one()),
             )
-            return RootSystem("H3", 3, F5, simple, 10)
+            return RootSystem("H3", 3, F5, simple)
         simple = (
             (F5.one(), F5.zero(), F5.zero(), F5.zero()),
             (-phi * half, (1 - phi) * half, half, F5.zero()),
             (F5.zero(), F5.zero(), -F5.one(), F5.zero()),
             (F5.zero(), phi * half, half, (phi - 1) * half),
         )
-        return RootSystem("H4", 4, F5, simple, 30)
+        return RootSystem("H4", 4, F5, simple)
     if fam == "I2":
         if m is None:
             raise ValueError("family I2 needs the dihedral order m")
@@ -383,13 +372,13 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
             raise ValueError(f"unsupported dihedral order {m}; supported: {_SUPPORTED_DIHEDRAL}")
         label = f"I2({m})"
         if m == 3:
-            return RootSystem(label, 2, Q, _simple_A(Q, 3), 3)
+            return RootSystem(label, 2, Q, _simple_A(Q, 3))
         if m == 4:
             simple = (vec(Q, [1, -1]), vec(Q, [0, 1]))
-            return RootSystem(label, 2, Q, simple, 4)
+            return RootSystem(label, 2, Q, simple)
         if m == 6:
             simple = (vec(Q, [1, -1, 0]), vec(Q, [-2, 1, 1]))
-            return RootSystem(label, 2, Q, simple, 6)
+            return RootSystem(label, 2, Q, simple)
         if m == 5:
             F5 = Field.quadratic(5)
             g = F5.generator()
@@ -397,18 +386,18 @@ def _build_root_system(fam: str, rank_: int | None, m: int | None) -> RootSystem
             half = F5.element(Fraction(1, 2))
             a = (half, phi * half, (phi - 1) * half)
             b = (-phi * half, (1 - phi) * half, -half)
-            return RootSystem(label, 2, F5, (a, b), 5)
+            return RootSystem(label, 2, F5, (a, b))
         if m == 8:
             F2 = Field.quadratic(2)
             s = F2.generator()
             a = (F2.one(), F2.zero())
             b = (-1 - s / 2, s / 2)
-            return RootSystem(label, 2, F2, (a, b), 8)
+            return RootSystem(label, 2, F2, (a, b))
         F3 = Field.quadratic(3)
         s = F3.generator()
         a = (F3.one(), F3.zero())
         b = (-1 - s / 2, F3.element(Fraction(1, 2)))
-        return RootSystem(label, 2, F3, (a, b), 12)
+        return RootSystem(label, 2, F3, (a, b))
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -597,9 +586,14 @@ class Multiplicities:
 
     @classmethod
     def numeric(cls, rs: RootSystem, mapping) -> "Multiplicities":
+        """One value for every orbit, or {orbit name: value}; an unknown or missing name is a ValueError."""
         values = {}
         if not isinstance(mapping, dict):
             mapping = {name: mapping for name in rs.orbit_names}
+        unknown = sorted(set(mapping) - set(rs.orbit_names))
+        if unknown:
+            raise ValueError(f"unknown weight name(s) {', '.join(unknown)} for {rs.name}; "
+                             f"its orbit weights are {', '.join(rs.orbit_names)}")
         for name in rs.orbit_names:
             if name not in mapping:
                 raise ValueError(f"missing multiplicity for orbit {name!r}")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,6 +217,19 @@ def test_check_complex_symbolic_solves(capsys):
     assert out["status"] == "family"
     assert out["values"] == {"c0_odd": "1/2"}
     assert out["free"] == ["c0", "c1"]
+
+
+@pytest.mark.parametrize("flat", [
+    ["--group", "G(4,2,3)", "--blocks", "2", "--zeros", "1"],
+    ["--group", "G(4,2,2)", "--blocks", "2", "--eps", "1"],
+    ["--group", "G(3,3,3)", "--zeros", "1"],
+])
+def test_solve_and_check_symbolic_name_the_same_flat(capsys, flat):
+    # solve --group used not to say which blocks and zeros it solved
+    checked, solved = (run(capsys, *command, *flat) for command in (["check", "--symbolic"], ["solve"]))
+    assert checked[0] == solved[0]
+    # the same group, blocks, zeros, equations and solution
+    assert {**checked[1], "command": "solve"} == solved[1]
 
 
 def test_restrict_solves_and_reports(capsys):
@@ -459,6 +473,17 @@ def test_deformed_equal_powers_without_a_stratum_are_a_usage_error(capsys):
                     "--subgraph", "A1", "--degree", "1", "--c1", "1/2", "--c2", "1/3")
     assert code == 0
     assert out["violations"] == 0 and out["restriction_failing_degrees"] == []
+
+
+@pytest.mark.parametrize("family", ["H3", "F4", "G2", "I2(5)", "E6"])
+def test_deformed_refuses_groups_that_do_not_permute_coordinates(capsys, family):
+    # H_k is W-invariant only under signed permutations, so these runs reported false violations
+    start = time.monotonic()
+    code, out = run(capsys, "verify", "deformed", "--family", family, "--k", "1", "--l", "2", "--degree", "2",
+                    "--seed", "2")
+    assert code == 2
+    assert out["error"].endswith(f"{family} does not")
+    assert time.monotonic() - start < 5.0
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2"])

@@ -166,7 +166,7 @@ def test_coxeter_number_lemma_all_families():
         ones = Multiplicities.numeric(rs, {n: 1 for n in rs.orbit_names})
         everything = range(len(rs.lines))
         h = generalized_coxeter_number(rs, ones, everything)
-        assert h.constant_term() == rs.field.element(rs.coxeter_number)
+        assert h.constant_term() == rs.field.element(type_coxeter_number((fam[0], m or rs.rank)))
         # the reference asserts proportionality to the scalar product
         assert reference_coxeter_number(rs, ones, everything) == h
     assert time.time() - start < 10.0
@@ -195,6 +195,15 @@ def test_generalized_number_rejects_reducible():
     ]
     with pytest.raises(ValueError):
         reference_coxeter_number(rs, mu, mixed)
+
+
+def test_numeric_multiplicities_check_their_names():
+    rs = root_system("A", 3)
+    # an unknown name used to be dropped without a word
+    with pytest.raises(ValueError, match="^unknown weight name\\(s\\) cc for A3; its orbit weights are c$"):
+        Multiplicities.numeric(rs, {"c": 1, "cc": 2})
+    with pytest.raises(ValueError, match="missing multiplicity for orbit 'c2'"):
+        Multiplicities.numeric(root_system("B", 3), {"c1": 1})
 
 
 # systems whose parabolic strata are all covered, every subset of the simple
