@@ -306,9 +306,9 @@ _VERIFY_CATALOG_KEYS = _CATALOG_KEYS + ("dim", "size", "mults")
 def _golden_results(path: str | None, keys: tuple[str, ...], result) -> list:
     """result(row) for each catalog row of --golden, else of the shipped ones.
 
-    Each row of --golden must hold keys and name a stratum that pins the
-    weight c; a row that does not, or whose result raises ValueError, is a
-    usage error naming the row.
+    Each row of --golden must hold keys and name, by distinct integer
+    vertices, a stratum of its type that pins the weight c; a row that does
+    not, or whose result raises ValueError, is a usage error naming the row.
     """
     if path is None:
         return [result(row) for row in _load_catalog_rows()]
@@ -328,7 +328,7 @@ def _golden_results(path: str | None, keys: tuple[str, ...], result) -> list:
             raise UsageError(f"{where} lacks {', '.join(missing)}")
         gamma0 = row["gamma0"]
         if not isinstance(row["family"], str) or not (
-            isinstance(gamma0, list) and all(isinstance(i, int) for i in gamma0)
+            isinstance(gamma0, list) and all(type(i) is int for i in gamma0)  # a bool is no vertex
         ):
             raise UsageError(f"{where}: family must be a name and gamma0 a list of vertex numbers")
         try:

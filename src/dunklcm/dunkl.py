@@ -268,8 +268,11 @@ class DeformedContext(DunklContext):
         """Monomials of degree <= max_degree on which [H_k, H_l] does not vanish.
 
         With k == l the commutator subtracts two identical polynomials, so
-        the check is vacuous: it returns [] at every weight.
+        the check is vacuous: it returns [] at every weight, applying no
+        operator.
         """
+        if k == l:
+            return []
         bad = []
         for exps in monomials(self.nvars, max_degree):
             if not self.total_commutator(k, l, self.monomial(exps)).is_zero():

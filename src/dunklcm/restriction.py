@@ -7,12 +7,13 @@ sum_j c_j pi(alpha_j), so the lines are grouped by their simple-root
 coordinates pushed onto an independent set of the pi(alpha_j), keyed up
 to scale (`Stratum.line_keys`): on the stratum X_I, every stratum, the
 coordinates outside I.  The grouping compares integer tuples, and each
-restricted line is projected once, through the integral rows of those
-pi(alpha_j), which one |I| x |I| solve on the simple roots' Gram matrix
-gives.  The identities verified here are exact, and their denominators
-are never cleared: a sum of a_k/l_k over pairwise non-proportional linear
-forms l_k is a polynomial exactly when each l_k divides a_k, so each
-identity is decided line by line, by summed residues or by exact division.
+restricted line is projected once, when a caller reads the vectors,
+through the integral rows of those pi(alpha_j), which one |I| x |I| solve
+on the simple roots' Gram matrix gives.  The identities verified here are
+exact, and their denominators are never cleared: a sum of a_k/l_k over
+pairwise non-proportional linear forms l_k is a polynomial exactly when
+each l_k divides a_k, so each identity is decided line by line, by summed
+residues or by exact division.
 
 The operator restricted is the Dunkl Laplacian sum_v T_v^2 on invariant
 polynomials, where it is the Calogero-Moser operator
@@ -31,9 +32,11 @@ is checked, and K is reported (deformed_restriction_constant).
 from __future__ import annotations
 
 import json
+from collections import Counter
+from functools import cached_property
 from importlib import resources
 
-from .fields import Field, FieldElement, render_scalar
+from .fields import FieldElement, render_scalar
 from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, reflection_matrix
 from .polynomials import Polynomial, divide_by_linear, linear_combination, render_polynomial
 from .rootsystems import (
@@ -47,19 +50,30 @@ from .rootsystems import (
 
 
 class Configuration:
-    """Vectors with multiplicities on a subspace, one entry per line, and the dimension of their span."""
+    """The restricted lines of a stratum with their summed weights, and the dimension of their span.
 
-    def __init__(self, field: Field, basis: tuple[Vector, ...], vectors, mults, params: tuple[str, ...], span_dim: int):
-        self.field = field
-        self.basis = basis
-        self.vectors = tuple(vectors)
+    Each restricted line is kept as its line key (see Stratum), with the
+    sum of the weights of the root lines that share it.  The vectors, the
+    monic projections of those lines, are built the first time they are
+    read, and each distinct weight and each vector's linear form is
+    rendered once, for every text that shows it.
+    """
+
+    def __init__(self, stratum: Stratum, keys, mults, params: tuple[str, ...]):
+        rs = stratum.rs
+        self.stratum = stratum
+        self.field = rs.field
+        self.basis = stratum.subspace.basis
+        self.keys = tuple(keys)
         self.mults = tuple(mults)
         self.params = params
-        self.span_dim = span_dim
+        # X is a flat, so its annihilator rows, spanned by the normals of
+        # its mirrors, lie in span(Phi): the projections span X meet span(Phi)
+        self.span_dim = rs.rank - len(stratum.subspace.annihilator)
 
     @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.keys)
 
     @property
     def dim(self) -> int:
@@ -69,17 +83,35 @@ class Configuration:
     def is_numeric(self) -> bool:
         return not self.params
 
+    @cached_property
+    def vectors(self) -> tuple[Vector, ...]:
+        """The monic projection of each restricted line, through the integral
+        rows of the key roots' projections (Stratum.key_projections)."""
+        if not self.keys:
+            return ()
+        field = self.field
+        columns = list(zip(*self.stratum.key_projections()))
+        return tuple(monic_row(field, [field.int_dot(key, col) for col in columns]) for key in self.keys)
+
+    @cached_property
+    def mult_texts(self) -> tuple[str, ...]:
+        """Each line's weight rendered over the parameters, each distinct weight once."""
+        texts = {m: render_polynomial(m, names=self.params or None) for m in set(self.mults)}
+        return tuple(texts[m] for m in self.mults)
+
+    @cached_property
+    def form_texts(self) -> tuple[str, ...]:
+        """Each vector's linear form (v, x) over x1, ..., xn."""
+        names = tuple(f"x{i+1}" for i in range(self.stratum.rs.dim))
+        return tuple(render_polynomial(Polynomial.linear_form(self.field, v), names=names) for v in self.vectors)
+
     def scalar_mults(self) -> tuple[FieldElement, ...]:
         if not self.is_numeric:
             raise ValueError("numeric configuration required")
         return tuple(m.constant_term() for m in self.mults)
 
     def mult_multiset(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for m in self.mults:
-            text = render_polynomial(m, names=self.params or None)
-            out[text] = out.get(text, 0) + 1
-        return out
+        return dict(Counter(self.mult_texts))
 
     def fingerprint(self) -> tuple:
         """Invariant of the configuration up to orthogonal maps and scalings."""
@@ -96,24 +128,14 @@ class Configuration:
         return (self.span_dim, self.size, mult_part, tuple(sorted(pair_part)))
 
     def radial_text(self) -> str:
-        names = tuple(f"x{i+1}" for i in range(len(self.vectors[0]) if self.vectors else 0))
         parts = ["Delta_pi"]
-        for v, m in zip(self.vectors, self.mults):
-            form = render_polynomial(
-                Polynomial.linear_form(self.field, v), names=names
-            )
-            mult = render_polynomial(m, names=self.params or None)
+        for form, mult in zip(self.form_texts, self.mult_texts):
             parts.append(f"- 2*({mult})/({form}) d_({form})")
         return " ".join(parts)
 
     def potential_text(self) -> str:
-        names = tuple(f"x{i+1}" for i in range(len(self.vectors[0]) if self.vectors else 0))
         parts = ["Delta"]
-        for v, m in zip(self.vectors, self.mults):
-            form = render_polynomial(
-                Polynomial.linear_form(self.field, v), names=names
-            )
-            mult = render_polynomial(m, names=self.params or None)
+        for v, form, mult in zip(self.vectors, self.form_texts, self.mult_texts):
             norm = render_scalar(dot(v, v))
             parts.append(f"- ({mult})*({mult}+1)*({norm})/({form})^2")
         return " ".join(parts)
@@ -124,39 +146,25 @@ class Configuration:
             "span_dim": self.span_dim,
             "size": self.size,
             "vectors": [[render_scalar(x) for x in v] for v in self.vectors],
-            "multiplicities": [
-                render_polynomial(m, names=self.params or None) for m in self.mults
-            ],
+            "multiplicities": list(self.mult_texts),
             "multiplicity_multiset": self.mult_multiset(),
         }
 
 
 def restricted_configuration(stratum: Stratum, mults: Multiplicities) -> Configuration:
-    """Orthogonal projections of the root lines, grouped and weighted.
+    """The restricted lines of the stratum, grouped and weighted.
 
     A line's key k stands for its projection sum_p k_p pi(alpha_p) over the
     stratum's key roots, up to scale (see Stratum), so grouping the lines
     by key gives the groups of the monic projections, in the same order.
-    Each group is projected once, through the integral rows of the
-    pi(alpha_p) (Stratum.key_projections), and only its monic image is
-    built from field elements.  The projections span X meet span(Phi), of
-    dimension rank - len(annihilator), since X is a flat, so its annihilator
-    rows, spanned by the normals of its mirrors, lie in span(Phi).
+    Nothing is projected here: Configuration.vectors projects each group
+    once, when a caller reads them.
     """
-    rs = stratum.rs
-    field = rs.field
-    basis = stratum.subspace.basis
-    span_dim = rs.rank - len(stratum.subspace.annihilator)
-    if not basis:
-        return Configuration(field, basis, (), (), mults.params, span_dim)
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(stratum.line_keys):
         if key is not None:
             groups.setdefault(key, []).append(i)
-    columns = list(zip(*stratum.key_projections()))
-    vectors = [monic_row(field, [field.int_dot(key, col) for col in columns]) for key in groups]
-    mult_sums = [mults.line_sum(lines) for lines in groups.values()]
-    return Configuration(field, basis, vectors, mult_sums, mults.params, span_dim)
+    return Configuration(stratum, groups, [mults.line_sum(lines) for lines in groups.values()], mults.params)
 
 
 def conservation_defect(stratum: Stratum, mults: Multiplicities, config: Configuration) -> Polynomial:
@@ -351,10 +359,15 @@ def _load_catalog_rows(path: str | None = None) -> list[dict]:
 
 
 def catalog_stratum(row: dict) -> Stratum:
+    """The stratum of a row's 1-based gamma0; a repeated vertex, or a type
+    that is not the one of gamma0, is a ValueError."""
     rs = root_system(row["family"])
     gamma0 = tuple(i - 1 for i in row["gamma0"])
+    if len(set(gamma0)) != len(gamma0):
+        raise ValueError(f"gamma0 {row['gamma0']} repeats a vertex")
     st = parabolic_stratum(rs, gamma0)
-    st.label = row["type"]
+    if st.label != row["type"]:
+        raise ValueError(f"type {row['type']!r} is not {st.label!r}, the type of gamma0 {row['gamma0']} in {rs.name}")
     return st
 
 
@@ -382,7 +395,6 @@ def catalog_row_result(row: dict) -> dict:
         "dim": config.span_dim,
         "size": config.size,
         "mults": config.mult_multiset(),
-        "config": config,
     }
 
 

@@ -580,6 +580,8 @@ class Multiplicities:
         self.rs = rs
         self.params = params
         self.values = values
+        # line_sum's polynomial per tuple of per-orbit line counts
+        self._sums: dict[tuple[int, ...], Polynomial] = {}
         for name in rs.orbit_names:
             if name not in values:
                 raise ValueError(f"missing multiplicity for orbit {name!r}")
@@ -617,11 +619,18 @@ class Multiplicities:
         return self.values[self.rs.orbit_names[self.rs.orbit_labels[line_idx]]]
 
     def line_sum(self, line_indices) -> Polynomial:
-        """The sum of the values of the given root lines: one accumulator piece per orbit, times its line count."""
+        """The sum of the values of the given root lines: each orbit's value
+        times its line count, built once per tuple of counts."""
         rs = self.rs
-        counts = Counter(rs.orbit_labels[i] for i in line_indices)
-        pieces = ((self.values[rs.orbit_names[k]], rs.field.element(n).nums, 1) for k, n in counts.items())
-        return linear_combination(rs.field, len(self.params), pieces)
+        counts = [0] * len(rs.orbit_names)
+        for i in line_indices:
+            counts[rs.orbit_labels[i]] += 1
+        key = tuple(counts)
+        total = self._sums.get(key)
+        if total is None:
+            pieces = ((self.values[name], rs.field.element(n).nums, 1) for name, n in zip(rs.orbit_names, key) if n)
+            total = self._sums[key] = linear_combination(rs.field, len(self.params), pieces)
+        return total
 
     def line_scalar(self, line_idx: int) -> FieldElement:
         if not self.is_numeric:

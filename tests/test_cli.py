@@ -581,9 +581,15 @@ GOLDEN_ROW = {"index": 7, "family": "E8", "type": "A1", "gamma0": [1], "dim": 7,
     ({"family": "Q8"}, "catalog row 7 in {path!r}: unknown family 'Q8'"),
     ({"gamma0": [9]}, "catalog row 7 in {path!r}: simple root index 8 out of range"),
     ({"family": "F4"}, "catalog row 7 in {path!r}: catalog stratum A1 in F4 does not pin the multiplicity"),
-    ({"family": "F4", "gamma0": [1, 3]}, "catalog row 7 in {path!r}: catalog stratum A1 in F4 does not pin the multiplicity"),
-    ({"gamma0": []}, "catalog row 7 in {path!r}: catalog stratum A1 in E8 does not pin the multiplicity"),
-], ids=["missing-keys", "unknown-family", "gamma0-out-of-range", "free-weight", "two-weights", "no-conditions"])
+    ({"family": "F4", "gamma0": [1, 3], "type": "A1^2"},
+     "catalog row 7 in {path!r}: catalog stratum A1^2 in F4 does not pin the multiplicity"),
+    ({"gamma0": [], "type": ""}, "catalog row 7 in {path!r}: catalog stratum  in E8 does not pin the multiplicity"),
+    ({"family": "E6", "type": "D4", "gamma0": [1, 3]},
+     "catalog row 7 in {path!r}: type 'D4' is not 'A2', the type of gamma0 [1, 3] in E6"),
+    ({"gamma0": [True]}, "catalog row 7 in {path!r}: family must be a name and gamma0 a list of vertex numbers"),
+    ({"gamma0": [1, 1]}, "catalog row 7 in {path!r}: gamma0 [1, 1] repeats a vertex"),
+], ids=["missing-keys", "unknown-family", "gamma0-out-of-range", "free-weight", "two-weights", "no-conditions",
+        "type-of-another-stratum", "boolean-vertex", "repeated-vertex"])
 def test_golden_row_faults_are_usage_errors(capsys, tmp_path, command, fault, message):
     row = fault if "index" in fault else dict(GOLDEN_ROW, **fault)
     golden = tmp_path / "golden.json"
@@ -619,7 +625,7 @@ def test_shipped_catalog_fault_stays_internal(capsys, monkeypatch):
 
 
 def test_shipped_row_that_pins_no_weight_stays_internal(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_load_catalog_rows", lambda: [dict(GOLDEN_ROW, gamma0=[])])
+    monkeypatch.setattr(cli, "_load_catalog_rows", lambda: [dict(GOLDEN_ROW, gamma0=[], type="")])
     code, out = run(capsys, "catalog")
     assert code == 4
     assert out["internal"] is True

@@ -24,6 +24,13 @@ def numeric_ctx(fam, rank_=None, m=None, mapping=Fraction(1, 2), deformed=False)
     return DeformedContext(rs, mults) if deformed else DunklContext(rs, mults)
 
 
+def test_equal_powers_apply_no_operator():
+    # [H_k, H_k] = 0 at every weight, so the check returns before any image is built
+    ctx = numeric_ctx("B", 3, mapping={"c1": Fraction(1, 2), "c2": Fraction(1, 3)}, deformed=True)
+    assert ctx.integrability_violations(2, 2, 3) == []
+    assert ctx._images == {}
+
+
 def variables(ctx):
     return [Polynomial.variable(ctx.field, ctx.nvars, v) for v in range(ctx.nvars)]
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -18,12 +19,14 @@ from dunklcm.restriction import (
     restriction_defects,
 )
 from dunkl_reference import laplacian
-from dunklcm.cli import resolve_subgraph
+from dunklcm.cli import main, resolve_subgraph
 from dunklcm.dunkl import DeformedContext, DunklContext
-from dunklcm.linalg import rank
-from dunklcm.polynomials import Polynomial, divide_by_linear
+from dunklcm.fields import render_scalar
+from dunklcm.linalg import dot, rank
+from dunklcm.polynomials import Polynomial, divide_by_linear, render_polynomial
 from dunklcm.rootsystems import (
     Multiplicities,
+    Stratum,
     block_stratum,
     enumerate_parabolic_strata,
     parabolic_stratum,
@@ -304,6 +307,71 @@ def test_restriction_matches_cleared_denominators(system):
     for st in by_dim.values():
         got = restriction_defects(st, mults, degrees=(2, 4))
         assert got == reference_restriction_defects(st, mults, degrees=(2, 4)), st.label
+
+
+# ---------------------------------------------------------------------------
+# projection on demand, and one text per weight and per form
+
+
+def test_catalog_projects_no_line(capsys, monkeypatch):
+    # catalog and verify catalog read sizes, spans and weights, never a vector
+    def refuse(self):
+        raise AssertionError("a catalog command projected a line")
+
+    monkeypatch.setattr(Stratum, "key_projections", refuse)
+    rows = _load_catalog_rows()
+    keys = ("index", "family", "type", "gamma0", "dim", "size", "c", "mults")
+    assert main(["catalog"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [{k: row[k] for k in keys} for row in rows]
+    assert main(["verify", "catalog"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["matched"], report["total"], report["size_diffs"]) == (len(rows), len(rows), [])
+
+
+def expected_texts(st, mults):
+    """to_json(), radial_text() and potential_text() rendered here from the
+    reference vectors and the per-line sums of line_value."""
+    vectors, weights = reference_configuration(st, mults)
+    mult_texts = [render_polynomial(m, names=mults.params or None) for m in weights]
+    xs = [f"x{i + 1}" for i in range(st.rs.dim)]
+    forms = [render_polynomial(Polynomial.linear_form(st.rs.field, v), names=xs) for v in vectors]
+    multiset = {}
+    for text in mult_texts:
+        multiset[text] = multiset.get(text, 0) + 1
+    js = {
+        "dim": len(st.subspace.basis),
+        "span_dim": rank(vectors) if vectors else 0,
+        "size": len(vectors),
+        "vectors": [[render_scalar(x) for x in v] for v in vectors],
+        "multiplicities": mult_texts,
+        "multiplicity_multiset": multiset,
+    }
+    radial = ["Delta_pi", *(f"- 2*({m})/({f}) d_({f})" for m, f in zip(mult_texts, forms))]
+    potential = ["Delta", *(
+        f"- ({m})*({m}+1)*({render_scalar(dot(v, v))})/({f})^2" for v, m, f in zip(vectors, mult_texts, forms)
+    )]
+    return weights, js, " ".join(radial), " ".join(potential)
+
+
+def text_strata():
+    strata = [catalog_stratum(row) for row in _load_catalog_rows()]
+    for family in ("F4", "H3", "B4"):
+        strata += enumerate_parabolic_strata(named_system(family))
+    return strata
+
+
+def test_texts_match_the_per_line_rendering():
+    for st in text_strata():
+        rs = st.rs
+        for mults in (Multiplicities.symbolic(rs), orbit_weights(rs), PlantedWeight(orbit_weights(rs), 0, 1)):
+            cfg = restricted_configuration(st, mults)
+            weights, js, radial, potential = expected_texts(st, mults)
+            where = (rs.name, st.label, type(mults).__name__, mults.params)
+            assert cfg.mults == tuple(weights), where
+            # the order of the multiset's keys reaches the printed JSON
+            assert list(cfg.mult_multiset().items()) == list(js["multiplicity_multiset"].items()), where
+            assert cfg.to_json() == js, where
+            assert (cfg.radial_text(), cfg.potential_text()) == (radial, potential), where
 
 
 @pytest.mark.parametrize("family, rank_, weights", [

@@ -124,6 +124,20 @@ def test_line_sum_matches_the_per_line_sum(fam, rank_, m):
                 assert mults.line_sum(iter(indices)) == mults.line_sum(indices)
 
 
+def test_line_sum_builds_one_polynomial_per_tuple_of_orbit_counts():
+    rs = root_system("F4")
+    mults = Multiplicities.symbolic(rs)
+    by_orbit = [[i for i, label in enumerate(rs.orbit_labels) if label == k] for k in range(2)]
+    # two long lines and a short one, twice over, and the same counts reached otherwise
+    first = mults.line_sum([by_orbit[0][0], by_orbit[0][1], by_orbit[1][0]])
+    assert mults.line_sum([by_orbit[1][5], by_orbit[0][7], by_orbit[0][3]]) is first
+    assert mults.line_sum([by_orbit[0][0], by_orbit[1][0]]) is not first
+    # the memo belongs to the instance: another one builds its own sum
+    other = Multiplicities.symbolic(rs)
+    again = other.line_sum([by_orbit[0][0], by_orbit[0][1], by_orbit[1][0]])
+    assert again == first and again is not first
+
+
 def test_orbit_label_counts_B3():
     rs = root_system("B", 3)
     # first orbit is the one through the first simple root: the 6 long lines
