@@ -164,6 +164,9 @@ def resolve_subgraph(rs, text: str) -> Stratum:
                 raise UsageError(f"subgraph {text!r}: vertex {token!r} is not an integer") from None
         if not verts or min(verts) < 1 or max(verts) > rs.rank:
             raise UsageError(f"vertex list out of range 1..{rs.rank}: {text!r}")
+        repeated = next((v for i, v in enumerate(verts) if v in verts[:i]), None)
+        if repeated is not None:
+            raise UsageError(f"subgraph {text!r}: vertex {repeated} is repeated")
         return parabolic_stratum(rs, [v - 1 for v in verts])
     head, _, opts_text = text.partition(":")
     head = head.strip()
@@ -527,9 +530,7 @@ def cmd_solve(args, reads=()) -> int:
 
 def _catalog_entry(row: dict) -> dict:
     """The row's index beside its recomputed catalog fields."""
-    got = catalog_row_result(row)
-    fields = ("family", "type", "gamma0", "dim", "size", "c", "mults")
-    return {"index": row["index"], **{key: got[key] for key in fields}}
+    return {"index": row["index"], **catalog_row_result(row)}
 
 
 def cmd_catalog(args) -> int:

@@ -194,10 +194,9 @@ class DunklContext:
             for v, scales in enumerate(self._scales)
         ]
 
-    def commutativity_violations(self, max_degree: int, pairs=None) -> list:
+    def commutativity_violations(self, max_degree: int) -> list:
         """(monomial, i, j) for each nonzero commutator [T_i, T_j] on a monomial, empty when commuting."""
-        if pairs is None:
-            pairs = list(combinations(range(self.nvars), 2))
+        pairs = list(combinations(range(self.nvars), 2))
         bad = []
         for exps in monomials(self.nvars, max_degree):
             for i, j in pairs:
@@ -205,14 +204,11 @@ class DunklContext:
                     bad.append((exps, i, j))
         return bad
 
-    def equivariance_violations(self, max_degree: int, lines=None) -> list:
+    def equivariance_violations(self, max_degree: int) -> list:
         """Checks s_w T_v s_w = T_{s_w e_v}, s_w(e_v) = e_v - alpha_w[v] alpha_w^v,
-        on a monomial basis, over reflection indices (all by default)."""
-        if lines is None:
-            lines = range(len(self.reflections))
+        on a monomial basis, over every reflection w."""
         bad = []
-        for w in lines:
-            alpha, coroot, _ = self.reflections[w]
+        for w, (alpha, coroot, _) in enumerate(self.reflections):
             for v in range(self.nvars):
                 img = [-(alpha[v] * a) for a in coroot]
                 img[v] = img[v] + self.field.one()

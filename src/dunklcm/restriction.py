@@ -21,8 +21,10 @@ polynomials, where it is the Calogero-Moser operator
     L_c f = Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x)
 
 (Heckman, A remark on the Dunkl differential-difference operators,
-Progress in Math. 101, 1991), computed in that closed form, one exact
-division per mirror and no Dunkl operator (invariant_laplacian).  Its
+Progress in Math. 101, 1991), computed in that closed form with no Dunkl
+operator.  Restriction to the stratum is a ring map, so every term is
+built from the restricted root forms in the stratum's own coordinates,
+and no polynomial in all n coordinates (restriction_defects).  Its
 confined form sum_v (T_v + omega x_v)(T_v - omega x_v) f = L_c f + omega K
 f - omega^2 |x|^2 f with K = -n + 2 sum_r c_r restricts to the plain
 identity plus the same two terms on both sides, so only the plain identity
@@ -37,11 +39,10 @@ from functools import cached_property
 from importlib import resources
 
 from .fields import FieldElement, render_scalar
-from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row, reflection_matrix
+from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row
 from .polynomials import Polynomial, divide_by_linear, linear_combination, render_polynomial
 from .rootsystems import (
     Multiplicities,
-    RootSystem,
     Stratum,
     Subspace,
     parabolic_stratum,
@@ -227,70 +228,33 @@ def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
     return bad
 
 
-def invariant_power_sum(rs: RootSystem, k: int) -> Polynomial:
-    """Sum of (alpha, x)^k over the full root set, for even k."""
-    if k % 2:
-        raise ValueError("only even exponents give a sign-free root sum")
-    field = rs.field
-    two = field.element(2).nums
-    return linear_combination(
-        field, rs.dim, ((Polynomial.linear_form(field, alpha) ** k, two, 1) for alpha in rs.lines)
-    )
-
-
-def _check_invariant(rs: RootSystem, f: Polynomial) -> None:
-    """Raises ValueError unless f o s = f for every simple reflection s."""
-    for alpha in rs.simple:
-        if f.compose_linear(reflection_matrix(rs.field, alpha)) != f:
-            raise ValueError("test polynomial is not invariant under the group")
-
-
-def invariant_laplacian(rs: RootSystem, mults: Multiplicities, f: Polynomial) -> Polynomial:
-    """The Dunkl Laplacian sum_v T_v^2 f of a W-invariant f, in the closed
-    form L_c f of the module docstring.
-
-    Every D_r f vanishes, so T_v f = d_v f, and d_{alpha_r} f is
-    anti-invariant under s_r, so D_r d_{alpha_r} f = 2 d_{alpha_r} f /
-    alpha_r(x), one exact division; lines of weight 0 drop out.  For f
-    that is not invariant (_check_invariant) the result is not the Dunkl
-    Laplacian, and a division may raise ArithmeticError.
-    """
-    field = rs.field
-    grads = [f.partial(v) for v in range(rs.dim)]
-    one = field.one().nums
-    pieces = [(g.partial(v), one, 1) for v, g in enumerate(grads)]
-    for line, alpha in enumerate(rs.lines):
-        c = mults.line_scalar(line)
-        if c.is_zero():
-            continue
-        d_alpha = linear_combination(
-            field, rs.dim, ((g, a.nums, a.den) for g, a in zip(grads, alpha) if not a.is_zero())
-        )
-        w = c * -2
-        pieces.append((divide_by_linear(d_alpha, alpha), w.nums, w.den))
-    return linear_combination(field, rs.dim, pieces)
-
-
 def restriction_defects(stratum: Stratum, mults: Multiplicities, degrees=(2, 4, 6)) -> list[int]:
     """Compares the restricted operator with the projected radial form.
 
-    Both sides act on invariant root power sums f and g = f restricted: the
-    restriction of the Dunkl Laplacian, which on invariant f is the
-    Calogero-Moser operator L_c f = Delta f - sum_r 2 c_r (d_{alpha_r} f) /
-    alpha_r(x) (Heckman, 1991; see invariant_laplacian, which computes it
-    with one exact division per mirror and no Dunkl context), must equal
-    the radial part minus the sum of 2 m_v d_v g / (v, x) over the
-    configuration.  Its forms are pairwise non-proportional (distinct
-    monic lines in the span of the basis, and v -> ((v, b))_b is injective),
-    so the sum is a polynomial only if each form divides its numerator, as
-    in `gauge_defects`.  A degree therefore fails when a division leaves a
-    remainder or when the quotients do not close the identity.  A remainder
-    needs a stratum that is no flat: at a point of a flat X on the mirror of
-    alpha, grad f is fixed by s_alpha and by the reflections fixing X, so it
-    lies in X and is orthogonal to alpha, hence to v.  The confined
-    identity needs no check of its own: it adds omega K g - omega^2 |x|^2 g
-    to both sides, with K of deformed_restriction_constant, since |x|^2
-    restricted to the stratum is t^T G t.  Returns degrees that fail.
+    On the root power sum f = sum_alpha 2 (alpha, x)^k, restricted to
+    g(t) = f(sum_a t_a b_a) over the stratum's basis, the restricted L_c f
+    must equal Delta_X g - sum_v 2 m_v d_v g / (v, x) over the
+    configuration.  Restriction is a ring map, so both sides are built from
+    the restricted root forms p_alpha = sum_a (alpha, b_a) t_a, and over 2k
+    they differ by
+
+        (k - 1) sum_alpha w_alpha p_alpha^(k-2)
+        - sum_{beta off X} 2 c_beta d_beta / p_beta + sum_v 2 m_v d_v / (v, x)
+
+    with d_u = sum_alpha (alpha, u) p_alpha^(k-1), the restriction of
+    d_u f / 2k, and w_alpha = (alpha, alpha) - |pi alpha|^2 - sum_{beta on
+    X} 2 c_beta (alpha, beta)^2 / (beta, beta), from Delta f, Delta_X g and
+    the mirrors through X: there d_beta f vanishes, so (d_beta f) / beta
+    restricts to d_beta^2 f / (beta, beta).  A mirror off X divides
+    exactly, and a remainder there raises.  The configuration's forms are
+    pairwise non-proportional, so their sum is a polynomial only if each
+    divides its numerator, as in `gauge_defects`: a degree fails on such a
+    remainder, which needs a stratum that is no flat (on a flat X, grad f
+    lies in X), or when the difference is not zero.  f is W-invariant
+    because the simple reflections permute the root lines (else
+    ValueError).  The confined identity adds omega K g - omega^2 |x|^2 g to
+    both sides (deformed_restriction_constant; |x|^2 restricts to t^T G t),
+    so it needs no check of its own.  Returns degrees that fail.
     """
     if not mults.is_numeric:
         raise ValueError("numeric multiplicities required")
@@ -300,36 +264,45 @@ def restriction_defects(stratum: Stratum, mults: Multiplicities, degrees=(2, 4, 
     r = len(basis)
     if r == 0:
         return []
-    config = restricted_configuration(stratum, mults)
+    if any(k % 2 for k in degrees):
+        raise ValueError("only even exponents give a sign-free root sum")
+    if any(None in perm for perm in rs.simple_perms):
+        raise ValueError("the simple reflections do not permute the root lines")
     ginv = invert(gram(basis), field)
-    radial = [(a, b, x) for a, row in enumerate(ginv) for b, x in enumerate(row) if not x.is_zero()]
-    # (v, x) = sum_a (v, b_a) t_a, and d_v g = sum_a (G^-1 form)_a d_a g
-    quotients = []
-    for v, m in zip(config.vectors, config.scalar_mults()):
-        if not m.is_zero():
-            form = tuple(dot(v, b) for b in basis)
-            quotients.append((form, mat_vec(ginv, form), m * -2))
-
+    forms = [tuple(dot(alpha, b) for b in basis) for alpha in rs.lines]
+    weights = [mults.line_scalar(i) * 2 for i in range(len(rs.lines))]
+    on_x = [i for i in stratum.lines if not weights[i].is_zero()]
+    second = [
+        norm - dot(form, mat_vec(ginv, form))
+        - sum((weights[i] * dot(alpha, rs.lines[i]) ** 2 / rs.line_norms[i] for i in on_x), field.zero())
+        for alpha, form, norm in zip(rs.lines, forms, rs.line_norms)
+    ]
+    mirrors = [(rs.lines[i], forms[i], -w) for i, w in enumerate(weights) if i not in stratum.lines and not w.is_zero()]
+    config = restricted_configuration(stratum, mults)
+    configured = [(v, tuple(dot(v, b) for b in basis), m * 2)
+                  for v, m in zip(config.vectors, config.scalar_mults()) if not m.is_zero()]
+    powers = [Polynomial.linear_form(field, form) for form in forms]
     bad = []
     for k in degrees:
-        f = invariant_power_sum(rs, k)
-        _check_invariant(rs, f)
-        lhs = invariant_laplacian(rs, mults, f).restrict_to(basis)
-        g = f.restrict_to(basis)
-        grads = [g.partial(a) for a in range(r)]
-        pieces = [(grads[a].partial(b), x.nums, x.den) for a, b, x in radial]
+        lower = [p ** (k - 2) for p in powers]
+        upper = [q * p for q, p in zip(lower, powers)]
+        grads = [linear_combination(field, r, ((q, alpha[j].nums, alpha[j].den)
+                                               for q, alpha in zip(upper, rs.lines) if not alpha[j].is_zero()))
+                 for j in range(rs.dim)]
+
+        def along(u):  # d_u
+            return linear_combination(field, r, ((g, x.nums, x.den) for g, x in zip(grads, u) if not x.is_zero()))
+
+        pieces = [(q, w.nums, w.den) for q, w in zip(lower, (w * (k - 1) for w in second)) if not w.is_zero()]
+        pieces += [(divide_by_linear(along(beta), form), w.nums, w.den) for beta, form, w in mirrors]
         try:
-            for form, direction, w in quotients:
-                dv = linear_combination(
-                    field, r, ((grads[a], x.nums, x.den) for a, x in enumerate(direction) if not x.is_zero())
-                )
-                pieces.append((divide_by_linear(dv, form), w.nums, w.den))
+            pieces += [(divide_by_linear(along(v), form), w.nums, w.den) for v, form, w in configured]
         except ZeroDivisionError:
             raise
         except ArithmeticError:
             bad.append(k)
             continue
-        if lhs != linear_combination(field, r, pieces):
+        if not linear_combination(field, r, pieces).is_zero():
             bad.append(k)
     return bad
 

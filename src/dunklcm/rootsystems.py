@@ -854,17 +854,15 @@ def _deodhar_move(rs: RootSystem, s: int, indices: tuple[int, ...]) -> tuple[int
     return tuple(i for i in grown if i != opposite.get(s, s))
 
 
-def enumerate_parabolic_strata(rs: RootSystem, max_size: int | None = None) -> list[Stratum]:
+def enumerate_parabolic_strata(rs: RootSystem) -> list[Stratum]:
     """Distinct strata from nonempty subsets of the simple roots.
 
     The classes of each size come from parabolic_classes, in (size, lex)
     order of their first subsets.  A type with several classes gets the
     suffixes :1, :2, ... in that order.
     """
-    if max_size is None:
-        max_size = rs.rank
     out = []
-    for size in range(1, max_size + 1):
+    for size in range(1, rs.rank + 1):
         out.extend(parabolic_classes(rs, size))
     # mark doubled types with variant suffixes
     counts: dict[str, int] = {}

@@ -6,8 +6,9 @@ is one division per (direction, reflection), and the cyclic diagonal term
 of G(m,p,N) is written out from its definition.  It reads only the data a
 context holds (reflections, weights), never its caches or methods, with
 one exception: `laplacian` composes the context's own `apply`, so that the
-Dunkl route through the monomial memos is the oracle of the closed form in
-`dunklcm.restriction.invariant_laplacian`.
+Dunkl route through the monomial memos is the oracle of Heckman's closed
+form in `restriction_reference.invariant_laplacian`, the form that
+`dunklcm.restriction.restriction_defects` builds on each stratum.
 
 `SymbolicOmega` is the route the confined operators of
 `dunklcm.dunkl.DeformedContext` replaced: the confinement strength omega

@@ -14,23 +14,28 @@ multiplied through by the product of its linear forms and compared as a
 polynomial.  These share the restricted configuration and the polynomial
 arithmetic with the code under test, but not the grouping by line or the
 exact division, and their left-hand side takes the Dunkl route (the
-operators of `dunklcm.dunkl`), not the closed form of
-`dunklcm.restriction.invariant_laplacian`.  Their confined form is checked
+operators of `dunklcm.dunkl`), not Heckman's closed form.  Their confined form is checked
 at omega = 1, with the operators of `dunklcm.dunkl.DeformedContext`: with
 x of weight 1 and omega of weight -2 the confined identity on the power sum
 of degree k is weight-homogeneous, so its omega^j terms have degree
 k - 2 + 2j on the stratum, and it holds at omega = 1 exactly when it holds
 for every omega.  The code under test checks no confined form: there the
 confined identity is the plain one with the same terms added to both sides.
+
+Last, it holds the route that building the identity from the restricted
+root forms replaced: the power sum and its closed-form Laplacian
+(`invariant_laplacian`) in all n coordinates, the power sum composed with
+every simple reflection matrix to check its invariance, and the
+restriction to the stratum at the end (`full_space_restriction_defects`).
 """
 
 from __future__ import annotations
 
 from dunkl_reference import laplacian
 from dunklcm.dunkl import DeformedContext, DunklContext
-from dunklcm.linalg import dot, gram, invert, mat_vec, vec_is_zero
-from dunklcm.polynomials import Polynomial
-from dunklcm.restriction import invariant_power_sum, restricted_configuration
+from dunklcm.linalg import dot, gram, invert, mat_vec, reflection_matrix, vec_is_zero
+from dunklcm.polynomials import Polynomial, divide_by_linear, linear_combination
+from dunklcm.restriction import restricted_configuration
 from dunklcm.rootsystems import Subspace
 
 
@@ -201,5 +206,110 @@ def reference_restriction_defects(stratum, mults, degrees=(2, 4, 6), deformed=Fa
                     dv = dv + g.partial(j) * cj
             rhs = rhs - rest * dv * (m * 2)
         if denom * lhs != rhs:
+            bad.append(k)
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# the identity in the full space, restricted at the end
+
+
+def invariant_power_sum(rs, k: int) -> Polynomial:
+    """Sum of (alpha, x)^k over the full root set, for even k."""
+    if k % 2:
+        raise ValueError("only even exponents give a sign-free root sum")
+    field = rs.field
+    two = field.element(2).nums
+    return linear_combination(
+        field, rs.dim, ((Polynomial.linear_form(field, alpha) ** k, two, 1) for alpha in rs.lines)
+    )
+
+
+def check_invariant(rs, f: Polynomial) -> None:
+    """Raises ValueError unless f o s = f for every simple reflection s."""
+    for alpha in rs.simple:
+        if f.compose_linear(reflection_matrix(rs.field, alpha)) != f:
+            raise ValueError("test polynomial is not invariant under the group")
+
+
+_CHECKED_SUMS: dict = {}
+
+
+def checked_power_sum(rs, k: int) -> Polynomial:
+    """invariant_power_sum(rs, k) after check_invariant, which dominates the
+    full-space route; both depend on the system and the degree alone, so
+    they are kept per system and degree."""
+    key = (rs.name, k)
+    if key not in _CHECKED_SUMS:
+        f = invariant_power_sum(rs, k)
+        check_invariant(rs, f)
+        _CHECKED_SUMS[key] = f
+    return _CHECKED_SUMS[key]
+
+
+def invariant_laplacian(rs, mults, f: Polynomial) -> Polynomial:
+    """The Dunkl Laplacian sum_v T_v^2 f of a W-invariant f, in Heckman's
+    closed form L_c f = Delta f - sum_r 2 c_r (d_{alpha_r} f) / alpha_r(x),
+    in all n coordinates.
+
+    Every D_r f vanishes, so T_v f = d_v f, and d_{alpha_r} f is
+    anti-invariant under s_r, so D_r d_{alpha_r} f = 2 d_{alpha_r} f /
+    alpha_r(x), one exact division; lines of weight 0 drop out.
+    """
+    field = rs.field
+    grads = [f.partial(v) for v in range(rs.dim)]
+    one = field.one().nums
+    pieces = [(g.partial(v), one, 1) for v, g in enumerate(grads)]
+    for line, alpha in enumerate(rs.lines):
+        c = mults.line_scalar(line)
+        if c.is_zero():
+            continue
+        d_alpha = linear_combination(
+            field, rs.dim, ((g, a.nums, a.den) for g, a in zip(grads, alpha) if not a.is_zero())
+        )
+        w = c * -2
+        pieces.append((divide_by_linear(d_alpha, alpha), w.nums, w.den))
+    return linear_combination(field, rs.dim, pieces)
+
+
+def full_space_restriction_defects(stratum, mults, degrees=(2, 4, 6)) -> list[int]:
+    """`restriction_defects` in the n coordinates of the whole space: the
+    power sum f is built there, composed with every simple reflection to
+    check its invariance, and its closed-form Laplacian is restricted to the
+    stratum only at the end, beside g = f restricted and the exact division
+    of each configuration term."""
+    rs = stratum.rs
+    field = rs.field
+    basis = stratum.subspace.basis
+    r = len(basis)
+    if r == 0:
+        return []
+    config = restricted_configuration(stratum, mults)
+    ginv = invert(gram(basis), field)
+    radial = [(a, b, x) for a, row in enumerate(ginv) for b, x in enumerate(row) if not x.is_zero()]
+    quotients = []
+    for v, m in zip(config.vectors, config.scalar_mults()):
+        if not m.is_zero():
+            form = tuple(dot(v, b) for b in basis)
+            quotients.append((form, mat_vec(ginv, form), m * -2))
+    bad = []
+    for k in degrees:
+        f = checked_power_sum(rs, k)
+        lhs = invariant_laplacian(rs, mults, f).restrict_to(basis)
+        g = f.restrict_to(basis)
+        grads = [g.partial(a) for a in range(r)]
+        pieces = [(grads[a].partial(b), x.nums, x.den) for a, b, x in radial]
+        try:
+            for form, direction, w in quotients:
+                dv = linear_combination(
+                    field, r, ((grads[a], x.nums, x.den) for a, x in enumerate(direction) if not x.is_zero())
+                )
+                pieces.append((divide_by_linear(dv, form), w.nums, w.den))
+        except ZeroDivisionError:
+            raise
+        except ArithmeticError:
+            bad.append(k)
+            continue
+        if lhs != linear_combination(field, r, pieces):
             bad.append(k)
     return bad

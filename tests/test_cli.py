@@ -134,6 +134,13 @@ def test_bad_vertex_token(capsys):
     assert out["error"] == "subgraph 'verts:1,x': vertex 'x' is not an integer"
 
 
+def test_repeated_vertex_is_a_usage_error(capsys):
+    # a repeated vertex names the same stratum as the list without it, so it is a slip, not a request
+    code, out = run(capsys, "solve", "--family", "A", "--rank", "3", "--subgraph", "verts:1,2,1")
+    assert code == 2
+    assert out["error"] == "subgraph 'verts:1,2,1': vertex 1 is repeated"
+
+
 def test_check_complex_group(capsys):
     code, out = run(capsys, "check", "--group", "G(3,3,3)", "--blocks", "2", "--c0", "1/2")
     assert code == 0

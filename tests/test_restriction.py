@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from dunklcm.restriction import (
-    _check_invariant,
     catalog_compare,
     catalog_row_result,
     catalog_stratum,
@@ -13,13 +12,11 @@ from dunklcm.restriction import (
     conservation_defect,
     deformed_restriction_constant,
     gauge_defects,
-    invariant_laplacian,
-    invariant_power_sum,
     restricted_configuration,
     restriction_defects,
 )
 from dunkl_reference import laplacian
-from dunklcm.cli import main, resolve_subgraph
+from dunklcm.cli import _instantiate_solution, main, resolve_subgraph
 from dunklcm.dunkl import DeformedContext, DunklContext
 from dunklcm.fields import render_scalar
 from dunklcm.linalg import dot, rank
@@ -34,6 +31,9 @@ from dunklcm.rootsystems import (
 )
 from rootsystem_reference import reference_components, reference_stratum
 from restriction_reference import (
+    full_space_restriction_defects,
+    invariant_laplacian,
+    invariant_power_sum,
     reference_configuration,
     reference_lines,
     reference_gauge_defects,
@@ -110,13 +110,19 @@ def test_power_sums_are_invariant():
         assert (ctx.reflect_poly(line, p4) - p4).is_zero()
 
 
-def test_invariance_guard():
-    rs = root_system("A", 2)
-    x0 = Polynomial.variable(rs.field, rs.dim, 0)
-    with pytest.raises(ValueError, match="not invariant"):
-        _check_invariant(rs, x0 * x0)
-    h3 = root_system("H3")
-    assert _check_invariant(h3, invariant_power_sum(h3, 4)) is None
+def test_restriction_needs_closed_root_lines_and_even_degrees(monkeypatch):
+    # the power sum is invariant because the simple reflections permute the
+    # root lines, and sign-free because its degree is even
+    rs = root_system("B", 3)
+    st = block_stratum(rs, m=1, k=2, l=1)
+    mults = Multiplicities.numeric(rs, {"c1": Fraction(1, 2), "c2": Fraction(1, 2)})
+    assert restriction_defects(st, mults, degrees=(2,)) == []
+    with pytest.raises(ValueError, match="only even exponents"):
+        restriction_defects(st, mults, degrees=(2, 3))
+    first, *rest = rs.simple_perms
+    monkeypatch.setitem(vars(rs), "simple_perms", (first[:-1] + (None,), *rest))
+    with pytest.raises(ValueError, match="do not permute the root lines"):
+        restriction_defects(st, mults, degrees=(2,))
 
 
 def test_restriction_identity_and_its_failure():
@@ -430,13 +436,18 @@ def test_zero_form_is_an_error_not_a_failing_degree(monkeypatch):
     import dunklcm.restriction as restriction
 
     rs = root_system("B", 3)
-    st = block_stratum(rs, m=1, k=2, l=1)
+    st = parabolic_stratum(rs, (0, 1))
     mults = Multiplicities.numeric(rs, {"c1": Fraction(1, 3), "c2": Fraction(1, 5)})
+    basis = st.subspace.basis
+    # zero only the configuration's forms, where a remainder fails a degree:
+    # on this stratum none of them is also the restricted form of a mirror
+    mirror_forms = {tuple(dot(alpha, b) for b in basis) for alpha in rs.lines}
+    config_forms = {tuple(dot(v, b) for b in basis) for v in restricted_configuration(st, mults).vectors}
+    zeroed = config_forms - mirror_forms
+    assert zeroed
 
     def zero_form(f, form):
-        # only the forms on the stratum: the full-space mirror forms of the
-        # closed-form Laplacian have one entry per coordinate
-        return divide_by_linear(f, tuple(x - x for x in form) if len(form) < rs.dim else form)
+        return divide_by_linear(f, tuple(x - x for x in form) if tuple(form) in zeroed else form)
 
     monkeypatch.setattr(restriction, "divide_by_linear", zero_form)
     with pytest.raises(ZeroDivisionError):
@@ -457,10 +468,11 @@ def test_closed_form_laplacian_matches_dunkl_route(family, rank_, degrees):
     confined sum_v (T_v + omega x_v)(T_v - omega x_v) f adds omega K f -
     omega^2 |x|^2 f, checked at omega = 1: the three parts have degrees
     k - 2, k and k + 2, so omega = 1 decides every omega.  `restriction_defects`
-    takes its left-hand side from this closed form, so on the empty subgraph,
-    where the stratum is the whole space, it compares the closed form with
-    itself: this test, which applies the Dunkl operators themselves, is what
-    carries the lemma."""
+    builds its left-hand side from this closed form on the stratum, so on the
+    empty subgraph, where the stratum is the whole space, it compares the
+    closed form with itself: this test, which applies the Dunkl operators
+    themselves to the full-space closed form of the oracle, is what carries
+    the lemma."""
     rs = root_system(family, rank_)
     field, n = rs.field, rs.dim
     # on B4 one orbit has weight 0, so its lines drop out of the closed form
@@ -489,3 +501,41 @@ def test_restriction_builds_no_dunkl_context(monkeypatch):
     monkeypatch.setattr(DunklContext, "__init__", refuse)
     got = [restriction_defects(st, m, degrees=(2, 4)) for m in cases]
     assert got == expected[::2] == expected[1::2]
+
+
+# ---------------------------------------------------------------------------
+# the identity on the stratum against the full-space route
+
+
+def full_space_strata(group):
+    if group == "named":
+        named = (("E6", "A2"), ("E8", "D4"), ("H4", "A1"), ("F4", "A1:2"))
+        return [resolve_subgraph(root_system(family), subgraph) for family, subgraph in named]
+    if group == "block":
+        return checked_block_strata()
+    return enumerate_parabolic_strata(named_system(group))
+
+
+@pytest.mark.parametrize("group", ["named", "block", "B4", "H3", "G2"])
+def test_restriction_on_the_stratum_matches_the_full_space(group, monkeypatch):
+    """`restriction_defects` builds the identity from the restricted root
+    forms alone.  The oracle builds the power sum in all n coordinates,
+    composes it with every simple reflection, and restricts its closed-form
+    Laplacian at the end.  At degrees 2-6, on the invariance locus and off
+    it, both fail the same degrees, and the code under test does so with
+    no substitution and no composition."""
+    cases = []
+    for st in full_space_strata(group):
+        if st.solution[0] != "inconsistent":
+            cases.append((st, _instantiate_solution(st)))
+        cases.append((st, orbit_weights(st.rs)))
+    expected = [full_space_restriction_defects(st, m, degrees=(2, 4, 6)) for st, m in cases]
+    assert [] in expected and any(expected)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("restriction_defects substituted into a polynomial")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    monkeypatch.setattr(Polynomial, "compose_linear", refuse)
+    for (st, m), want in zip(cases, expected):
+        assert restriction_defects(st, m, degrees=(2, 4, 6)) == want, (st.rs.name, st.label, m.values)
