@@ -81,8 +81,8 @@ class ComplexReflectionGroup:
         rows = [list(r) for r in identity(field, self.N)]
         rows[i][i] = field.zero()
         rows[j][j] = field.zero()
-        rows[i][j] = self.xi ** k
-        rows[j][i] = self.xi ** (-k)
+        rows[i][j] = self.powers[k % self.m]
+        rows[j][i] = self.powers[-k % self.m]
         return tuple(tuple(r) for r in rows)
 
     def diag_matrix(self, i: int, s: int = 1):
@@ -92,11 +92,16 @@ class ComplexReflectionGroup:
         return tuple(tuple(r) for r in rows)
 
     @cached_property
+    def powers(self) -> tuple:
+        """xi^0, ..., xi^(m-1): xi^k is powers[k % m]."""
+        return tuple(self.xi ** k for k in range(self.m))
+
+    @cached_property
     def lines(self) -> tuple[Vector, ...]:
         """The hyperplanes of G(m,1,N) as forms: the mirrors x_i - xi^k x_j, i < j, then x_1, ..., x_N."""
         e = identity(self.field, self.N)
-        pairs = (tuple(a - self.xi ** k * b for a, b in zip(e[i], e[j]))
-                 for i, j in combinations(range(self.N), 2) for k in range(self.m))
+        pairs = (tuple(a - xi_k * b for a, b in zip(e[i], e[j]))
+                 for i, j in combinations(range(self.N), 2) for xi_k in self.powers)
         return tuple(pairs) + e
 
     @cached_property
@@ -210,7 +215,8 @@ class CollisionFlat:
         self.names = group.param_names()
         # x_i - x_{i+1} within each block, x_i - xi^eps x_{i+1} for the last pair, then x_i
         e = identity(group.field, group.N)
-        rows = [tuple(a - group.xi ** (eps if i == q * r - 2 else 0) * b for a, b in zip(e[i], e[i + 1]))
+        one, twist = group.powers[0], group.powers[eps % group.m]
+        rows = [tuple(a - (twist if i == q * r - 2 else one) * b for a, b in zip(e[i], e[i + 1]))
                 for block in range(q) for i in range(block * r, block * r + r - 1)]
         self.subspace = Subspace(group.field, group.N, rows + list(e[q * r:q * r + l]))
 

@@ -40,9 +40,31 @@ its monomial term share one accumulator too (polynomials.add_product), so
 no term builds a FieldElement.
 
 A vector direction is the sum of the coordinate operators it combines.  The
-checks over a monomial basis (commutativity, equivariance, confined
-integrability) run on extend.  Cached images are shared objects that
-callers must not change.
+checks over a monomial basis (commutativity, confined integrability) run
+on extend.  Cached images are shared objects that callers must not change.
+
+A permutation sigma of the coordinates that maps every (mirror, coroot,
+weight) of the reflections to one of them with the same weight satisfies
+sigma T_v sigma^-1 = T_sigma(v) (Dunkl, Trans. AMS 311, 1989): renaming
+each x_u as x_sigma(u) takes T_v x^a to T_sigma(v) of the renamed monomial,
+coefficient for coefficient.  The diagonal term of G(m,p,N) and the
+confinement x_v commute with every such renaming too.  On first use, not at
+construction, a context splits its coordinates into blocks
+(coordinate_blocks): i and i+1 share a block when the transposition (i i+1)
+maps the weighted reflections onto themselves, so every permutation within
+the blocks does.  The blocks are read off the context's own reflections, so
+weights that are not constant on conjugacy classes only give smaller
+blocks, never a wrong image.  For A, B, D, F4, G2, E8 and every G(m,p,N)
+one block holds all the coordinates; H3, H4 and I2(5) have none with two.
+The canonical form of an exponent tuple with some marked coordinates (the
+direction v, or the pair i, j) moves the marked coordinates to the front
+of their block and sorts the rest of each block by descending exponent
+(_canonical).  The image memo runs apply only at a canonical (v, a); any
+other (v, a) relabels the exponent tuples of its canonical image and keeps
+its coefficients.  commutativity_violations keeps one verdict per
+canonical ({i, j}, a) and integrability_violations one per canonical a,
+since H_k is invariant under the same permutations; both still walk every
+(a, i, j) or a, so their lists are whole and in order.
 
 conormal_images serves the direct ideal test.  Let X be a member of an
 orbit, p a generic point of X and f in the ideal of the orbit.  Then f(p)
@@ -101,6 +123,53 @@ class DunklContext:
         self._var_images: dict[tuple[int, int], Polynomial] = {}
         self._quotients: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
         self._images: dict[tuple[int, tuple[int, ...]], Polynomial] = {}
+        self._blocks = None
+
+    # -- the coordinate symmetry ------------------------------------------------
+
+    @property
+    def coordinate_blocks(self) -> tuple[range, ...]:
+        """Runs of coordinates within which every permutation maps the weighted reflections onto
+        themselves, built on first use: i and i+1 share a run when the transposition (i i+1) does."""
+        if self._blocks is None:
+            zero, one = self.field.zero(), self.field.one()
+
+            def normal(alpha, coroot):
+                # a reflection fixes its mirror form up to a scale t and its coroot up to 1/t
+                t = next(a for a in alpha if not a.is_zero())
+                if t == one:
+                    return alpha, coroot
+                s = t.inverse()
+                return tuple([a * s for a in alpha]), tuple([x * t for x in coroot])
+
+            # the total weight on each reflection; a transposition is its own inverse, so it
+            # preserves the weights when it keeps the weight of every reflection that has one
+            weights = {}
+            for alpha, coroot, c in self.reflections:
+                key = normal(alpha, coroot)
+                weights[key] = weights.get(key, zero) + c
+            starts = [0]
+            for i in range(1, self.nvars):
+                def swap(vec):
+                    return vec[:i - 1] + (vec[i], vec[i - 1]) + vec[i + 1:]
+                if not all(weights.get(normal(swap(alpha), swap(coroot)), zero) == c
+                           for (alpha, coroot), c in weights.items()):
+                    starts.append(i)
+            self._blocks = tuple(map(range, starts, starts[1:] + [self.nvars]))
+        return self._blocks
+
+    def _canonical(self, marked, exps: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+        """(perm, exps o perm) for the permutation perm of the coordinates, within
+        each block, that puts its marked coordinates first and then sorts the
+        block by descending exponent: entry k of the canonical tuple is
+        exps[perm[k]]."""
+        perm = []
+        for block in self.coordinate_blocks:
+            if len(block) == 1:
+                perm.append(block.start)
+            else:
+                perm.extend(sorted(block, key=lambda u: (u not in marked, -exps[u])))
+        return perm, tuple([exps[u] for u in perm])
 
     # -- polynomial helpers --------------------------------------------------
 
@@ -163,10 +232,17 @@ class DunklContext:
         return Polynomial._normal(self.field, self.nvars, acc, den)
 
     def _image(self, v: int, exps: tuple[int, ...]) -> Polynomial:
-        """T_v x^exps, memoized; a miss goes through apply."""
+        """T_v x^exps, memoized.  A miss goes through apply at the canonical
+        (v, exps) of its orbit, elsewhere relabels that image (module docstring)."""
         img = self._images.get((v, exps))
         if img is None:
-            img = self._images[v, exps] = self.apply(v, self.monomial(exps))
+            perm, canon = self._canonical((v,), exps)
+            first = perm.index(v)
+            if first == v and canon == exps:
+                img = self.apply(v, self.monomial(exps))
+            else:
+                img = self._image(first, canon).relabel(sorted(range(self.nvars), key=perm.__getitem__))
+            self._images[v, exps] = img
         return img
 
     def extend(self, v: int, g: Polynomial) -> Polynomial:
@@ -195,32 +271,22 @@ class DunklContext:
         ]
 
     def commutativity_violations(self, max_degree: int) -> list:
-        """(monomial, i, j) for each nonzero commutator [T_i, T_j] on a monomial, empty when commuting."""
+        """(monomial, i, j) for each nonzero commutator [T_i, T_j] on a monomial, empty when commuting.
+
+        The verdict is computed once per orbit of ({i, j}, monomial) under the
+        permutations within coordinate blocks (module docstring)."""
         pairs = list(combinations(range(self.nvars), 2))
+        verdicts = {}
         bad = []
         for exps in monomials(self.nvars, max_degree):
             for i, j in pairs:
-                if self.extend(i, self._image(j, exps)) != self.extend(j, self._image(i, exps)):
+                perm, canon = self._canonical((i, j), exps)
+                key = (*sorted((perm.index(i), perm.index(j))), canon)
+                ok = verdicts.get(key)
+                if ok is None:
+                    ok = verdicts[key] = self.extend(i, self._image(j, exps)) == self.extend(j, self._image(i, exps))
+                if not ok:
                     bad.append((exps, i, j))
-        return bad
-
-    def equivariance_violations(self, max_degree: int) -> list:
-        """Checks s_w T_v s_w = T_{s_w e_v}, s_w(e_v) = e_v - alpha_w[v] alpha_w^v,
-        on a monomial basis, over every reflection w."""
-        bad = []
-        for w, (alpha, coroot, _) in enumerate(self.reflections):
-            for v in range(self.nvars):
-                img = [-(alpha[v] * a) for a in coroot]
-                img[v] = img[v] + self.field.one()
-                for exps in monomials(self.nvars, max_degree):
-                    f = self.monomial(exps)
-                    lhs = self.reflect_poly(w, self.extend(v, self.reflect_poly(w, f)))
-                    rhs = self._combine(
-                        (self.extend(u, f), weight.nums, weight.den)
-                        for u, weight in enumerate(img) if not weight.is_zero()
-                    )
-                    if lhs != rhs:
-                        bad.append((w, v, exps))
         return bad
 
 
@@ -269,9 +335,15 @@ class DeformedContext(DunklContext):
         """
         if k == l:
             return []
+        # H_k is invariant under the permutations within coordinate blocks, so the verdict is one per orbit
+        verdicts = {}
         bad = []
         for exps in monomials(self.nvars, max_degree):
-            if not self.total_commutator(k, l, self.monomial(exps)).is_zero():
+            _, canon = self._canonical((), exps)
+            ok = verdicts.get(canon)
+            if ok is None:
+                ok = verdicts[canon] = self.total_commutator(k, l, self.monomial(exps)).is_zero()
+            if not ok:
                 bad.append(exps)
         return bad
 

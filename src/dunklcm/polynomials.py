@@ -185,6 +185,13 @@ class Polynomial:
         nums = {tuple(map(add, k, e)): t for k, t in self.nums.items()}
         return Polynomial._normal(self.field, self.nvars, nums, self.den)
 
+    def relabel(self, order) -> "Polynomial":
+        """The polynomial with x_order[i] renamed x_i: entry i of each new exponent tuple is entry order[i]."""
+        out = Polynomial.__new__(Polynomial)
+        out.field, out.nvars, out.den, out._terms = self.field, self.nvars, self.den, None
+        out.nums = {tuple([e[u] for u in order]): t for e, t in self.nums.items()}
+        return out
+
     # -- calculus ---------------------------------------------------------------
 
     def partial(self, i: int) -> "Polynomial":

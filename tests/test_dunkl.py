@@ -11,6 +11,8 @@ from dunkl_reference import (
     laplacian,
     reference_apply,
     reference_commutativity_violations,
+    reference_equivariance_violations,
+    reference_images,
 )
 from dunklcm.complexgroups import ComplexDunklContext, ComplexReflectionGroup
 from dunklcm.dunkl import DeformedContext, DunklContext
@@ -95,7 +97,7 @@ def test_commutativity_small(fam, rank_, mapping):
 
 def test_equivariance():
     ctx = numeric_ctx("H3", mapping=Fraction(2, 9))
-    assert ctx.equivariance_violations(3) == []
+    assert reference_equivariance_violations(ctx, 3) == []
 
 
 @pytest.mark.parametrize("m,p,N", [(3, 3, 2), (4, 2, 3), (4, 4, 2), (6, 2, 2)])
@@ -103,11 +105,11 @@ def test_equivariance_on_complex_groups(m, p, N):
     # over the context's own pair reflections, s_w(e_v) = e_v - alpha_w[v] alpha_w^v
     g = ComplexReflectionGroup(m, p, N)
     ctx = ComplexDunklContext(g, {"c0": Fraction(2, 7), **{f"c{t}": Fraction(t, 5) for t in range(1, g.diag_order)}})
-    assert ctx.equivariance_violations(3) == []
+    assert reference_equivariance_violations(ctx, 3) == []
     # weights that are not constant on the conjugacy classes break it
     ctx._set_reflections(g.field, N, [(alpha, coroot, g.field.element(Fraction(r + 1, 7)))
                                       for r, (alpha, coroot, _) in enumerate(ctx.reflections)])
-    assert ctx.equivariance_violations(1)
+    assert reference_equivariance_violations(ctx, 1)
 
 
 def test_laplacian_of_invariant_quadric():
@@ -232,11 +234,10 @@ def field_polynomials(draw, ctx):
 
 def assert_matches_reference(ctx, f, xi):
     term = Polynomial(ctx.field, ctx.nvars, dict(list(f.terms.items())[:1]))
-    for v in range(ctx.nvars):
-        want = reference_apply(ctx, v, f)
+    for v, (want, term_image) in enumerate(zip(reference_images(ctx, f), reference_images(ctx, term))):
         assert ctx.apply(v, f) == want
         assert ctx.extend(v, f) == want
-        assert ctx.apply(v, term) == reference_apply(ctx, v, term)
+        assert ctx.apply(v, term) == term_image
     assert ctx.apply(xi, f) == reference_apply(ctx, xi, f)
     for r, (alpha, coroot, _) in enumerate(ctx.reflections):
         assert ctx.reflect_poly(r, f) == _reflected(ctx, alpha, coroot, f)
@@ -263,8 +264,8 @@ def test_deep_monomials_match_reference(name):
     ctx = warm_context(name)
     for exps in monomials(ctx.nvars, 6):
         f = ctx.monomial(exps)
-        for v in range(ctx.nvars):
-            assert ctx.apply(v, f) == reference_apply(ctx, v, f), (exps, v)
+        for v, want in enumerate(reference_images(ctx, f)):
+            assert ctx.apply(v, f) == want, (exps, v)
         for r, (alpha, coroot, _) in enumerate(ctx.reflections):
             assert ctx.reflect_poly(r, f) == _reflected(ctx, alpha, coroot, f), (exps, r)
 
@@ -328,3 +329,89 @@ def test_confined_integrability_matches_symbolic_omega(fam, rank_, nonempty, pla
         assert got == oracle.integrability_violations(k, l, degree), (k, l, degree)
         found += len(got)
     assert bool(found) == (nonempty or planted)
+
+
+# ---------------------------------------------------------------------------
+# images and verdicts once per orbit of the coordinate blocks
+
+
+def distinct_weights(names):
+    """A nonzero weight per name, no two equal: c1 != c2, c0 != c0_odd, c1 != 0."""
+    return {name: Fraction(i + 2, 7) for i, name in enumerate(names)}
+
+
+def real_context(fam, rank_=None, m=None):
+    rs = root_system(fam, rank_, m=m)
+    return DunklContext(rs, Multiplicities.numeric(rs, distinct_weights(rs.orbit_names)))
+
+
+def complex_context(m, p, N):
+    g = ComplexReflectionGroup(m, p, N)
+    return ComplexDunklContext(g, distinct_weights(g.param_names()))
+
+
+# name: (context, degree, whether some block has two coordinates, None where not asserted)
+RELABEL_CASES = {
+    "A3": (lambda: real_context("A", 3), 3, True),
+    "B3": (lambda: real_context("B", 3), 3, True),
+    "D4": (lambda: real_context("D", 4), 3, None),
+    "F4": (lambda: real_context("F4"), 3, True),
+    "G2": (lambda: real_context("G2"), 3, None),
+    "H3": (lambda: real_context("H3"), 3, False),
+    "E6": (lambda: real_context("E6"), 3, None),
+    "E7": (lambda: real_context("E7"), 2, None),
+    "E8": (lambda: real_context("E8"), 2, True),
+    "I2(5)": (lambda: real_context("I2", m=5), 3, None),
+    "I2(6)": (lambda: real_context("I2", m=6), 3, None),
+    "G(4,2,2)": (lambda: complex_context(4, 2, 2), 3, None),
+    "G(4,4,2)": (lambda: complex_context(4, 4, 2), 3, None),
+    "G(6,3,2)": (lambda: complex_context(6, 3, 2), 3, None),
+    "G(4,2,3)": (lambda: complex_context(4, 2, 3), 3, True),
+    "G(8,4,3)": (lambda: complex_context(8, 4, 3), 3, None),
+}
+
+
+@pytest.mark.parametrize("name", list(RELABEL_CASES))
+def test_relabelled_images_match_reference(name):
+    """T_v x^a from the memo is the unmemoized reference on every monomial,
+    whether apply computed it or it was relabelled from its orbit's canonical image."""
+    make, degree, symmetric = RELABEL_CASES[name]
+    ctx = make()
+    assert ctx._blocks is None  # built on first use only
+    applied = []
+    apply = ctx.apply
+    ctx.apply = lambda v, f: applied.append(v) or apply(v, f)
+    for exps in monomials(ctx.nvars, degree):
+        for v, want in enumerate(reference_images(ctx, ctx.monomial(exps))):
+            assert ctx._image(v, exps) == want, (exps, v)
+    relabelled = len(applied) < len(ctx._images)
+    assert relabelled == any(len(block) > 1 for block in ctx.coordinate_blocks)
+    if symmetric is not None:
+        assert relabelled == symmetric
+
+
+def test_blocks_follow_the_reflections():
+    """Weights that only a coordinate permutation preserves keep the reduction
+    on, and the verdicts still find every violation; weights that no
+    transposition preserves switch it off."""
+    rs = root_system("B", 3)
+
+    def by_root_type(r):  # c(e_i - e_j) = 1/3, c(e_i + e_j) = 1/5, c(e_i) = 1/7: S_3-symmetric, not W-invariant
+        nonzero = [a for a in rs.lines[r] if not a.is_zero()]
+        if len(nonzero) == 1:
+            return Fraction(1, 7)
+        return Fraction(1, 5) if nonzero[0] == nonzero[1] else Fraction(1, 3)
+
+    ctx = planted_context(rs, by_root_type)
+    assert ctx.coordinate_blocks == (range(3),)
+    got = ctx.commutativity_violations(3)
+    assert len(got) == 33
+    assert got == reference_commutativity_violations(ctx, 3)
+    deformed = planted_context(rs, by_root_type, deformed=True)
+    got = deformed.integrability_violations(1, 2, 2)
+    assert len(got) == 9
+    assert got == SymbolicOmega(deformed).integrability_violations(1, 2, 2)
+    # new reflections rebuild the blocks
+    ctx._set_reflections(rs.field, rs.dim, [(alpha, coroot, rs.field.element(Fraction(r + 1, 7)))
+                                            for r, (alpha, coroot, _) in enumerate(ctx.reflections)])
+    assert ctx.coordinate_blocks == (range(1), range(1, 2), range(2, 3))
