@@ -452,8 +452,7 @@ def _at_weights(flat, vals: dict[str, Fraction]) -> tuple:
     """
     if isinstance(flat, CollisionFlat):
         point = _from_user(weight_point, flat.group, vals)
-        return ("weights", conditions_hold(flat, point),
-                lambda: direct_ideal_violations(ComplexDunklContext(flat.group, point), flat))
+        return "weights", conditions_hold(flat, point), lambda: direct_ideal_violations(flat, point)
     mults = _from_user(Multiplicities.numeric, flat.rs, vals)
     return "multiplicities", criterion_invariant(flat, mults), lambda: direct_invariance_violations(flat, mults)
 

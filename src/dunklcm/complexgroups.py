@@ -17,15 +17,19 @@ The pair reflections are handed to the shared operator core of the dunkl
 module as mirror forms x_i - xi^k x_j with coroots e_i - xi^(-k) e_j; only
 the diagonal term is computed here, by lowering exponents: no division.
 Named weights are checked and completed in one place, weight_point, which
-the context calls itself.  The direct ideal test is the conormal identity
-real groups use, whose right side gains c_1 (m/p) lambda[v] for each
-coordinate x_v that vanishes on the flat.
+the context and the direct ideal test call themselves.  The direct ideal
+test is the conormal identity of the invariance module, on the flat's
+normals and its weighted mirrors: the pair mirrors through it, and for
+p < m the diagonal term as one more mirror (e_v, e_v, (m/p) c_1) for each
+coordinate x_v that vanishes on the flat.  It builds no operator context.
 
-A CollisionFlat, q blocks of r equal coordinates (the last block twisted
-by xi^eps) and l zero coordinates, is a flat of the G(m,1,N) arrangement
-x_i = xi^k x_j, x_i = 0 (Orlik and Terao, Arrangements of Hyperplanes,
-1992), which G(m,p,N) permutes, so its orbit is walked on line tuples as a
-real one is.  Its ideal is invariant exactly where each of its conditions
+A CollisionFlat, q blocks of r equal coordinates (the last pair of the
+last block twisted to x_i = xi^eps x_(i+1)) and l zero coordinates, is a
+flat of the G(m,1,N) arrangement x_i = xi^k x_j, x_i = 0 (Orlik and Terao,
+Arrangements of Hyperplanes, 1992), which G(m,p,N) permutes, so its orbit
+is walked on line tuples as a real one is.  The hyperplanes through it are
+read off its block pattern in integer arithmetic, with no dot product and
+no list of hyperplanes.  Its ideal is invariant exactly where each of its conditions
 h = 1 holds, h an affine form over param_names().  With the pair weight
 cbar = c0, or (c0 + c0_odd)/2 under the parity split:
 
@@ -35,7 +39,7 @@ cbar = c0, or (c0 + c0_odd)/2 under the parity split:
     p = m and l = 1:               h = 0, so "0 = 1" and never invariant.
 
 The flat keeps these forms and their exact solution under the names a real
-Stratum uses (names, conditions, solution, subspace, lines), so the helpers
+Stratum uses (names, conditions, solution, normals, subspace, lines), so the helpers
 of the invariance module render, evaluate, solve and test both kinds alike.
 """
 
@@ -50,7 +54,7 @@ from math import lcm
 from .dunkl import DunklContext
 from .fields import Field
 from .invariance import conormal_violations
-from .linalg import Vector, dot, identity, int_rows, line_key, mat_vec
+from .linalg import Vector, identity, int_rows, line_key, mat_vec
 from .polynomials import Polynomial, solve_affine
 from .rootsystems import Subspace, flat_members, orbit_of_subspace
 
@@ -94,7 +98,10 @@ class ComplexReflectionGroup:
     @cached_property
     def powers(self) -> tuple:
         """xi^0, ..., xi^(m-1): xi^k is powers[k % m]."""
-        return tuple(self.xi ** k for k in range(self.m))
+        powers = [self.field.one()]
+        for _ in range(1, self.m):
+            powers.append(powers[-1] * self.xi)
+        return tuple(powers)
 
     @cached_property
     def lines(self) -> tuple[Vector, ...]:
@@ -171,25 +178,6 @@ class ComplexDunklContext(DunklContext):
                 lowered[key] = mul(nums, weights[t - 1])
         return out - Polynomial._normal(self.field, self.nvars, lowered, f.den * den)
 
-    def conormal_images(self, form, lines) -> list:
-        """The pair-reflection images, minus the diagonal term on each coordinate
-        x_v whose line, one of the last N of group.lines, is in lines.
-
-        With d = m/p the term is sum_t c_t d f_t(p) / p_v, where d f_t(p)
-        sums eta^(-st) f(p with p_v -> eta^s p_v) over s.  Those maps are in
-        the group, so every such value is zero where p_v != 0.  Where p_v = 0
-        only the x_v-linear part of f survives the division: f_t / x_v is
-        form[v] = d_v f(p) for t = 1 and 0 beyond.
-        """
-        images = super().conormal_images(form, lines)
-        if not self.cdiag or self.cdiag[0].is_zero():
-            return images
-        weight = self.cdiag[0] * self.field.element(self.group.diag_order)
-        first = len(self.group.lines) - self.nvars
-        zeros = {r - first for r in lines if r >= first}
-        return [x - weight * form[v] if v in zeros else x for v, x in enumerate(images)]
-
-
 # ---------------------------------------------------------------------------
 # strata and their ideals
 
@@ -198,33 +186,93 @@ class CollisionFlat:
     """q blocks of r coordinates equal up to the eps-th root power, then l zeros:
     a flat of the G(m,1,N) arrangement.
 
-    The twist multiplies the last coordinate of the last block by xi^eps.
-    It reads as a real Stratum does: names are the weights, conditions the
-    affine forms h with h = 1 on the invariance locus, solution their exact
-    solution, lines the indices of the group.lines through the subspace.
+    The twist makes the last pair of the last block x_i = xi^eps x_(i+1),
+    and eps is kept mod m.  It reads as a real Stratum does: names are the
+    weights, conditions the affine forms h with h = 1 on the invariance
+    locus, solution their exact solution, normals the forms that cut it
+    out, lines the indices of the group.lines through it.
     """
 
     def __init__(self, group: ComplexReflectionGroup, q: int = 0, r: int = 1, l: int = 0, eps: int = 0):
         if r < 1 or q < 0 or l < 0 or q * r + l > group.N:
             raise ValueError("blocks and zeros do not fit")
-        if eps % group.m and q == 0:
+        eps %= group.m
+        if eps and q == 0:
             raise ValueError("a twist needs at least one block")
-        if eps % group.m and r == 1:
+        if eps and r == 1:
             raise ValueError("a twist needs blocks of at least two coordinates")
         self.group, self.q, self.r, self.l, self.eps = group, q, r, l, eps
         self.names = group.param_names()
         # x_i - x_{i+1} within each block, x_i - xi^eps x_{i+1} for the last pair, then x_i
         e = identity(group.field, group.N)
-        one, twist = group.powers[0], group.powers[eps % group.m]
+        one, twist = group.powers[0], group.powers[eps]
         rows = [tuple(a - (twist if i == q * r - 2 else one) * b for a, b in zip(e[i], e[i + 1]))
                 for block in range(q) for i in range(block * r, block * r + r - 1)]
-        self.subspace = Subspace(group.field, group.N, rows + list(e[q * r:q * r + l]))
+        self.normals = tuple(rows) + e[q * r:q * r + l]
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        return Subspace(self.group.field, self.group.N, self.normals)
+
+    @property
+    def zeros(self) -> range:
+        return range(self.q * self.r, self.q * self.r + self.l)
+
+    @cached_property
+    def _pair_mirrors(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(index in group.lines, i, j, k) for each mirror x_i = xi^k x_j, i < j, through the flat, in index order.
+
+        A generic point is x_i = a_b on block b but for x_i = xi^-eps a_b on
+        the last coordinate of the last block, and 0 on the zero
+        coordinates, all else unrelated.  So the mirror holds it when i and
+        j share a block and k is 0, or eps for that last coordinate j, and
+        for every k when both are zero coordinates.
+        """
+        m, blocks, zeros = self.group.m, self.q * self.r, self.zeros
+        out = []
+        for n, (i, j) in enumerate(combinations(range(self.group.N), 2)):
+            if i in zeros and j in zeros:
+                out.extend((n * m + k, i, j, k) for k in range(m))
+            elif j < blocks and i // self.r == j // self.r:
+                k = self.eps if j == blocks - 1 else 0
+                out.append((n * m + k, i, j, k))
+        return tuple(out)
 
     @cached_property
     def lines(self) -> tuple[int, ...]:
-        """The indices of the group.lines that vanish on the subspace: pair mirrors, then the zero coordinates."""
-        basis = self.subspace.basis
-        return tuple(i for i, l in enumerate(self.group.lines) if all(dot(l, b).is_zero() for b in basis))
+        """The indices of the group.lines that vanish on the flat: pair mirrors, then the zero coordinates."""
+        first = self.group.m * self.group.N * (self.group.N - 1) // 2
+        return tuple(n for n, *_ in self._pair_mirrors) + tuple(first + v for v in self.zeros)
+
+    def mirrors(self, point: dict) -> list:
+        """(alpha, alpha^v, c) for each weighted mirror through the flat, at the weights of weight_point.
+
+        The pair mirror x_i = xi^k x_j enters as (e_i - xi^k e_j, e_i - xi^-k e_j,
+        c0, or c0_odd for odd k), and for p < m each zero coordinate v as
+        (e_v, e_v, (m/p) c1).  That is the diagonal term at a generic point
+        p of the flat: with d = m/p it is sum_t c_t d f_t(p) / p_v, where
+        d f_t(p) sums eta^(-st) f(p with p_v -> eta^s p_v) over s.  Those
+        maps are in the group, so every such value is zero where p_v != 0.
+        Where p_v = 0 only the x_v-linear part of f survives the division:
+        f_t / x_v is d_v f(p) for t = 1 and 0 beyond.
+        """
+        group = self.group
+        field, powers = group.field, group.powers
+        c_even, c_odd = field.element(point["c0"]), field.element(point.get("c0_odd", point["c0"]))
+
+        def form(i, j=None, k=0):
+            """e_i - xi^k e_j, or e_i alone."""
+            row = [field.zero()] * group.N
+            row[i] = powers[0]
+            if j is not None:
+                row[j] = -powers[k % group.m]
+            return tuple(row)
+
+        out = [(form(i, j, k), form(i, j, -k), c_odd if k % 2 else c_even) for _, i, j, k in self._pair_mirrors]
+        if group.diag_order > 1:
+            c1 = field.element(point["c1"]) * group.diag_order
+            out.extend((form(v), form(v), c1) for v in self.zeros)
+        return out
 
     @cached_property
     def conditions(self) -> tuple[Polynomial, ...]:
@@ -256,9 +304,9 @@ def subspace_orbit(group: ComplexReflectionGroup, flat: CollisionFlat, cap: int 
     return flat_members(group.field, group.N, group.lines, orbit_of_subspace(group.line_perms, flat.lines, cap))
 
 
-def direct_ideal_violations(ctx: ComplexDunklContext, flat: CollisionFlat) -> list:
-    """The conormal test of the real groups on the flat, with the hyperplanes of group.lines through it."""
-    return conormal_violations(ctx, flat)
+def direct_ideal_violations(flat: CollisionFlat, weights: dict) -> list:
+    """The conormal test of the real groups on the flat at the named weights, which weight_point completes."""
+    return conormal_violations(flat, flat.mirrors(weight_point(flat.group, weights)))
 
 
 def weight_point(group: ComplexReflectionGroup, values: dict) -> dict:

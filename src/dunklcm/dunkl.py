@@ -66,13 +66,9 @@ canonical ({i, j}, a) and integrability_violations one per canonical a,
 since H_k is invariant under the same permutations; both still walk every
 (a, i, j) or a, so their lists are whole and in order.
 
-conormal_images serves the direct ideal test.  Let X be a member of an
-orbit, p a generic point of X and f in the ideal of the orbit.  Then f(p)
-and f(s_r p) vanish, since s_r p lies on a member too, so D_r f(p) vanishes
-unless X lies in the mirror of r, where s_r fixes p and D_r f(p) is
-d_{alpha_r^v} f(p).  With lambda = df(p), a form that annihilates X,
-
-    T_v f(p) = lambda[v] - sum_{r: X in mirror r} c_r alpha_r[v] lambda(alpha_r^v).
+The direct ideal test applies no operator and builds no context: at a
+generic point of a flat, T_v f reduces to the conormal identity that the
+invariance module evaluates on the flat's normals and mirrors.
 
 Multiplicities must be numeric here; symbolic parameters only enter the
 linear invariance conditions, never an operator application.
@@ -132,28 +128,38 @@ class DunklContext:
         """Runs of coordinates within which every permutation maps the weighted reflections onto
         themselves, built on first use: i and i+1 share a run when the transposition (i i+1) does."""
         if self._blocks is None:
-            zero, one = self.field.zero(), self.field.one()
+            n, zero, one = self.nvars, self.field.zero(), self.field.one()
 
             def normal(alpha, coroot):
-                # a reflection fixes its mirror form up to a scale t and its coroot up to 1/t
+                # a reflection fixes its mirror form up to a scale t and its coroot up to 1/t:
+                # its key is the integers of the pair scaled to a leading 1
                 t = next(a for a in alpha if not a.is_zero())
-                if t == one:
-                    return alpha, coroot
-                s = t.inverse()
-                return tuple([a * s for a in alpha]), tuple([x * t for x in coroot])
+                if t != one:
+                    s = t.inverse()
+                    alpha = tuple([a if a.is_zero() else a * s for a in alpha])
+                    coroot = tuple([x if x.is_zero() else x * t for x in coroot])
+                return tuple([(x.nums, x.den) for x in alpha + coroot]), alpha, coroot
+
+            def swap(vec, at):
+                return vec[:at - 1] + (vec[at], vec[at - 1]) + vec[at + 1:]
 
             # the total weight on each reflection; a transposition is its own inverse, so it
             # preserves the weights when it keeps the weight of every reflection that has one
-            weights = {}
+            pairs, totals = {}, {}
             for alpha, coroot, c in self.reflections:
-                key = normal(alpha, coroot)
-                weights[key] = weights.get(key, zero) + c
+                key, alpha, coroot = normal(alpha, coroot)
+                pairs[key] = alpha, coroot
+                totals[key] = totals.get(key, zero) + c
+            weights = {key: (c.nums, c.den) for key, c in totals.items()}
+            unweighted = (zero.nums, zero.den)
             starts = [0]
-            for i in range(1, self.nvars):
-                def swap(vec):
-                    return vec[:i - 1] + (vec[i], vec[i - 1]) + vec[i + 1:]
-                if not all(weights.get(normal(swap(alpha), swap(coroot)), zero) == c
-                           for (alpha, coroot), c in weights.items()):
+            for i in range(1, n):
+                def image(key, alpha, coroot):
+                    # the swap keeps a leading 1 leading unless it meets a second nonzero entry
+                    if alpha[i - 1].is_zero() or alpha[i].is_zero():
+                        return swap(swap(key, i), n + i)
+                    return normal(swap(alpha, i), swap(coroot, i))[0]
+                if not all(weights.get(image(key, *pair), unweighted) == weights[key] for key, pair in pairs.items()):
                     starts.append(i)
             self._blocks = tuple(map(range, starts, starts[1:] + [self.nvars]))
         return self._blocks
@@ -252,23 +258,6 @@ class DunklContext:
     def _combine(self, pieces) -> Polynomial:
         """sum of (nums / d) * p over (p, nums, d) triples, on one running denominator."""
         return linear_combination(self.field, self.nvars, pieces)
-
-    # -- the direct ideal test ----------------------------------------------
-
-    def conormal_images(self, form, lines) -> list:
-        """[form[v] - sum_{r in lines} c_r alpha_r[v] form(alpha_r^v)] over the coordinates v.
-
-        This is T_v f(p) at a generic point p of a flat X, for f in the ideal
-        of X's orbit with df(p) = form, when lines holds the indices of the
-        mirrors that contain X (module docstring).  Indices past the
-        reflections are ignored.
-        """
-        dot = self.field.dot
-        along = {r: dot(form, coroot) for r, (_, coroot, _) in enumerate(self.reflections) if r in lines}
-        return [
-            form[v] - dot([s for r, s in scales if r in along], [along[r] for r, _ in scales if r in along])
-            for v, scales in enumerate(self._scales)
-        ]
 
     def commutativity_violations(self, max_degree: int) -> list:
         """(monomial, i, j) for each nonzero commutator [T_i, T_j] on a monomial, empty when commuting.

@@ -5,28 +5,42 @@ every irreducible component of the root lines vanishing on the stratum, the
 weighted Coxeter number, an affine form in the orbit weights that the
 stratum computes once and caches, and demands it equal one at the given
 weights.  The direct route tests the definition and makes no use of the
-criterion.  At a generic point p of the stratum X, df(p) runs over every
-form lambda that annihilates X as f runs over the ideal of X's orbit, and
-T_v f(p) is then an exact linear expression in lambda (see the dunkl
-module).  The ideal is radical and w T_xi w^-1 = T_{w xi} (Dunkl, Trans.
-AMS 311, 1989), so it is invariant exactly when
+criterion.  Let X be a member of an orbit, p a generic point of X and f in
+the ideal of the orbit.  Then f(p) and f(s_r p) vanish, since s_r p lies
+on a member too, so the divided difference (f - f o s_r)(p) / alpha_r(p)
+vanishes unless X lies in the mirror of r, where s_r fixes p and it is
+d_{alpha_r^v} f(p).  With lambda = df(p), a form that annihilates X,
+
+    T_v f(p) = lambda[v] - sum_{r: X in mirror r} c_r alpha_r[v] lambda(alpha_r^v),
+
+and lambda runs over all of X's annihilator as f runs over the ideal.  The
+ideal is radical and w T_xi w^-1 = T_{w xi} (Dunkl, Trans. AMS 311, 1989),
+so it is invariant exactly when
 
     lambda = sum_{r: X in mirror r} c_r lambda(alpha_r^v) alpha_r
 
-for every row lambda of X's annihilator.  The test is exact, walks no
-orbit and draws nothing at random.
+for every lambda in the annihilator.  The identity is linear in lambda, so
+conormal_violations checks it on the flat's own defining normals, which
+span the annihilator, over the (alpha, alpha^v, c) triples of the mirrors
+through X that the caller lists.  It builds no operator, walks no orbit,
+eliminates nothing and draws nothing at random.
 
 Every helper here reads a flat through the same attributes: names (the
 weights), conditions (the affine forms h with h = 1), solution (their
 exact solve_affine solution, pivot weights as affine forms in the free
-ones), subspace and lines (the indices of the context's mirrors through
-it).  A real Stratum and a G(m,p,N) CollisionFlat (complexgroups module)
-both have them, and the direct test takes any operator context, so one set
-of helpers serves both kinds of group; text is made only for output.
+ones), normals (independent forms that cut it out), subspace (built when
+read) and lines (the indices of the hyperplanes through it).  A real
+Stratum and a G(m,p,N) CollisionFlat (complexgroups module) both have
+them, so one set of helpers serves both kinds of group: a stratum lists
+its root lines as mirrors (direct_invariance_violations), a collision
+flat its pair mirrors and, as one more mirror each, the diagonal term on
+its zero coordinates (complexgroups.direct_ideal_violations).  Text is
+made only for output.
 """
 
 from __future__ import annotations
 
+from .linalg import dot
 from .polynomials import (
     Polynomial,
     is_divisible_by_linear,
@@ -74,20 +88,33 @@ def solve_multiplicities(flat) -> dict:
 # direct route
 
 
-def conormal_violations(ctx: DunklContext, flat) -> list:
-    """(direction v, row index k) for every nonzero ctx.conormal_images(row k, flat.lines)[v].
+def conormal_violations(flat, mirrors) -> list:
+    """(direction v, normal index k) for every nonzero entry v of
+    lambda - sum c lambda(alpha^v) alpha, lambda = flat.normals[k], the sum
+    over the (alpha, alpha^v, c) triples of mirrors.
 
-    Empty exactly when the ideal of the flat's orbit is invariant, row k
-    running over the flat's annihilator and flat.lines holding the indices
-    of the context's mirrors that contain it (module docstring).
+    Empty exactly when the ideal of the flat's orbit is invariant, mirrors
+    listing the weighted mirrors that contain the flat (module docstring).
     """
-    images = [ctx.conormal_images(row, flat.lines) for row in flat.subspace.annihilator]
-    return [(v, k) for v in range(ctx.nvars) for k, row in enumerate(images) if not row[v].is_zero()]
+    bad = []
+    for k, form in enumerate(flat.normals):
+        image = list(form)
+        for alpha, coroot, c in mirrors:
+            scale = c * dot(form, coroot)
+            if not scale.is_zero():
+                for v, a in enumerate(alpha):
+                    if not a.is_zero():
+                        image[v] = image[v] - scale * a
+        bad.extend((v, k) for v, x in enumerate(image) if not x.is_zero())
+    return sorted(bad)
 
 
 def direct_invariance_violations(stratum: Stratum, mults: Multiplicities) -> list:
-    """The conormal test on the stratum; a reflection index is a line index."""
-    return conormal_violations(DunklContext(stratum.rs, mults), stratum)
+    """The conormal test on the stratum, whose mirrors are its root lines."""
+    rs = stratum.rs
+    if not mults.is_numeric or mults.rs is not rs:
+        raise ValueError("the direct test needs numeric multiplicities of the stratum's root system")
+    return conormal_violations(stratum, [(rs.lines[i], rs.coroots[i], mults.line_scalar(i)) for i in stratum.lines])
 
 
 # ---------------------------------------------------------------------------

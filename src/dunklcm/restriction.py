@@ -64,17 +64,20 @@ class Configuration:
         rs = stratum.rs
         self.stratum = stratum
         self.field = rs.field
-        self.basis = stratum.subspace.basis
         self.keys = tuple(keys)
         self.mults = tuple(mults)
         self.params = params
-        # X is a flat, so its annihilator rows, spanned by the normals of
-        # its mirrors, lie in span(Phi): the projections span X meet span(Phi)
-        self.span_dim = rs.rank - len(stratum.subspace.annihilator)
+        # X is a flat, so its independent normals, the normals of its
+        # mirrors, lie in span(Phi): the projections span X meet span(Phi)
+        self.span_dim = rs.rank - len(stratum.normals)
 
     @property
     def size(self) -> int:
         return len(self.keys)
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return self.stratum.subspace.basis
 
     @property
     def dim(self) -> int:

@@ -660,9 +660,11 @@ class Stratum:
     simple roots outside I, key_roots, are a basis of those of all of
     them.  line_keys holds, for each root line, the line key of its
     coordinates outside I: lines with proportional projections share a
-    key, and the key is None exactly for the lines that vanish on X_I,
-    the stratum's lines, which are the roots supported in I (Phi cap span
-    Delta_I = Phi_I; Humphreys 1.10).
+    key.  The lines that vanish on X_I, the stratum's lines, are the roots
+    supported in I (Phi cap span Delta_I = Phi_I; Humphreys 1.10): their
+    coordinates outside I are zero.  normals, the simple roots of I, span
+    X_I's annihilator; line_keys and the reduced subspace are built the
+    first time they are read.
     """
 
     def __init__(self, rs: RootSystem, gamma0, label: str = ""):
@@ -672,12 +674,20 @@ class Stratum:
                 raise ValueError(f"simple root index {i} out of range")
         self.rs = rs
         self.names = rs.orbit_names
-        self.subspace = Subspace(rs.field, rs.dim, [rs.simple[i] for i in gamma0])
         self.gamma0 = gamma0
         self.label = label
+        self.normals = tuple(rs.simple[i] for i in gamma0)
         self.key_roots = tuple(j for j in range(rs.rank) if j not in gamma0)
-        self.line_keys = tuple(line_key(rs.field, [c[j] for j in self.key_roots]) for c in rs.coords)
-        self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
+        self.lines = tuple(i for i, c in enumerate(rs.coords) if not any(any(c[j]) for j in self.key_roots))
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        return Subspace(self.rs.field, self.rs.dim, self.normals)
+
+    @cached_property
+    def line_keys(self) -> tuple:
+        """The line key of each root line's coordinates outside I, None for the stratum's lines."""
+        return tuple(line_key(self.rs.field, [c[j] for j in self.key_roots]) for c in self.rs.coords)
 
     def key_projections(self) -> list[list[tuple[int, ...]]]:
         """The orthogonal projections pi(alpha_j) of the key roots onto X_I,
@@ -689,7 +699,7 @@ class Stratum:
         """
         rs = self.rs
         field = rs.field
-        normals = [rs.simple[i] for i in self.gamma0]
+        normals = self.normals
         if not normals:
             return int_rows([rs.simple[j] for j in self.key_roots])
         minv = invert(gram(normals), field)

@@ -1,4 +1,4 @@
-"""Test-only oracle for `dunklcm.complexgroups.subspace_orbit`.
+"""Test-only oracles for `dunklcm.complexgroups`: the orbit walk and the lines of a flat.
 
 reference_subspace_orbit walks the orbit of a subspace under G(m,p,N) the
 slow way: each step maps every annihilator row of a member by the inverse
@@ -7,6 +7,10 @@ for p < m, the diagonal maps) and re-reduces the rows to the canonical
 key with `rref`.  It reads no hyperplane list and no line permutation,
 where the program walks the sorted indices of the G(m,1,N) hyperplanes
 that contain a member.
+
+reference_flat_lines finds those indices for a CollisionFlat by a dot
+product of every hyperplane of `group.lines` with the reduced basis of its
+subspace, where the program reads them off the flat's block pattern.
 """
 
 from __future__ import annotations
@@ -46,3 +50,9 @@ def reference_subspace_orbit(group, sub: Subspace) -> dict:
                     nxt.append(img)
         frontier = nxt
     return seen
+
+
+def reference_flat_lines(flat) -> tuple[int, ...]:
+    """The indices of the group.lines that vanish on every basis vector of the flat's subspace."""
+    basis = flat.subspace.basis
+    return tuple(i for i, line in enumerate(flat.group.lines) if all(dot(line, b).is_zero() for b in basis))

@@ -23,6 +23,10 @@ orthogonality connectivity, reading only the ambient lines, where the
 program reads the components of a parabolic stratum off the Coxeter
 diagram and the simple-root coordinates.
 
+reference_stratum_lines takes a stratum's lines as the root lines whose
+line key is None, where the program reads the roots supported in I off
+the simple-root coordinates.
+
 reference_stratum is the stratum the program built before every stratum
 became a standard parabolic flat X_I: any subspace, given by annihilator
 rows, keys its lines by the reduced form of its Gram rows and projects
@@ -144,12 +148,13 @@ class ReferenceStratum:
         field = rs.field
         self.rs = rs
         self.subspace = subspace
+        self.normals = subspace.annihilator
         self.label = label
         gram_rows = tuple(tuple(dot(b, alpha) for alpha in rs.simple) for b in subspace.basis)
         reduced, self.key_roots = rref(gram_rows)
         pushed = int_rows(reduced)
         self.line_keys = tuple(line_key(field, [field.int_dot(c, row) for row in pushed]) for c in rs.coords)
-        self.lines = tuple(i for i, k in enumerate(self.line_keys) if k is None)
+        self.lines = reference_stratum_lines(self)
 
     def key_projections(self):
         """pi(alpha_j) = alpha_j - sum_a y_a n_a, y = M^-1 ((n_a, alpha_j))_a, over the annihilator rows n_a."""
@@ -172,6 +177,11 @@ class ReferenceStratum:
 
     def components(self):
         return reference_components(self)
+
+
+def reference_stratum_lines(stratum) -> tuple[int, ...]:
+    """The root lines whose key is None: those whose coordinates outside the key roots' span vanish."""
+    return tuple(i for i, k in enumerate(stratum.line_keys) if k is None)
 
 
 def reference_stratum(rs, rows, label="") -> ReferenceStratum:

@@ -12,7 +12,6 @@ from fractions import Fraction
 from dunklcm.cli import _instantiate_solution
 from dunklcm.complexgroups import (
     CollisionFlat,
-    ComplexDunklContext,
     ComplexReflectionGroup,
     direct_ideal_violations,
     weight_point,
@@ -347,7 +346,7 @@ def test_criterion_09_complex_group_conditions():
     for (m, p, N), (q, r, l, eps), weights, expect in COMPLEX_CASES:
         group = ComplexReflectionGroup(m, p, N)
         flat = CollisionFlat(group, q, r, l=l, eps=eps)
-        direct = not direct_ideal_violations(ComplexDunklContext(group, weights), flat)
+        direct = not direct_ideal_violations(flat, weights)
         closed = conditions_hold(flat, weight_point(group, weights))
         assert direct is expect, ((m, p, N), (q, r, l, eps), weights)
         assert closed is expect, ((m, p, N), (q, r, l, eps), weights)

@@ -226,6 +226,15 @@ def test_check_complex_symbolic_solves(capsys):
     assert out["free"] == ["c0", "c1"]
 
 
+@pytest.mark.parametrize("eps,same", [("5", "1"), ("-1", "3")])
+def test_eps_is_printed_mod_m(capsys, eps, same):
+    # eps = 5 and eps = -1 name the flats of eps = 1 and eps = 3 in G(4,2,2)
+    argv = ["check", "--group", "G(4,2,2)", "--blocks", "2", "--c0=1/2", "--c0-odd=1/3", "--direct"]
+    got, want = (run(capsys, *argv, f"--eps={e}") for e in (eps, same))
+    assert got[1]["blocks"] == want[1]["blocks"] == {"q": 1, "r": 2, "eps": int(same)}
+    assert got == want
+
+
 @pytest.mark.parametrize("flat", [
     ["--group", "G(4,2,3)", "--blocks", "2", "--zeros", "1"],
     ["--group", "G(4,2,2)", "--blocks", "2", "--eps", "1"],

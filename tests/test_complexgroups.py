@@ -20,7 +20,7 @@ from dunklcm.invariance import condition_equations, conditions_hold
 from dunklcm.linalg import vec
 from dunklcm.polynomials import Polynomial, divide_by_linear, monomials
 from dunklcm.rootsystems import Multiplicities, block_stratum, root_system
-from complex_reference import reference_subspace_orbit
+from complex_reference import reference_flat_lines, reference_subspace_orbit
 from test_acceptance import COMPLEX_CASES
 
 
@@ -295,7 +295,7 @@ def test_ideal_membership_both_routes(name, qrle, values, expect):
     g = parse_group_name(name)
     q, r, l, eps = qrle
     flat = CollisionFlat(g, q, r, l=l, eps=eps)
-    direct = not direct_ideal_violations(ComplexDunklContext(g, values), flat)
+    direct = not direct_ideal_violations(flat, values)
     assert direct is expect
     assert conditions_hold(flat, weight_point(g, values)) is expect
 
@@ -344,11 +344,11 @@ def test_solved_weights_pass_the_direct_test(m, p, N):
             for name, h in values.items():
                 point[name] = h.evaluate(x).as_fraction()
             assert conditions_hold(flat, weight_point(g, point))
-            assert not direct_ideal_violations(ComplexDunklContext(g, point), flat), (q, r, l, eps)
+            assert not direct_ideal_violations(flat, point), (q, r, l, eps)
             pivot = next(iter(values))
             off = dict(point, **{pivot: point[pivot] + Fraction(1, 7)})
             assert not conditions_hold(flat, weight_point(g, off))
-            assert direct_ideal_violations(ComplexDunklContext(g, off), flat), (q, r, l, eps)
+            assert direct_ideal_violations(flat, off), (q, r, l, eps)
             solved_strata += 1
     assert solved_strata == {(3, 3, 2): 3, (3, 3, 3): 6, (4, 2, 2): 4, (4, 2, 3): 9, (4, 4, 2): 3, (6, 3, 2): 4}[m, p, N]
 
@@ -362,4 +362,37 @@ def test_missing_odd_weight_defaults_to_c0():
     ):
         assert weight_point(g, values) == dict(values, c0_odd=values["c0"])
         assert conditions_hold(flat, weight_point(g, values)) is expect
-        assert (not direct_ideal_violations(ComplexDunklContext(g, values), flat)) is expect
+        assert (not direct_ideal_violations(flat, values)) is expect
+
+
+# the fourteen groups of ROADMAP N3's locus prototype
+N3_GROUPS = [(3, 3, 3), (4, 2, 3), (4, 2, 4), (6, 2, 3), (4, 4, 2), (4, 2, 2), (6, 3, 3),
+             (2, 1, 4), (3, 1, 3), (2, 1, 5), (3, 3, 5), (4, 2, 5), (3, 1, 6), (2, 2, 6)]
+
+
+def every_flat(group):
+    """Every CollisionFlat of the group, blocks of one coordinate included, with eps from -1 to m."""
+    n = group.N
+    for r in range(1, n + 1):
+        for q in range(0 if r == 1 else 1, n // r + 1):
+            for l in range(n - q * r + 1):
+                for eps in range(-1, group.m + 1):
+                    try:
+                        yield CollisionFlat(group, q, r, l, eps)
+                    except ValueError:
+                        assert eps % group.m and (q == 0 or r == 1)
+
+
+@pytest.mark.parametrize("g", N3_GROUPS, ids=lambda g: "G({},{},{})".format(*g))
+def test_flat_lines_match_the_dot_product_reference(g):
+    group = ComplexReflectionGroup(*g)
+    for flat in every_flat(group):
+        shape = (flat.q, flat.r, flat.l, flat.eps)
+        assert "subspace" not in vars(flat), shape
+        assert flat.lines == reference_flat_lines(flat), shape
+
+
+def test_group_powers_are_the_powers_of_xi():
+    for m in (2, 3, 4, 6, 8):
+        g = ComplexReflectionGroup(m, 1, 2)
+        assert g.powers == tuple(g.xi ** k for k in range(m))

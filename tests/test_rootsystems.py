@@ -35,6 +35,7 @@ from rootsystem_reference import (
     reference_parabolic_classes,
     reference_parabolic_strata,
     reference_stratum,
+    reference_stratum_lines,
 )
 
 LINE_COUNTS = {
@@ -613,3 +614,21 @@ def test_stratum_ideal_membership():
 
     assert in_ideal(vandermonde)
     assert not in_ideal(x[0] - x[1])
+
+
+# every family the code builds up to rank 8
+EVERY_SYSTEM = (
+    [("A", n, None) for n in range(1, 9)] + [("B", n, None) for n in range(2, 9)]
+    + [("D", n, None) for n in range(4, 9)]
+    + [(fam, None, None) for fam in ("E6", "E7", "E8", "F4", "G2", "H3", "H4")]
+    + [("I2", None, m) for m in (3, 4, 5, 6, 8, 12)]
+)
+
+
+@pytest.mark.parametrize("fam,rank_,m", EVERY_SYSTEM)
+def test_stratum_lines_match_the_key_reference(fam, rank_, m):
+    """The roots supported in I, read off the coordinates, are the lines whose key is None."""
+    rs = root_system(fam, rank_, m)
+    for st in [Stratum(rs, ()), *enumerate_parabolic_strata(rs)]:
+        assert "line_keys" not in vars(st) and "subspace" not in vars(st), st.label
+        assert st.lines == reference_stratum_lines(st), st.label

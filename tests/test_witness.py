@@ -34,9 +34,18 @@ from dunklcm.rootsystems import (
     parabolic_stratum,
     root_system,
 )
+from complex_reference import reference_flat_lines
+from rootsystem_reference import reference_stratum_lines
 from test_acceptance import COMPLEX_CASES
 from test_cli import run
-from witness_reference import reference_witness_violations, witness_forms, witness_images, witness_violations
+from test_complexgroups import N3_GROUPS, every_flat
+from witness_reference import (
+    reference_conormal_violations,
+    reference_witness_violations,
+    witness_forms,
+    witness_images,
+    witness_violations,
+)
 
 # the pointwise route's largest orbit: its error bound and cost grow with |orbit|
 ORBIT_LIMIT = 64
@@ -81,9 +90,10 @@ def _complex(g, shape, weights, shift):
     """(context, orbit, base subspace, conormal violations) of a collision subspace."""
     group = ComplexReflectionGroup(*g)
     q, r, l, eps = shape
-    ctx = ComplexDunklContext(group, {k: v + shift for k, v in weights.items()})
+    shifted = {k: v + shift for k, v in weights.items()}
     flat = CollisionFlat(group, q, r, l=l, eps=eps)
-    return ctx, subspace_orbit(group, flat, cap=ORBIT_LIMIT), flat.subspace, direct_ideal_violations(ctx, flat)
+    orbit = subspace_orbit(group, flat, cap=ORBIT_LIMIT)
+    return ComplexDunklContext(group, shifted), orbit, flat.subspace, direct_ideal_violations(flat, shifted)
 
 
 def _agree(ctx, orbit, base, _):
@@ -178,8 +188,87 @@ def test_conormal_matches_conditions_on_every_collision_shape(g):
             points.append({**seeded, **{n: Fraction(str(h.evaluate(at))) for n, h in values.items()}})
             assert conditions_hold(flat, weight_point(group, points[-1])), shape
         for point in points:
-            ctx = ComplexDunklContext(group, point)
-            assert (not direct_ideal_violations(ctx, flat)) is conditions_hold(flat, weight_point(group, point)), (shape, point)
+            assert (not direct_ideal_violations(flat, point)) is conditions_hold(flat, weight_point(group, point)), (shape, point)
+
+
+def _same_directions(got, want) -> bool:
+    """One verdict and one set of violated directions: the normal indices k differ between the routes."""
+    return (not got) is (not want) and {v for v, _ in got} == {v for v, _ in want}
+
+
+def test_conormal_on_normals_matches_reference_on_every_golden_row():
+    for row in GOLDEN_ROWS:
+        st = catalog_stratum(row)
+        for shift in (0, Fraction(1, 7)):
+            mults = Multiplicities.numeric(st.rs, Fraction(row["c"]) + shift)
+            want = reference_conormal_violations(DunklContext(st.rs, mults), st, reference_stratum_lines(st))
+            assert (not want) is (shift == 0), row
+            assert _same_directions(direct_invariance_violations(st, mults), want), (row, shift)
+
+
+@pytest.mark.parametrize("g", N3_GROUPS, ids=lambda g: "G({},{},{})".format(*g))
+def test_conormal_on_normals_matches_reference_on_every_collision_shape(g):
+    group = ComplexReflectionGroup(*g)
+    names = group.param_names()
+    field = Field.rational()
+    rng = random.Random(sum(g))
+    for flat in every_flat(group):
+        seeded = {name: Fraction(rng.randint(1, 9), rng.randint(2, 9)) for name in names}
+        points = [seeded]
+        status, values, free = flat.solution
+        if status != "inconsistent":
+            at = tuple(field.element(seeded[n]) if n in free else field.zero() for n in names)
+            points.append({**seeded, **{n: Fraction(str(h.evaluate(at))) for n, h in values.items()}})
+        for point in points:
+            want = reference_conormal_violations(ComplexDunklContext(group, point), flat, reference_flat_lines(flat))
+            assert (not want) is conditions_hold(flat, weight_point(group, point)), (flat.q, flat.r, flat.l, flat.eps)
+            assert _same_directions(direct_ideal_violations(flat, point), want), (flat.q, flat.r, flat.l, flat.eps)
+
+
+# check --direct on and off the locus: real strata, then G(m,p,N) flats
+DIRECT_ARGVS = [
+    ["--family", "A", "--rank", "3", "--subgraph", "verts:1,2", "--c=1/3"],
+    ["--family", "A", "--rank", "3", "--subgraph", "verts:1,3", "--c=1/3"],
+    ["--family", "B", "--rank", "3", "--subgraph", "verts:2,3", "--c1=1/4", "--c2=1/4"],
+    ["--family", "B", "--rank", "3", "--subgraph", "verts:1", "--c1=1/3", "--c2=1/5"],
+    ["--family", "G2", "--subgraph", "verts:1,2", "--c1=1/6", "--c2=1/6"],
+    ["--family", "G2", "--subgraph", "verts:2", "--c1=1/6", "--c2=1/3"],
+    ["--family", "E8", "--subgraph", "D4", "--c=1/6"],
+    ["--family", "E8", "--subgraph", "D4", "--c=1/5"],
+    ["--family", "E8", "--c=1/3"],  # the whole space, with no normal
+    ["--group", "G(4,2,3)", "--blocks", "1,2", "--zeros", "1", "--c0=1/2", "--c1=1/2"],
+    ["--group", "G(4,2,3)", "--blocks", "1,2", "--zeros", "1", "--c0=1/2", "--c1=1/3"],
+    ["--group", "G(6,3,2)", "--blocks", "2", "--eps", "1", "--c0=1/2", "--c1=1/8"],
+    ["--group", "G(6,3,2)", "--zeros", "2", "--c0=1/12", "--c1=1/4"],
+    ["--group", "G(6,3,2)", "--zeros", "2", "--c0=1/2", "--c1=1/4"],
+    ["--group", "G(4,4,2)", "--blocks", "2", "--eps", "1", "--c0=1/3", "--c0-odd=1/2"],
+    ["--group", "G(4,4,2)", "--zeros", "2", "--c0=1/8", "--c0-odd=1/8"],
+    ["--group", "G(4,4,2)", "--zeros", "1", "--c0=1/8"],
+]
+
+
+def test_direct_check_builds_no_context_and_eliminates_nothing(capsys, monkeypatch):
+    """The direct test reads the flat's normals and mirrors only: no operator
+    context, no row reduction, no list of the G(m,1,N) hyperplanes."""
+    from dunklcm.cli import main
+    from dunklcm.rootsystems import Subspace
+
+    def unpatched(argv):
+        code = main(["check", *argv, "--direct"])
+        return code, capsys.readouterr()
+
+    want = [unpatched(argv) for argv in DIRECT_ARGVS]
+    assert {code for code, _ in want} == {0, 1}
+    assert all('"routes_agree": true' in out.out for _, out in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct test built what it does not read")
+
+    monkeypatch.setattr(DunklContext, "_set_reflections", refuse)
+    monkeypatch.setattr(Subspace, "__init__", refuse)
+    monkeypatch.setattr(ComplexReflectionGroup, "lines", property(refuse))
+    for argv, expect in zip(DIRECT_ARGVS, want):
+        assert unpatched(argv) == expect, argv
 
 
 @pytest.mark.parametrize("case", REAL_CASES, ids=lambda c: f"{c[0]}{c[1] or ''}-{c[2]}")

@@ -20,6 +20,12 @@ nonzero image of degree |orbit| - 1 is missed with probability at most
 its own copy of the point formula, so it is independent of the conormal
 test of `invariance`, whose oracle it is.
 
+`reference_conormal_violations` is the conormal test as the program ran
+it before it read only a flat's normals and mirrors: on every row of the
+reduced annihilator, from an operator context's reflections, the mirrors
+through the flat picked by index, and for G(m,p,N) the diagonal term on
+the zero coordinates added on top.
+
 The symbolic route, `reference_witness_violations`, expands f into a dense
 polynomial of degree |orbit|, applies T_v by the context's `apply` and
 restricts each image to every member.  It decides vanishing on a member
@@ -109,6 +115,35 @@ def witness_images(ctx, forms, points) -> list[list]:
             row.append(value)
         out.append(row)
     return out
+
+
+def reference_conormal_violations(ctx, flat, lines) -> list:
+    """(v, k) for every nonzero form[v] - sum_{r in lines} c_r alpha_r[v] form(alpha_r^v),
+    form the k-th row of flat.subspace.annihilator, the sum over the context's reflections.
+
+    Indices in lines past the reflections are G(m,p,N)'s coordinate
+    hyperplanes, the last N of group.lines: the coordinate x_v of each
+    such line also subtracts c_1 (m/p) form[v].
+    """
+    field = ctx.field
+    zeros = set()
+    if isinstance(ctx, ComplexDunklContext) and ctx.cdiag:
+        first = len(ctx.group.lines) - ctx.nvars
+        zeros = {r - first for r in lines if r >= first}
+        weight = ctx.cdiag[0] * field.element(ctx.group.diag_order)
+    mirrors = [ctx.reflections[r] for r in lines if r < len(ctx.reflections)]
+    bad = []
+    for k, form in enumerate(flat.subspace.annihilator):
+        along = [c * field.dot(form, coroot) for _, coroot, c in mirrors]
+        for v in range(ctx.nvars):
+            value = form[v]
+            for (alpha, _, _), scale in zip(mirrors, along):
+                value = value - scale * alpha[v]
+            if v in zeros:
+                value = value - weight * form[v]
+            if not value.is_zero():
+                bad.append((v, k))
+    return sorted(bad)
 
 
 def witness_violations(ctx, orbit: dict, base, seed: int = 0) -> list:
