@@ -184,7 +184,11 @@ def resolve_subgraph(rs, text: str) -> Stratum:
             raise UsageError("Dp strata live in family D")
         if (head in ("Bl", "Dp")) and not l:
             raise UsageError(f"{head} needs l= (or p=) zero coordinates")
-        return block_stratum(rs, m, k, l=l, eps=eps)
+        st = block_stratum(rs, m, k, l=l, eps=eps)
+        if not st.gamma0:
+            raise UsageError(f"subgraph {text!r} has no block of two or more coordinates and no zero coordinate; "
+                             "for the whole space pass --subgraph \"\"")
+        return st
     counts = _parse_type_expr(head)
     canonical = type_name_from_counts(counts)
     size = sum(_atom_rank(name) * n for name, n in counts.items())

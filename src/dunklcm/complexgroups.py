@@ -39,8 +39,8 @@ cbar = c0, or (c0 + c0_odd)/2 under the parity split:
     p = m and l = 1:               h = 0, so "0 = 1" and never invariant.
 
 The flat keeps these forms and their exact solution under the names a real
-Stratum uses (names, conditions, solution, normals, subspace, lines), so the helpers
-of the invariance module render, evaluate, solve and test both kinds alike.
+Stratum uses (names, conditions, solution, normals, lines), so the helpers of
+the invariance module render, evaluate, solve and test both kinds alike.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .fields import Field
 from .invariance import conormal_violations
 from .linalg import Vector, identity, int_rows, line_key, mat_vec
 from .polynomials import Polynomial, solve_affine
-from .rootsystems import Subspace, flat_members, orbit_of_subspace
+from .rootsystems import flat_members, orbit_of_subspace
 
 
 class ComplexReflectionGroup:
@@ -209,10 +209,6 @@ class CollisionFlat:
         rows = [tuple(a - (twist if i == q * r - 2 else one) * b for a, b in zip(e[i], e[i + 1]))
                 for block in range(q) for i in range(block * r, block * r + r - 1)]
         self.normals = tuple(rows) + e[q * r:q * r + l]
-
-    @cached_property
-    def subspace(self) -> Subspace:
-        return Subspace(self.group.field, self.group.N, self.normals)
 
     @property
     def zeros(self) -> range:

@@ -28,14 +28,14 @@ eliminates nothing and draws nothing at random.
 Every helper here reads a flat through the same attributes: names (the
 weights), conditions (the affine forms h with h = 1), solution (their
 exact solve_affine solution, pivot weights as affine forms in the free
-ones), normals (independent forms that cut it out), subspace (built when
-read) and lines (the indices of the hyperplanes through it).  A real
-Stratum and a G(m,p,N) CollisionFlat (complexgroups module) both have
-them, so one set of helpers serves both kinds of group: a stratum lists
-its root lines as mirrors (direct_invariance_violations), a collision
-flat its pair mirrors and, as one more mirror each, the diagonal term on
-its zero coordinates (complexgroups.direct_ideal_violations).  Text is
-made only for output.
+ones), normals (independent forms that cut it out) and lines (the
+indices of the hyperplanes through it); none of them reduces a subspace.
+A real Stratum and a G(m,p,N) CollisionFlat (complexgroups module) both
+have them, so one set of helpers serves both kinds of group: a stratum
+lists its root lines as mirrors (direct_invariance_violations), a
+collision flat its pair mirrors and, as one more mirror each, the
+diagonal term on its zero coordinates
+(complexgroups.direct_ideal_violations).  Text is made only for output.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Restriction of the Dunkl Laplacian to a stratum.
 
-Projecting the root lines orthogonally onto the subspace and adding up the
+Projecting the root lines orthogonally onto the stratum and adding up the
 multiplicities of lines with a common image yields the vector configuration
 of the restricted operator.  A root line sum_j c_j alpha_j projects to
 sum_j c_j pi(alpha_j), so the lines are grouped by their simple-root
@@ -9,11 +9,15 @@ to scale (`Stratum.line_keys`): on the stratum X_I, every stratum, the
 coordinates outside I.  The grouping compares integer tuples, and each
 restricted line is projected once, when a caller reads the vectors,
 through the integral rows of those pi(alpha_j), which one |I| x |I| solve
-on the simple roots' Gram matrix gives.  The identities verified here are
-exact, and their denominators are never cleared: a sum of a_k/l_k over
-pairwise non-proportional linear forms l_k is a polynomial exactly when
-each l_k divides a_k, so each identity is decided line by line, by summed
-residues or by exact division.
+on the simple roots' Gram matrix gives.  The gauge identity runs on the
+keys themselves and the integral Gram matrix of those rows
+(gauge_defects), and the restriction identity on the basis of X that the
+nullspace of the stratum's normals gives, so no reduced subspace is built
+here.  The identities verified here are exact, and their denominators are
+never cleared: a sum of a_k/l_k over pairwise non-proportional linear
+forms l_k is a polynomial exactly when each l_k divides a_k, so each
+identity is decided line by line, by summed residues or by exact
+division.
 
 The operator restricted is the Dunkl Laplacian sum_v T_v^2 on invariant
 polynomials, where it is the Calogero-Moser operator
@@ -39,15 +43,9 @@ from functools import cached_property
 from importlib import resources
 
 from .fields import FieldElement, render_scalar
-from .linalg import Vector, dot, gram, int_rows, invert, line_key, mat_vec, monic_row
+from .linalg import Vector, dot, gram, invert, line_key, mat_vec, monic_row, nullspace, rref
 from .polynomials import Polynomial, divide_by_linear, linear_combination, render_polynomial
-from .rootsystems import (
-    Multiplicities,
-    Stratum,
-    Subspace,
-    parabolic_stratum,
-    root_system,
-)
+from .rootsystems import Multiplicities, Stratum, parabolic_stratum, root_system
 
 
 class Configuration:
@@ -67,21 +65,14 @@ class Configuration:
         self.keys = tuple(keys)
         self.mults = tuple(mults)
         self.params = params
-        # X is a flat, so its independent normals, the normals of its
-        # mirrors, lie in span(Phi): the projections span X meet span(Phi)
+        # the normals are independent, and as X is a flat they are normals of
+        # its mirrors, in span(Phi): the projections span X meet span(Phi)
+        self.dim = rs.dim - len(stratum.normals)
         self.span_dim = rs.rank - len(stratum.normals)
 
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        return self.stratum.subspace.basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     @property
     def is_numeric(self) -> bool:
@@ -186,46 +177,49 @@ def conservation_defect(stratum: Stratum, mults: Multiplicities, config: Configu
 
 
 def gauge_defects(stratum: Stratum, mults: Multiplicities) -> list[int]:
-    """Residue cancellation on every projected line, at numeric weights.
+    """Residue cancellation on every restricted line, at numeric weights.
 
-    For each configuration vector u the weighted sum of (u,w)/(w,x) over the
-    other vectors must vanish identically on the part of the stratum where
-    (u,x) = 0.  Returns the indices of vectors where it does not.
+    For each restricted line u the weighted sum of (u,w)/(w,x) over the
+    other lines w must vanish identically on the slice of the stratum where
+    (u,x) = 0.  Returns the indices of the lines where it does not.
 
     A sum of a_k/l_k over pairwise non-proportional linear forms is a
     polynomial only if each l_k divides a_k (multiply by the product of the
-    forms and restrict to l_1 = 0).  Here the a_k are constants, so the rows
-    are grouped by their line key and each group's sum of coeff/lead must
-    vanish.
+    forms and restrict to l_1 = 0).  Here the a_k are constants, so the
+    forms are grouped by line and each group's sum of coeff/lead must
+    vanish.  On the slice, (w,x) is (p,x)/(u,u) with p = (u,u) w - (u,w) u,
+    which lies in the slice, so two forms are proportional there exactly
+    when their p are, and p = 0 when w is on the u-line, which leaves the
+    sum.  Everything runs on the lines' integral keys over the key roots,
+    with G the integral Gram matrix of the key roots' projections
+    (Stratum.key_projections): (u,w) = u^T G w.  G and the keys are known
+    up to scale, and rescaling u, w or G multiplies all of u's residues by
+    one nonzero factor, which no verdict sees.
     """
     if not mults.is_numeric:
         raise ValueError("numeric multiplicities required")
-    rs = stratum.rs
-    field = rs.field
+    field = stratum.rs.field
     config = restricted_configuration(stratum, mults)
     ms = config.scalar_mults()
+    mul, int_dot = field._mul_nums, field.int_dot
+    projections = stratum.key_projections()
+    gram_rows = [[int_dot(a, b) for b in projections] for a in projections]
+    pushed = [[int_dot(key, row) for row in gram_rows] for key in config.keys]  # G u, G symmetric
     bad = []
-    for i, u in enumerate(config.vectors):
-        slice_rows = list(stratum.subspace.annihilator) + [u]
-        sl = Subspace(field, rs.dim, slice_rows)
-        sbasis = sl.basis
-        if not sbasis:
-            continue
-        # line key of the row -> summed coeff/lead
+    for i, (u, gu) in enumerate(zip(config.keys, pushed)):
+        uu = int_dot(gu, u)
+        # line key of p -> summed (u,w) m_w / lead(p)
         residues: dict[tuple, FieldElement] = {}
-        for j, w in enumerate(config.vectors):
-            if j == i:
+        for j, (w, m) in enumerate(zip(config.keys, ms)):
+            uw = int_dot(gu, w)
+            if j == i or m.is_zero() or not any(uw):
                 continue
-            coeff = dot(u, w) * ms[j]
-            if coeff.is_zero():
-                continue
-            row = tuple(dot(w, b) for b in sbasis)
-            key = line_key(field, int_rows([row])[0])
+            p = [tuple([a - b for a, b in zip(mul(uu, x), mul(uw, y))]) for x, y in zip(w, u)]
+            key = line_key(field, p)
             if key is None:
-                # w projects to the u-line itself; excluded from the sum
                 continue
-            residue = coeff / next(x for x in row if not x.is_zero())
-            residues[key] = residues.get(key, field.zero()) + residue
+            lead = next(x for x in p if any(x))
+            residues[key] = residues.get(key, field.zero()) + field.quotient(uw, 1) * m / field.quotient(lead, 1)
         if any(not c.is_zero() for c in residues.values()):
             bad.append(i)
     return bad
@@ -263,7 +257,7 @@ def restriction_defects(stratum: Stratum, mults: Multiplicities, degrees=(2, 4, 
         raise ValueError("numeric multiplicities required")
     rs = stratum.rs
     field = rs.field
-    basis = stratum.subspace.basis
+    basis = nullspace(*rref(stratum.normals), rs.dim, field)
     r = len(basis)
     if r == 0:
         return []

@@ -10,10 +10,12 @@ keeps its coordinates over the simple roots (RootSystem.coords), integral
 over one common denominator, on which the lines are walked and strata read
 their lines, their projections and their components.
 
-Subspaces are kept in canonical form (reduced echelon annihilator), but a
-flat is keyed by the sorted indices of the hyperplanes that contain it,
-which the group permutes: a stratum's root lines, or for G(m,p,N) the
-hyperplanes of G(m,1,N).  flat_members builds the Subspace of each tuple.
+A flat is read through its normals and the sorted indices of the
+hyperplanes that contain it, which the group permutes: a stratum's root
+lines, or for G(m,p,N) the hyperplanes of G(m,1,N).  Subspace, a flat in
+canonical form (reduced echelon annihilator), flat_members, which builds
+the Subspace of each tuple, and orbit_of_subspace remain only for the
+tests and the benchmark's tracer; no command builds a Subspace.
 
 Every orbit is built by one breadth-first walk, orbit_walk: the root
 lines are the orbits of the simple-root lines on their coordinates, whose
@@ -208,9 +210,6 @@ class RootSystem:
 
     def line_index(self, v: Vector) -> int | None:
         return self._line_index.get(_vec_key(_line_rep(v)))
-
-    def is_root_line(self, v: Vector) -> bool:
-        return self.line_index(v) is not None
 
     @property
     def name(self) -> str:
@@ -662,9 +661,9 @@ class Stratum:
     coordinates outside I: lines with proportional projections share a
     key.  The lines that vanish on X_I, the stratum's lines, are the roots
     supported in I (Phi cap span Delta_I = Phi_I; Humphreys 1.10): their
-    coordinates outside I are zero.  normals, the simple roots of I, span
-    X_I's annihilator; line_keys and the reduced subspace are built the
-    first time they are read.
+    coordinates outside I are zero.  normals, the simple roots of I, are
+    independent and span X_I's annihilator; line_keys is built the first
+    time it is read.
     """
 
     def __init__(self, rs: RootSystem, gamma0, label: str = ""):
@@ -679,10 +678,6 @@ class Stratum:
         self.normals = tuple(rs.simple[i] for i in gamma0)
         self.key_roots = tuple(j for j in range(rs.rank) if j not in gamma0)
         self.lines = tuple(i for i, c in enumerate(rs.coords) if not any(any(c[j]) for j in self.key_roots))
-
-    @cached_property
-    def subspace(self) -> Subspace:
-        return Subspace(self.rs.field, self.rs.dim, self.normals)
 
     @cached_property
     def line_keys(self) -> tuple:

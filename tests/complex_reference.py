@@ -19,6 +19,7 @@ from itertools import combinations
 
 from dunklcm.linalg import dot
 from dunklcm.rootsystems import Subspace
+from rootsystem_reference import subspace
 
 
 def generator_inverses(group) -> list:
@@ -54,5 +55,5 @@ def reference_subspace_orbit(group, sub: Subspace) -> dict:
 
 def reference_flat_lines(flat) -> tuple[int, ...]:
     """The indices of the group.lines that vanish on every basis vector of the flat's subspace."""
-    basis = flat.subspace.basis
+    basis = subspace(flat).basis
     return tuple(i for i, line in enumerate(flat.group.lines) if all(dot(line, b).is_zero() for b in basis))

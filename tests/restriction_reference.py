@@ -37,6 +37,7 @@ from dunklcm.linalg import dot, gram, invert, mat_vec, reflection_matrix, vec_is
 from dunklcm.polynomials import Polynomial, divide_by_linear, linear_combination
 from dunklcm.restriction import restricted_configuration
 from dunklcm.rootsystems import Subspace
+from rootsystem_reference import subspace
 
 
 def project_onto(basis, gram_inv, v):
@@ -61,14 +62,14 @@ def monic(v):
 
 def reference_lines(stratum) -> tuple[int, ...]:
     """Indices of the root lines orthogonal to every basis vector of the stratum."""
-    basis = stratum.subspace.basis
+    basis = subspace(stratum).basis
     return tuple(i for i, alpha in enumerate(stratum.rs.lines) if all(dot(alpha, b).is_zero() for b in basis))
 
 
 def reference_configuration(stratum, mults) -> tuple[list, list]:
     """(vectors, multiplicities) of the restricted configuration."""
     rs = stratum.rs
-    basis = stratum.subspace.basis
+    basis = subspace(stratum).basis
     if not basis:
         return [], []
     ginv = invert(gram(basis), rs.field)
@@ -113,7 +114,7 @@ def reference_gauge_defects(stratum, mults) -> list[int]:
     ms = config.scalar_mults()
     bad = []
     for i, u in enumerate(config.vectors):
-        sbasis = Subspace(field, rs.dim, list(stratum.subspace.annihilator) + [u]).basis
+        sbasis = Subspace(field, rs.dim, list(subspace(stratum).annihilator) + [u]).basis
         if not sbasis:
             continue
         terms = []
@@ -157,7 +158,7 @@ def reference_restriction_defects(stratum, mults, degrees=(2, 4, 6), deformed=Fa
     identity at omega = 1 (module docstring)."""
     rs = stratum.rs
     field = rs.field
-    basis = stratum.subspace.basis
+    basis = subspace(stratum).basis
     r = len(basis)
     if r == 0:
         return []
@@ -280,7 +281,7 @@ def full_space_restriction_defects(stratum, mults, degrees=(2, 4, 6)) -> list[in
     of each configuration term."""
     rs = stratum.rs
     field = rs.field
-    basis = stratum.subspace.basis
+    basis = subspace(stratum).basis
     r = len(basis)
     if r == 0:
         return []

@@ -35,6 +35,10 @@ code reads of a Stratum, so the identities run on flats placed anywhere
 and on subspaces that are no flats, and its components are
 reference_components.
 
+subspace builds the reduced Subspace that a Stratum or a CollisionFlat
+cuts out with its normals, where the program reads a flat only through its
+normals and its lines.
+
 reference_coxeter_number builds the weighted root form
 sum_alpha c_alpha (alpha,u)(alpha,v)/(alpha,alpha) as a matrix on a basis
 of the span of the lines and checks entry by entry that it is h times the
@@ -182,6 +186,12 @@ class ReferenceStratum:
 def reference_stratum_lines(stratum) -> tuple[int, ...]:
     """The root lines whose key is None: those whose coordinates outside the key roots' span vanish."""
     return tuple(i for i, k in enumerate(stratum.line_keys) if k is None)
+
+
+def subspace(flat) -> Subspace:
+    """The reduced subspace cut out by the normals of a Stratum, a ReferenceStratum or a CollisionFlat."""
+    field, n = (flat.rs.field, flat.rs.dim) if hasattr(flat, "rs") else (flat.group.field, flat.group.N)
+    return Subspace(field, n, flat.normals)
 
 
 def reference_stratum(rs, rows, label="") -> ReferenceStratum:

@@ -11,6 +11,7 @@ from dunklcm.cli import main
 from dunklcm.polynomials import solve_affine
 from dunklcm.restriction import _load_catalog_rows
 from dunklcm.rootsystems import enumerate_parabolic_strata, parabolic_stratum, root_system
+from rootsystem_reference import subspace
 
 
 def run(capsys, *argv):
@@ -185,6 +186,9 @@ def test_two_zeros_in_d(capsys):
     (["--family", "A", "--rank", "3", "--subgraph", "A1:k=2,m=-1", "--c", "1/2"], "m=-1"),
     (["--family", "A", "--rank", "3", "--subgraph", "A1:k=0,m=2", "--c", "1/2"], "k=0"),
     (["--family", "B", "--rank", "3", "--subgraph", "Bl:l=-1", "--c1", "1/2", "--c2", "1/2"], "l=-1"),
+    # blocks of one coordinate and no zeros name nothing, which is not the whole space
+    (["--family", "B", "--rank", "4", "--subgraph", "A2:k=3", "--c1", "1/2", "--c2", "1/2"], '--subgraph ""'),
+    (["--family", "B", "--rank", "4", "--subgraph", "A1^2:m=2", "--c1", "1/2", "--c2", "1/2"], '--subgraph ""'),
 ])
 def test_negative_counts_and_empty_blocks_are_usage_errors(capsys, argv, value):
     code, out = run(capsys, "check", *argv)
@@ -719,7 +723,7 @@ def test_resolve_subgraph_names_every_enumerated_class(family, rank_):
     rs = root_system(family, rank_)
     for st in enumerate_parabolic_strata(rs):
         got = cli.resolve_subgraph(rs, st.label)
-        assert (got.gamma0, got.subspace) == (st.gamma0, st.subspace), st.label
+        assert (got.gamma0, subspace(got)) == (st.gamma0, subspace(st)), st.label
         assert got.label == st.label.removesuffix(":1")  # the first class keeps its bare type
 
 
@@ -804,3 +808,48 @@ def test_verify_deformed_reports_restriction_degrees(capsys, degree, checked):
     assert out["degree"] == int(degree)
     assert out["restriction_degrees"] == checked
     assert out["restriction_failing_degrees"] == []
+
+
+# every command that reads a stratum or a flat: the gauge residues, the
+# restricted configuration, the restriction identity on and off its locus
+# (A3's whole-I stratum meets span(Phi) in 0 only), the deformed suite, the
+# catalog, and the complex direct check and solve
+NO_SUBSPACE_ARGVS = [
+    ["verify", "gauge", "--family", "H3"],
+    ["verify", "gauge", "--family", "F4"],
+    ["verify", "gauge", "--family", "B", "--rank", "3"],
+    ["verify", "gauge", "--family", "E6"],
+    ["restrict", "--family", "E8", "--subgraph", "D4"],
+    ["restrict", "--family", "H4", "--subgraph", "I2(5)"],
+    ["restrict", "--family", "B", "--rank", "4", "--subgraph", "Bl:l=2"],
+    ["verify", "restriction", "--family", "A", "--rank", "5", "--subgraph", "A2:k=3,m=2"],
+    ["verify", "restriction", "--family", "E8", "--subgraph", "D4"],
+    ["verify", "restriction", "--family", "E8", "--subgraph", "D4", "--c", "1/3"],
+    ["verify", "restriction", "--family", "A", "--rank", "3", "--subgraph", "A3"],
+    ["verify", "restriction", "--family", "A", "--rank", "3", "--subgraph", "A3", "--c", "1/3"],
+    ["verify", "deformed", "--family", "A", "--rank", "3", "--subgraph", "A1", "--c", "1/2"],
+    ["catalog"],
+    ["verify", "catalog"],
+    ["check", "--group", "G(4,2,3)", "--blocks", "1,2", "--zeros", "1", "--direct", "--c0=1/2", "--c1=1/2"],
+    ["check", "--group", "G(4,2,3)", "--blocks", "1,2", "--zeros", "1", "--direct", "--c0=1/2", "--c1=1/3"],
+    ["solve", "--group", "G(4,2,3)", "--blocks", "2"],
+]
+
+
+def test_no_command_builds_a_subspace(capsys, monkeypatch):
+    """Commands read a flat through its normals and its lines, and the
+    restricted configuration through its line keys: none reduces a Subspace."""
+
+    def outcome(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    want = [outcome(argv) for argv in NO_SUBSPACE_ARGVS]
+    assert {code for code, _ in want} == {0, 1}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built a Subspace")
+
+    monkeypatch.setattr(rootsystems.Subspace, "__init__", refuse)
+    for argv, expect in zip(NO_SUBSPACE_ARGVS, want):
+        assert outcome(argv) == expect, argv

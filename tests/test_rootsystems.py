@@ -36,6 +36,7 @@ from rootsystem_reference import (
     reference_parabolic_strata,
     reference_stratum,
     reference_stratum_lines,
+    subspace,
 )
 
 LINE_COUNTS = {
@@ -69,7 +70,7 @@ def test_closed_under_own_reflections(fam, rank_, m):
     rs = root_system(fam, rank_, m=m)
     for a in rs.lines:
         for b in rs.lines:
-            assert rs.is_root_line(reflect(b, a))
+            assert rs.line_index(reflect(b, a)) is not None
 
 
 def test_unknown_families_rejected():
@@ -362,7 +363,7 @@ def test_block_strata_B():
     rs = root_system("B", 4)
     two_zero = block_stratum(rs, m=0, k=1, l=2)
     assert len(orbit(two_zero)) == 6
-    assert two_zero.subspace.dim == 2
+    assert subspace(two_zero).dim == 2
     pair = block_stratum(rs, m=1, k=2)
     # choices of the colliding pair times the relative sign
     assert len(orbit(pair)) == 12
@@ -488,9 +489,9 @@ def test_parabolic_line_orbits_match_reference(fam, rank_, m):
     for size in range(1, rs.rank + 1):
         for idx in combinations(range(rs.rank), size):
             st = parabolic_stratum(rs, idx)
-            first = next((first for ref, first in walked if st.subspace.key in ref), None)
+            first = next((first for ref, first in walked if subspace(st).key in ref), None)
             if first is None:
-                ref = reference_orbit(rs, st.subspace)
+                ref = reference_orbit(rs, subspace(st))
                 assert members(st).keys() == ref.keys(), idx
                 walked.append((ref, st))
             else:
@@ -503,7 +504,7 @@ def test_E7_doubled_line_orbits_match_reference():
     for label, size, want in (("A1^3", 3, [315, 3780]), ("A5", 5, [336, 1008])):
         sizes = []
         for st in parabolic_classes(rs, size, label=label):
-            ref = reference_orbit(rs, st.subspace)
+            ref = reference_orbit(rs, subspace(st))
             assert members(st).keys() == ref.keys(), st.gamma0
             sizes.append(len(ref))
         assert sorted(sizes) == want
@@ -518,7 +519,7 @@ def test_E7_doubled_line_orbits_match_reference():
 def test_block_line_orbits_match_reference(fam, rank_, shape):
     rs = root_system(fam, rank_)
     st = block_stratum(rs, **shape)
-    assert members(st).keys() == reference_orbit(rs, st.subspace).keys()
+    assert members(st).keys() == reference_orbit(rs, subspace(st)).keys()
 
 
 @pytest.mark.parametrize("indices", [(-1,), (4,), (0, 4)])
@@ -573,7 +574,7 @@ def test_every_block_stratum_is_a_flat(fam, rank_):
                         continue
                     shape = (m, k, l, eps)
                     rows = block_rows(n, m, k, l, eps, n - l)
-                    assert st.subspace == Subspace(rs.field, n, [vec(rs.field, r) for r in rows]), shape
+                    assert subspace(st) == Subspace(rs.field, n, [vec(rs.field, r) for r in rows]), shape
                     ref = reference_stratum(rs, rows)
                     assert (st.lines, st.components()) == (ref.lines, ref.components()), shape
                     got, want = (restricted_configuration(s, symbolic) for s in (st, ref))
@@ -582,7 +583,7 @@ def test_every_block_stratum_is_a_flat(fam, rank_):
                     hs = [reference_coxeter_number(rs, symbolic, comp) for comp in conjugate.components()]
                     assert Counter(st.conditions) == Counter(hs), shape
                     if (fam, rank_) in ORBIT_CHECKED:
-                        assert len(orbit(st)) == len(reference_orbit(rs, st.subspace)), shape
+                        assert len(orbit(st)) == len(reference_orbit(rs, subspace(st))), shape
                     accepted += 1
     assert accepted >= n
 
@@ -630,5 +631,5 @@ def test_stratum_lines_match_the_key_reference(fam, rank_, m):
     """The roots supported in I, read off the coordinates, are the lines whose key is None."""
     rs = root_system(fam, rank_, m)
     for st in [Stratum(rs, ()), *enumerate_parabolic_strata(rs)]:
-        assert "line_keys" not in vars(st) and "subspace" not in vars(st), st.label
+        assert "line_keys" not in vars(st), st.label
         assert st.lines == reference_stratum_lines(st), st.label

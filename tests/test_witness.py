@@ -35,7 +35,7 @@ from dunklcm.rootsystems import (
     root_system,
 )
 from complex_reference import reference_flat_lines
-from rootsystem_reference import reference_stratum_lines
+from rootsystem_reference import reference_stratum_lines, subspace
 from test_acceptance import COMPLEX_CASES
 from test_cli import run
 from test_complexgroups import N3_GROUPS, every_flat
@@ -83,7 +83,7 @@ def _real(family, rank, gamma0, values, shift):
     rs = root_system(family, rank)
     st = parabolic_stratum(rs, gamma0)
     mults = Multiplicities.numeric(rs, {k: v + shift for k, v in values.items()})
-    return DunklContext(rs, mults), _members(st), st.subspace, direct_invariance_violations(st, mults)
+    return DunklContext(rs, mults), _members(st), subspace(st), direct_invariance_violations(st, mults)
 
 
 def _complex(g, shape, weights, shift):
@@ -93,7 +93,7 @@ def _complex(g, shape, weights, shift):
     shifted = {k: v + shift for k, v in weights.items()}
     flat = CollisionFlat(group, q, r, l=l, eps=eps)
     orbit = subspace_orbit(group, flat, cap=ORBIT_LIMIT)
-    return ComplexDunklContext(group, shifted), orbit, flat.subspace, direct_ideal_violations(flat, shifted)
+    return ComplexDunklContext(group, shifted), orbit, subspace(flat), direct_ideal_violations(flat, shifted)
 
 
 def _agree(ctx, orbit, base, _):
@@ -148,7 +148,7 @@ def test_conormal_matches_pointwise_on_small_golden_orbits():
         for shift, expect in ((0, True), (Fraction(1, 7), False)):
             mults = Multiplicities.numeric(rs, Fraction(row["c"]) + shift)
             direct = direct_invariance_violations(st, mults)
-            assert _conormal_agrees(DunklContext(rs, mults), orbit, st.subspace, direct, seeds=(1,)) is expect, row
+            assert _conormal_agrees(DunklContext(rs, mults), orbit, subspace(st), direct, seeds=(1,)) is expect, row
     assert small == 5
 
 

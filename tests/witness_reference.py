@@ -39,6 +39,7 @@ import random
 from dunklcm.complexgroups import ComplexDunklContext
 from dunklcm.linalg import vec_is_zero
 from dunklcm.polynomials import Polynomial
+from rootsystem_reference import subspace
 
 # witness points have integer coordinates in [-POINT_RANGE, POINT_RANGE] on a member's basis
 POINT_RANGE = 2 ** 20
@@ -119,7 +120,7 @@ def witness_images(ctx, forms, points) -> list[list]:
 
 def reference_conormal_violations(ctx, flat, lines) -> list:
     """(v, k) for every nonzero form[v] - sum_{r in lines} c_r alpha_r[v] form(alpha_r^v),
-    form the k-th row of flat.subspace.annihilator, the sum over the context's reflections.
+    form the k-th row of subspace(flat).annihilator, the sum over the context's reflections.
 
     Indices in lines past the reflections are G(m,p,N)'s coordinate
     hyperplanes, the last N of group.lines: the coordinate x_v of each
@@ -133,7 +134,7 @@ def reference_conormal_violations(ctx, flat, lines) -> list:
         weight = ctx.cdiag[0] * field.element(ctx.group.diag_order)
     mirrors = [ctx.reflections[r] for r in lines if r < len(ctx.reflections)]
     bad = []
-    for k, form in enumerate(flat.subspace.annihilator):
+    for k, form in enumerate(subspace(flat).annihilator):
         along = [c * field.dot(form, coroot) for _, coroot, c in mirrors]
         for v in range(ctx.nvars):
             value = form[v]

@@ -4,7 +4,8 @@
 
 The argvs are every job of every workload in ``perfbench/workloads.py`` at
 each seed, then every ``dunklcm ...`` line of the README's Examples block,
-all read from the working tree, so both sides run the same list.  The
+then the fixed list FIXED_ARGVS, all read from the working tree, so both
+sides run the same list.  The
 parent defaults to HEAD when the working tree has uncommitted changes to
 tracked files, else to HEAD~1; it is exported with ``git archive`` into a
 temporary directory, removed afterwards.  Each side runs the whole list in
@@ -47,6 +48,25 @@ json.dump(out, sys.__stdout__)
 """
 
 
+# commands that neither the workloads nor the README run: the gauge residues
+# of every class of larger systems, the restriction identity on whole-I
+# strata (where X meets span(Phi) in 0) and on strata of E6 and E8, and a
+# sign-twisted block stratum
+FIXED_ARGVS = [
+    ["verify", "gauge", "--family", "B", "--rank", "3"],
+    ["verify", "gauge", "--family", "D", "--rank", "5"],
+    ["verify", "gauge", "--family", "E6"],
+    ["verify", "gauge", "--family", "E7"],
+    ["verify", "gauge", "--family", "E8"],
+    ["verify", "restriction", "--family", "A", "--rank", "3", "--subgraph", "A3"],
+    ["verify", "restriction", "--family", "G2", "--subgraph", "G2"],
+    ["verify", "restriction", "--family", "E6", "--subgraph", "E6"],
+    ["verify", "restriction", "--family", "E6", "--subgraph", "A2"],
+    ["verify", "restriction", "--family", "E8", "--subgraph", "D4", "--degree", "8"],
+    ["restrict", "--family", "D", "--rank", "4", "--subgraph", "D2^2:k=2,m=2,eps=-1"],
+]
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
@@ -63,6 +83,10 @@ def readme_argvs() -> list[list[str]]:
     block = text.split("### Examples", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = (line.partition("#")[0].strip() for line in block.splitlines())
     return [shlex.split(line)[1:] for line in lines if line.startswith("dunklcm ")]
+
+
+def all_argvs(seeds: list[int]) -> list[list[str]]:
+    return job_argvs(seeds) + readme_argvs() + FIXED_ARGVS
 
 
 def run_side(tree: Path, argvs: list[list[str]]) -> list[dict]:
@@ -82,7 +106,7 @@ def main(argv=None) -> int:
 
     uncommitted = bool(git("status", "--porcelain", "--untracked-files=no"))
     parent_rev = git("rev-parse", args.parent or ("HEAD" if uncommitted else "HEAD~1"))
-    argvs = job_argvs(seeds) + readme_argvs()
+    argvs = all_argvs(seeds)
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", parent_rev], cwd=ROOT,
                                  capture_output=True, check=True).stdout
